@@ -8,6 +8,7 @@
 
 #include "common/table.h"
 #include "experiments/harness.h"
+#include "search/backend.h"
 
 int main(int argc, char** argv) {
   using namespace guess;
@@ -29,9 +30,10 @@ int main(int argc, char** argv) {
     for (bool use : {true, false}) {
       ProtocolParams p = base;
       p.use_query_cache = use;
-      SimulationOptions options = scale.options();
-      GuessSimulation sim(SimulationConfig().system(system).protocol(p).options(options));
-      auto r = sim.run();
+      search::SearchResults run = search::run_search(
+          SimulationConfig().system(system).protocol(p).options(
+              scale.options()));
+      const auto& r = *run.extra_as<SimulationResults>();
       table.add_row({std::string(use ? "on" : "off"), r.probes_per_query(),
                      r.unsatisfied_rate(),
                      r.query_cache_population.mean()});
@@ -89,9 +91,10 @@ int main(int argc, char** argv) {
     for (std::size_t desired : {1u, 3u, 5u, 10u}) {
       SystemParams s = system;
       s.num_desired_results = desired;
-      SimulationOptions options = scale.options();
-      GuessSimulation sim(SimulationConfig().system(s).protocol(base).options(options));
-      auto r = sim.run();
+      search::SearchResults run = search::run_search(
+          SimulationConfig().system(s).protocol(base).options(
+              scale.options()));
+      const auto& r = *run.extra_as<SimulationResults>();
       table.add_row({static_cast<std::int64_t>(desired),
                      r.probes_per_query(), r.unsatisfied_rate(),
                      r.response_time.mean()});
@@ -117,8 +120,9 @@ int main(int argc, char** argv) {
         options.enable_queries = false;  // isolate maintenance traffic
         options.warmup = 600.0;
         options.measure = scale.full ? 7200.0 : 3000.0;
-        GuessSimulation sim(SimulationConfig().system(s).protocol(p).options(options));
-        auto r = sim.run();
+        search::SearchResults run = search::run_search(
+            SimulationConfig().system(s).protocol(p).options(options));
+        const auto& r = *run.extra_as<SimulationResults>();
         table.add_row({multiplier, std::string(adaptive ? "adaptive" : "30s"),
                        static_cast<std::int64_t>(r.pings_sent),
                        static_cast<std::int64_t>(r.pings_to_dead),

@@ -29,16 +29,16 @@
 #include "common/table.h"
 #include "experiments/harness.h"
 #include "faults/scenario.h"
-#include "guess/simulation.h"
+#include "search/backend.h"
 
 namespace guess {
 namespace {
 
 /// Pool the per-seed interval series (same boundaries across seeds: counts
 /// sum, live population averages) — the bench_fault_scenarios convention.
-IntervalSeries pool_series(const std::vector<SimulationResults>& runs) {
+IntervalSeries pool_series(const std::vector<search::SearchResults>& runs) {
   IntervalSeries pooled;
-  for (const SimulationResults& run : runs) {
+  for (const search::SearchResults& run : runs) {
     const IntervalSeries& series = run.interval_series;
     if (pooled.size() < series.size()) pooled.resize(series.size());
     for (std::size_t i = 0; i < series.size(); ++i) {
@@ -214,19 +214,20 @@ int main(int argc, char** argv) {
                         .system(system)
                         .protocol(cell_protocol)
                         .scenario(faults::Scenario::parse(spec));
-      auto runs = run_seeds(config, scale.seeds);
+      auto runs = search::run_search_seeds(config, scale.seeds);
       Cell cell;
       IntervalSeries pooled = pool_series(runs);
       cell.recovery = compute_recovery(pooled, t0, t0 + window);
       cell.success_during = success_in_window(pooled, t0, t0 + window);
-      for (const SimulationResults& run : runs) {
-        cell.attack.adversaries_spawned += run.attack.adversaries_spawned;
-        cell.attack.adversaries_retired += run.attack.adversaries_retired;
-        cell.attack.sybil_respawns += run.attack.sybil_respawns;
-        cell.attack.withheld_exchanges += run.attack.withheld_exchanges;
-        cell.attack.oversized_pongs += run.attack.oversized_pongs;
-        cell.attack.pong_entries_dropped += run.attack.pong_entries_dropped;
-        cell.attack.no_reply_charges += run.attack.no_reply_charges;
+      for (const search::SearchResults& run : runs) {
+        const AttackStats& attack = run.extra_as<SimulationResults>()->attack;
+        cell.attack.adversaries_spawned += attack.adversaries_spawned;
+        cell.attack.adversaries_retired += attack.adversaries_retired;
+        cell.attack.sybil_respawns += attack.sybil_respawns;
+        cell.attack.withheld_exchanges += attack.withheld_exchanges;
+        cell.attack.oversized_pongs += attack.oversized_pongs;
+        cell.attack.pong_entries_dropped += attack.pong_entries_dropped;
+        cell.attack.no_reply_charges += attack.no_reply_charges;
       }
       GUESS_CHECK_MSG(cell.attack.adversaries_spawned > 0,
                       "attack " << attack.name << " never deployed");

@@ -10,7 +10,6 @@
 
 #include "common/table.h"
 #include "experiments/harness.h"
-#include "guess/simulation.h"
 
 int main(int argc, char** argv) {
   using namespace guess;

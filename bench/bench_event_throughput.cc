@@ -3,9 +3,6 @@
 // death-driven cancellations — the simulator's dominant event pattern), and
 // end-to-end GUESS simulation throughput, for
 //
-//   legacy    — the pre-slab queue (std::function callbacks, one
-//               shared_ptr<bool> allocated per schedule), embedded below as
-//               the before/after baseline;
 //   heap      — the slab-backed binary-heap backend;
 //   calendar  — the slab-backed calendar-queue backend.
 //
@@ -15,100 +12,20 @@
 // defaults quoted in README.md.
 #include <chrono>
 #include <fstream>
-#include <functional>
 #include <iomanip>
 #include <iostream>
-#include <memory>
-#include <queue>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/flags.h"
 #include "common/rng.h"
 #include "common/table.h"
-#include "guess/simulation.h"
+#include "search/backend.h"
 #include "sim/event_queue.h"
 
 namespace guess {
 namespace {
-
-// --- The pre-slab event queue, verbatim from the original sim/event_queue
-// (names prefixed), kept here so one binary measures before and after. -----
-
-class LegacyEventHandle {
- public:
-  LegacyEventHandle() = default;
-  void cancel() {
-    if (auto p = alive_.lock()) *p = false;
-  }
-  bool pending() const {
-    auto p = alive_.lock();
-    return p && *p;
-  }
-
-  explicit LegacyEventHandle(std::weak_ptr<bool> alive)
-      : alive_(std::move(alive)) {}
-
- private:
-  std::weak_ptr<bool> alive_;
-};
-
-class LegacyEventQueue {
- public:
-  using Callback = std::function<void()>;
-
-  LegacyEventHandle schedule(sim::Time at, Callback fn) {
-    auto alive = std::make_shared<bool>(true);
-    LegacyEventHandle handle{std::weak_ptr<bool>(alive)};
-    heap_.push(Entry{at, next_seq_++, std::move(fn), std::move(alive)});
-    ++live_;
-    return handle;
-  }
-
-  bool empty() const {
-    drop_dead();
-    return heap_.empty();
-  }
-
-  Callback pop(sim::Time& at) {
-    drop_dead();
-    GUESS_CHECK(!heap_.empty());
-    auto& top = const_cast<Entry&>(heap_.top());
-    at = top.at;
-    Callback fn = std::move(top.fn);
-    *top.alive = false;
-    heap_.pop();
-    --live_;
-    return fn;
-  }
-
- private:
-  struct Entry {
-    sim::Time at;
-    std::uint64_t seq;
-    Callback fn;
-    std::shared_ptr<bool> alive;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  void drop_dead() const {
-    while (!heap_.empty() && !*heap_.top().alive) {
-      heap_.pop();
-      --live_;
-    }
-  }
-
-  mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  mutable std::size_t live_ = 0;
-  std::uint64_t next_seq_ = 0;
-};
 
 // --- Synthetic churn-heavy workload ---------------------------------------
 
@@ -127,12 +44,10 @@ struct Throughput {
 // 1-in-16 chance of a peer death, which cancels a random peer's pending
 // timer and arms a replacement — the schedule/cancel/pop mix a churning
 // GUESS network generates.
-template <class Queue>
-Throughput run_churn_workload(Queue& queue, int peers, long long events,
-                              std::uint64_t seed) {
+Throughput run_churn_workload(sim::EventQueue& queue, int peers,
+                              long long events, std::uint64_t seed) {
   Rng rng(seed);
-  using Handle = decltype(queue.schedule(0.0, [] {}));
-  std::vector<Handle> ping(static_cast<std::size_t>(peers));
+  std::vector<sim::EventHandle> ping(static_cast<std::size_t>(peers));
   int last = -1;
   auto timer_cb = [&last](int p) {
     return [&last, p] { last = p; };
@@ -190,43 +105,38 @@ EndToEnd run_simulation(sim::Scheduler scheduler, std::size_t network,
   options.warmup = measure / 4.0;
   options.measure = measure;
   options.scheduler = scheduler;
-  GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(options));
+  auto config =
+      SimulationConfig().system(system).protocol(protocol).options(options);
   auto start = std::chrono::steady_clock::now();
-  EndToEnd out;
-  out.results = sim.run();
+  search::SearchResults run = search::run_search(config);
   auto stop = std::chrono::steady_clock::now();
+  EndToEnd out;
+  out.results = *run.extra_as<SimulationResults>();
   out.throughput.seconds =
       std::chrono::duration<double>(stop - start).count();
-  out.throughput.events =
-      static_cast<long long>(sim.simulator().events_fired());
+  out.throughput.events = static_cast<long long>(run.events_fired);
   return out;
 }
 
 void write_json(const std::string& path, int peers, long long events,
-                const Throughput& legacy, const Throughput& heap,
-                const Throughput& calendar, std::size_t network,
-                sim::Duration measure, const EndToEnd& e2e_heap,
-                const EndToEnd& e2e_calendar, bool identical) {
+                const Throughput& heap, const Throughput& calendar,
+                std::size_t network, sim::Duration measure,
+                const EndToEnd& e2e_heap, const EndToEnd& e2e_calendar,
+                bool identical) {
   std::ofstream out(path);
   GUESS_CHECK_MSG(out.good(), "cannot write " << path);
   out << std::fixed << std::setprecision(1);
-  auto queue_obj = [&](const char* name, const Throughput& t,
-                       const Throughput& baseline, bool last) {
+  auto queue_obj = [&](const char* name, const Throughput& t, bool last) {
     out << "    \"" << name << "\": {\"events_per_sec\": "
         << t.events_per_sec() << ", \"ns_per_event\": " << t.ns_per_event()
-        << ", \"speedup_vs_legacy\": " << std::setprecision(3)
-        << (baseline.seconds > 0.0 ? t.events_per_sec() /
-                                         baseline.events_per_sec()
-                                   : 0.0)
-        << std::setprecision(1) << "}" << (last ? "" : ",") << "\n";
+        << "}" << (last ? "" : ",") << "\n";
   };
   out << "{\n";
   out << "  \"workload\": {\"peers\": " << peers << ", \"events\": " << events
       << "},\n";
   out << "  \"queues\": {\n";
-  queue_obj("legacy_heap", legacy, legacy, false);
-  queue_obj("slab_heap", heap, legacy, false);
-  queue_obj("slab_calendar", calendar, legacy, true);
+  queue_obj("slab_heap", heap, false);
+  queue_obj("slab_calendar", calendar, true);
   out << "  },\n";
   out << "  \"end_to_end\": {\n";
   out << "    \"network_size\": " << network
@@ -267,22 +177,18 @@ int main(int argc, char** argv) {
   std::cout << "# Event-core throughput — churn-heavy workload (peers="
             << peers << ", events=" << events << ", seed=" << seed << ")\n";
 
-  LegacyEventQueue legacy_queue;
-  Throughput legacy = run_churn_workload(legacy_queue, peers, events, seed);
   sim::EventQueue heap_queue(sim::Scheduler::kHeap);
   Throughput heap = run_churn_workload(heap_queue, peers, events, seed);
   sim::EventQueue calendar_queue(sim::Scheduler::kCalendar);
   Throughput calendar =
       run_churn_workload(calendar_queue, peers, events, seed);
 
-  TablePrinter table({"queue", "events/sec", "ns/event", "vs legacy"});
+  TablePrinter table({"queue", "events/sec", "ns/event"});
   auto row = [&](const char* name, const Throughput& t) {
     table.add_row({std::string(name),
                    static_cast<std::int64_t>(t.events_per_sec()),
-                   static_cast<std::int64_t>(t.ns_per_event()),
-                   t.events_per_sec() / legacy.events_per_sec()});
+                   static_cast<std::int64_t>(t.ns_per_event())});
   };
-  row("legacy_heap", legacy);
   row("slab_heap", heap);
   row("slab_calendar", calendar);
   table.print(std::cout, "synthetic churn-heavy workload");
@@ -314,8 +220,8 @@ int main(int argc, char** argv) {
   std::cout << "schedulers bitwise identical: "
             << (identical ? "yes" : "NO — BUG") << "\n";
 
-  write_json(out_path, peers, events, legacy, heap, calendar, network,
-             measure, e2e_heap, e2e_calendar, identical);
+  write_json(out_path, peers, events, heap, calendar, network, measure,
+             e2e_heap, e2e_calendar, identical);
   std::cout << "wrote " << out_path << "\n";
   return identical ? 0 : 1;
 }

@@ -22,7 +22,7 @@
 #include "common/table.h"
 #include "experiments/harness.h"
 #include "faults/scenario.h"
-#include "guess/simulation.h"
+#include "search/backend.h"
 
 namespace {
 
@@ -30,9 +30,9 @@ using namespace guess;
 
 /// Pool the per-seed interval series: boundaries are identical across seeds
 /// (same horizon, same width), so counts sum and live populations average.
-IntervalSeries pool_series(const std::vector<SimulationResults>& runs) {
+IntervalSeries pool_series(const std::vector<search::SearchResults>& runs) {
   IntervalSeries pooled;
-  for (const SimulationResults& run : runs) {
+  for (const search::SearchResults& run : runs) {
     const IntervalSeries& series = run.interval_series;
     if (pooled.size() < series.size()) pooled.resize(series.size());
     for (std::size_t i = 0; i < series.size(); ++i) {
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
                       .protocol(protocol)
                       .transport(transport)
                       .scenario(entry.scenario);
-    auto runs = run_seeds(config, scale.seeds);
+    auto runs = search::run_search_seeds(config, scale.seeds);
     IntervalSeries pooled = pool_series(runs);
     RecoveryMetrics recovery =
         compute_recovery(pooled, entry.scenario.first_fault_time(),

@@ -9,7 +9,7 @@
 #include "analysis/load_analysis.h"
 #include "common/table.h"
 #include "experiments/harness.h"
-#include "guess/simulation.h"
+#include "search/backend.h"
 
 int main(int argc, char** argv) {
   using namespace guess;
@@ -47,8 +47,10 @@ int main(int argc, char** argv) {
     p.cache_replacement = combo.replacement;
     // One representative seed: the ranked curve is a distribution over
     // peers, already thousands of samples.
-    GuessSimulation sim(SimulationConfig().system(system).protocol(p).options(scale.options()));
-    auto results = sim.run();
+    search::SearchResults run = search::run_search(
+        SimulationConfig().system(system).protocol(p).options(
+            scale.options()));
+    const auto& results = *run.extra_as<SimulationResults>();
     auto load = analysis::summarize_load(results.peer_loads);
     summary.add_row({std::string(combo.name), load.total, load.gini,
                      load.top1pct_share, load.max, load.p99});

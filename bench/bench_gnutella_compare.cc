@@ -12,7 +12,7 @@
 #include "common/table.h"
 #include "experiments/harness.h"
 #include "gnutella/dynamic_overlay.h"
-#include "guess/simulation.h"
+#include "search/backend.h"
 
 int main(int argc, char** argv) {
   using namespace guess;
@@ -30,8 +30,10 @@ int main(int argc, char** argv) {
                       "load gini"});
 
   auto add_guess_row = [&](const char* name, ProtocolParams protocol) {
-    GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(scale.options()));
-    auto results = sim.run();
+    search::SearchResults run = search::run_search(
+        SimulationConfig().system(system).protocol(protocol).options(
+            scale.options()));
+    const auto& results = *run.extra_as<SimulationResults>();
     table.add_row({std::string(name), results.probes_per_query(),
                    results.unsatisfied_rate(), results.response_time.mean(),
                    analysis::gini_coefficient(results.peer_loads.values())});

@@ -12,7 +12,7 @@
 
 #include "common/table.h"
 #include "experiments/harness.h"
-#include "guess/simulation.h"
+#include "search/backend.h"
 
 int main(int argc, char** argv) {
   using namespace guess;
@@ -46,7 +46,10 @@ int main(int argc, char** argv) {
                       .system(system)
                       .protocol(protocol)
                       .transport(point);
-    auto runs = run_seeds(config, scale.seeds);
+    std::vector<SimulationResults> runs;
+    for (const auto& run : search::run_search_seeds(config, scale.seeds)) {
+      runs.push_back(*run.extra_as<SimulationResults>());
+    }
     auto avg = average(runs);
     double timeouts = 0.0;
     double retransmits = 0.0;

@@ -13,8 +13,11 @@
 namespace guess {
 namespace {
 
+// Configured with the orderings the benchmarks below select by, as the
+// network configures every peer's cache.
 LinkCache filled_cache(std::size_t size, Rng& rng) {
   LinkCache cache(0, size);
+  cache.configure_indices({Policy::kMFS}, Replacement::kLFS);
   for (PeerId id = 1; id <= size; ++id) {
     cache.insert_free(CacheEntry{
         id, rng.uniform(0.0, 1000.0),

@@ -10,7 +10,7 @@
 
 #include "common/table.h"
 #include "experiments/harness.h"
-#include "guess/simulation.h"
+#include "search/backend.h"
 #include "onehop/one_hop_dht.h"
 
 int main(int argc, char** argv) {
@@ -53,8 +53,10 @@ int main(int argc, char** argv) {
     s.lifespan_multiplier = multiplier;
     ProtocolParams protocol;
     protocol.query_pong = Policy::kMFS;
-    GuessSimulation sim(SimulationConfig().system(s).protocol(protocol).options(scale.options()));
-    auto results = sim.run();
+    search::SearchResults run = search::run_search(
+        SimulationConfig().system(s).protocol(protocol).options(
+            scale.options()));
+    const auto& results = *run.extra_as<SimulationResults>();
     // GUESS maintenance: one ping per PingInterval per peer.
     table.add_row({std::string("GUESS (QueryPong=MFS)"), multiplier,
                    results.probes_per_query(), 0.0, 1.0 / 30.0,

@@ -1,9 +1,6 @@
 // Query-path throughput harness: measures end-to-end GUESS simulation
 // throughput (queries/sec and probes/sec of wall-clock time) at several
-// network sizes, plus micro-benchmarks of the query-path data structures
-// with the legacy (pre-dense-table) implementations embedded as the
-// before/after baseline — the same structure bench_event_throughput uses
-// for the event core.
+// network sizes.
 //
 // Results are printed as tables and written to BENCH_queries.json
 // (override with --out=...). --full adds the N=50k point quoted in
@@ -18,20 +15,13 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include <unordered_map>
-#include <unordered_set>
-
 #include "common/check.h"
-#include "common/epoch_set.h"
 #include "common/flags.h"
-#include "common/rng.h"
 #include "common/table.h"
-#include "guess/link_cache.h"
-#include "guess/simulation.h"
+#include "search/backend.h"
 
 namespace guess {
 namespace {
@@ -92,185 +82,22 @@ SimulationConfig config_for(std::size_t network, sim::Duration measure,
 
 EndToEnd run_end_to_end(std::size_t network, sim::Duration measure,
                         std::uint64_t seed, sim::Scheduler scheduler) {
-  GuessSimulation sim(config_for(network, measure, seed, scheduler));
+  SimulationConfig config = config_for(network, measure, seed, scheduler);
+  auto start = std::chrono::steady_clock::now();
+  search::SearchResults run = search::run_search(config);
+  auto stop = std::chrono::steady_clock::now();
   EndToEnd out;
   out.network = network;
-  auto start = std::chrono::steady_clock::now();
-  out.results = sim.run();
-  auto stop = std::chrono::steady_clock::now();
+  out.results = *run.extra_as<SimulationResults>();
   out.wall_seconds = std::chrono::duration<double>(stop - start).count();
-  out.events = sim.simulator().events_fired();
+  out.events = run.events_fired;
   return out;
-}
-
-// --- Micro: query-path data structures, legacy vs dense -------------------
-//
-// Each micro pits the pre-PR structure (embedded here as the before
-// baseline, the way bench_event_throughput embeds the node-based event
-// queue) against its replacement on the operation mix the query hot path
-// actually performs. The cache-selection micro needs no embedded copy: an
-// unconfigured LinkCache *is* the legacy full-rescan path, bitwise.
-
-struct Micro {
-  std::string name;
-  double legacy_ops_per_sec = 0.0;
-  double dense_ops_per_sec = 0.0;
-  double speedup() const {
-    return legacy_ops_per_sec > 0.0 ? dense_ops_per_sec / legacy_ops_per_sec
-                                    : 0.0;
-  }
-};
-
-template <typename Fn>
-double ops_per_sec(std::uint64_t ops, Fn&& fn) {
-  auto start = std::chrono::steady_clock::now();
-  fn();
-  auto stop = std::chrono::steady_clock::now();
-  double secs = std::chrono::duration<double>(stop - start).count();
-  return secs > 0.0 ? static_cast<double>(ops) / secs : 0.0;
-}
-
-// Per-query dedup: fill/probe/discard cycles, the seen-set lifecycle of one
-// query execution. Legacy: an unordered_set cleared per query.
-Micro micro_dedup() {
-  constexpr int kQueries = 60000;
-  constexpr std::uint64_t kCandidates = 96;  // cache + pong fan-in
-  std::uint64_t sink = 0;
-  Micro m{"dedup (per-query seen-set)"};
-  {
-    std::unordered_set<PeerId> seen;
-    m.legacy_ops_per_sec =
-        ops_per_sec(static_cast<std::uint64_t>(kQueries) * kCandidates, [&] {
-          std::uint64_t id = 1;
-          for (int q = 0; q < kQueries; ++q) {
-            seen.clear();
-            for (std::uint64_t i = 0; i < kCandidates; ++i) {
-              id = id * 6364136223846793005ULL + 1442695040888963407ULL;
-              sink += seen.insert(id >> 40).second ? 1 : 0;
-            }
-          }
-        });
-  }
-  {
-    EpochSet seen;
-    seen.reserve(kCandidates);
-    m.dense_ops_per_sec =
-        ops_per_sec(static_cast<std::uint64_t>(kQueries) * kCandidates, [&] {
-          std::uint64_t id = 1;
-          for (int q = 0; q < kQueries; ++q) {
-            seen.clear();
-            for (std::uint64_t i = 0; i < kCandidates; ++i) {
-              id = id * 6364136223846793005ULL + 1442695040888963407ULL;
-              sink += seen.insert(id >> 40) ? 1 : 0;
-            }
-          }
-        });
-  }
-  GUESS_CHECK(sink > 0);
-  return m;
-}
-
-// Peer registry: id -> peer resolution under churn, the single hottest
-// lookup in the simulator. Legacy: unordered_map registry. Dense: the
-// id-indexed slot vector (two array indexings), exactly PeerTable's layout.
-Micro micro_registry() {
-  constexpr std::size_t kPopulation = 10000;
-  constexpr std::uint64_t kLookups = 20000000;
-  Micro m{"registry (id -> peer lookup)"};
-  std::uint64_t sink = 0;
-  // Same liveness pattern on both sides: every 5th id dead.
-  {
-    std::unordered_map<PeerId, std::uint32_t> legacy;
-    legacy.reserve(kPopulation);
-    for (std::size_t id = 0; id < kPopulation; ++id) {
-      if (id % 5 != 0) legacy.emplace(id, static_cast<std::uint32_t>(id));
-    }
-    m.legacy_ops_per_sec = ops_per_sec(kLookups, [&] {
-      std::uint64_t x = 1;
-      for (std::uint64_t i = 0; i < kLookups; ++i) {
-        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-        auto it = legacy.find((x >> 33) % kPopulation);
-        if (it != legacy.end()) sink += it->second;
-      }
-    });
-  }
-  {
-    struct IdRef {
-      std::uint32_t slot = 0xFFFFFFFFu;
-      std::uint32_t generation = 0;
-    };
-    std::vector<IdRef> id_to_slot(kPopulation);
-    std::vector<std::uint32_t> slots(kPopulation);
-    for (std::size_t id = 0; id < kPopulation; ++id) {
-      if (id % 5 != 0) {
-        id_to_slot[id].slot = static_cast<std::uint32_t>(id);
-        slots[id] = static_cast<std::uint32_t>(id);
-      }
-    }
-    m.dense_ops_per_sec = ops_per_sec(kLookups, [&] {
-      std::uint64_t x = 1;
-      for (std::uint64_t i = 0; i < kLookups; ++i) {
-        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-        std::uint32_t slot = id_to_slot[(x >> 33) % kPopulation].slot;
-        if (slot != 0xFFFFFFFFu) sink += slots[slot];
-      }
-    });
-  }
-  GUESS_CHECK(sink > 0);
-  return m;
-}
-
-// Cache policy selection: the offer + select_top mix every Pong triggers.
-// Legacy: the unconfigured LinkCache's full-rescan scoring (kept in-tree as
-// the reference path). Dense: the same cache with incremental ScoreIndex
-// orderings configured.
-Micro micro_selection(bool configure) {
-  constexpr int kRounds = 40000;
-  constexpr std::size_t kCapacity = 40;
-  LinkCache cache(/*owner=*/0, kCapacity);
-  if (configure) {
-    cache.configure_indices({Policy::kMR, Policy::kLRU, Policy::kMFS},
-                            Replacement::kLR);
-  }
-  Rng rng(7);
-  std::vector<CacheEntry> out;
-  std::uint64_t sink = 0;
-  double ops = ops_per_sec(kRounds, [&] {
-    std::uint64_t x = 1;
-    for (int round = 0; round < kRounds; ++round) {
-      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-      CacheEntry candidate;
-      candidate.id = 1 + (x >> 33) % 4096;
-      candidate.ts = static_cast<sim::Time>(round % 1000);
-      candidate.num_files = static_cast<std::uint32_t>(x % 100);
-      candidate.num_res = static_cast<std::uint32_t>(x % 7);
-      cache.offer(candidate, Replacement::kLR, rng);
-      cache.select_top_into(Policy::kMR, 10, rng, out);
-      sink += out.size();
-    }
-  });
-  GUESS_CHECK(sink > 0);
-  Micro m{"cache (offer + select_top 10/40)"};
-  (configure ? m.dense_ops_per_sec : m.legacy_ops_per_sec) = ops;
-  return m;
-}
-
-std::vector<Micro> run_micros() {
-  std::vector<Micro> micros;
-  micros.push_back(micro_dedup());
-  micros.push_back(micro_registry());
-  Micro selection = micro_selection(/*configure=*/false);
-  selection.dense_ops_per_sec =
-      micro_selection(/*configure=*/true).dense_ops_per_sec;
-  micros.push_back(selection);
-  return micros;
 }
 
 // --- JSON output ----------------------------------------------------------
 
 void write_json(const std::string& path, std::uint64_t seed,
-                const std::vector<EndToEnd>& points,
-                const std::vector<Micro>& micros, bool identical) {
+                const std::vector<EndToEnd>& points, bool identical) {
   std::ofstream out(path);
   GUESS_CHECK_MSG(out.good(), "cannot write " << path);
   out << "{\n";
@@ -292,16 +119,6 @@ void write_json(const std::string& path, std::uint64_t seed,
         << p.probes_per_sec() << ", \"events_per_sec\": "
         << p.events_per_sec() << "}" << (i + 1 < points.size() ? "," : "")
         << "\n";
-  }
-  out << "  },\n";
-  out << "  \"micro\": {\n";
-  for (std::size_t i = 0; i < micros.size(); ++i) {
-    const Micro& m = micros[i];
-    out << "    \"" << m.name << "\": {\"legacy_ops_per_sec\": " << std::fixed
-        << std::setprecision(0) << m.legacy_ops_per_sec
-        << ", \"dense_ops_per_sec\": " << m.dense_ops_per_sec
-        << ", \"speedup\": " << std::setprecision(2) << m.speedup() << "}"
-        << (i + 1 < micros.size() ? "," : "") << "\n";
   }
   out << "  },\n";
   out << "  \"schedulers_bitwise_identical\": "
@@ -440,17 +257,7 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout, "end-to-end GUESS simulation (heap scheduler)");
 
-  std::vector<Micro> micros = run_micros();
-  TablePrinter micro_table(
-      {"structure", "legacy Mops/s", "dense Mops/s", "speedup"});
-  for (const Micro& m : micros) {
-    micro_table.add_row({m.name, m.legacy_ops_per_sec / 1e6,
-                         m.dense_ops_per_sec / 1e6, m.speedup()});
-  }
-  micro_table.print(std::cout,
-                    "query-path structures, legacy vs dense (embedded)");
-
-  write_json(out_path, seed, points, micros, true);
+  write_json(out_path, seed, points, true);
   std::cout << "wrote " << out_path << "\n";
 
   if (!check_path.empty()) {

@@ -8,7 +8,7 @@
 
 #include "common/table.h"
 #include "experiments/harness.h"
-#include "guess/simulation.h"
+#include "search/backend.h"
 
 int main(int argc, char** argv) {
   using namespace guess;
@@ -52,9 +52,10 @@ int main(int argc, char** argv) {
     ProtocolParams p = base;
     p.adaptive_parallel = adaptive;
     p.adaptive_parallel_trigger = 5;
-    SimulationOptions options = scale.options();
-    GuessSimulation sim(SimulationConfig().system(system).protocol(p).options(options));
-    auto results = sim.run();
+    search::SearchResults run = search::run_search(
+        SimulationConfig().system(system).protocol(p).options(
+            scale.options()));
+    const auto& results = *run.extra_as<SimulationResults>();
     adaptive_table.add_row(
         {std::string(adaptive ? "adaptive k (x2 per 5 dry slots)"
                               : "fixed k=1"),

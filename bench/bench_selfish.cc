@@ -11,7 +11,7 @@
 
 #include "common/table.h"
 #include "experiments/harness.h"
-#include "guess/simulation.h"
+#include "search/backend.h"
 
 int main(int argc, char** argv) {
   using namespace guess;
@@ -45,9 +45,10 @@ int main(int argc, char** argv) {
       // peers "to probe as few peers as possible".)
       protocol.query_pong = Policy::kMFS;
       protocol.payments.enabled = payments;
-      SimulationOptions options = scale.options();
-      GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(options));
-      auto results = sim.run();
+      search::SearchResults run = search::run_search(
+          SimulationConfig().system(system).protocol(protocol).options(
+              scale.options()));
+      const auto& results = *run.extra_as<SimulationResults>();
       table.add_row(
           {selfish_pct, std::string(payments ? "on" : "off"),
            results.selfish.response_time.mean(),

@@ -13,7 +13,7 @@
 #include "common/table.h"
 #include "gnutella/flood.h"
 #include "gnutella/topology.h"
-#include "guess/simulation.h"
+#include "search/backend.h"
 
 int main(int argc, char** argv) {
   guess::Flags flags(argc, argv);
@@ -49,8 +49,10 @@ int main(int argc, char** argv) {
   options.seed = flags.seed();
   options.warmup = 400.0;
   options.measure = 1600.0;
-  guess::GuessSimulation simulation(guess::SimulationConfig().system(system).protocol(protocol).options(options));
-  auto results = simulation.run();
+  guess::search::SearchResults run = guess::search::run_search(
+      guess::SimulationConfig().system(system).protocol(protocol).options(
+          options));
+  const auto& results = *run.extra_as<guess::SimulationResults>();
 
   guess::TablePrinter table(
       {"mechanism", "msgs/query", "peers contacted", "unsat%"});

@@ -11,7 +11,6 @@
 #include "common/check.h"
 #include "common/flags.h"
 #include "faults/scenario.h"
-#include "guess/simulation.h"
 #include "search/backend.h"
 #include "search/gossip.h"
 
@@ -209,8 +208,7 @@ int main(int argc, char** argv) {
             << config.options().measure << "s measurement (seed "
             << config.seed() << ")...\n\n";
 
-  // Every backend runs through the one SearchBackend code path; for GUESS
-  // this is bitwise-identical to the legacy GuessSimulation driver.
+  // Every backend runs through the one SearchBackend code path.
   guess::search::SearchResults unified = guess::search::run_search(config);
 
   std::cout << "queries completed     " << unified.queries_completed << "\n"

@@ -10,7 +10,7 @@
 #include "common/flags.h"
 #include "common/table.h"
 #include "experiments/harness.h"
-#include "guess/simulation.h"
+#include "search/backend.h"
 
 int main(int argc, char** argv) {
   guess::Flags flags(argc, argv);
@@ -39,8 +39,10 @@ int main(int argc, char** argv) {
   for (const char* name : {"Ran", "MR", "MR*", "MFS"}) {
     auto combo = guess::experiments::PolicyCombo::from_name(name);
     guess::ProtocolParams protocol = combo.apply(guess::ProtocolParams{});
-    guess::GuessSimulation simulation(guess::SimulationConfig().system(system).protocol(protocol).options(options));
-    guess::SimulationResults results = simulation.run();
+    guess::search::SearchResults run = guess::search::run_search(
+        guess::SimulationConfig().system(system).protocol(protocol).options(
+            options));
+    const auto& results = *run.extra_as<guess::SimulationResults>();
     table.add_row({std::string(name), results.probes_per_query(),
                    100.0 * results.unsatisfied_rate(),
                    results.cache_health.good_entries,

@@ -9,7 +9,7 @@
 #include "common/flags.h"
 #include "common/table.h"
 #include "experiments/harness.h"
-#include "guess/simulation.h"
+#include "search/backend.h"
 
 int main(int argc, char** argv) {
   guess::Flags flags(argc, argv);
@@ -33,8 +33,12 @@ int main(int argc, char** argv) {
 
   for (const char* name : combos) {
     auto combo = guess::experiments::PolicyCombo::from_name(name);
-    guess::GuessSimulation simulation(guess::SimulationConfig().system(system).protocol(combo.apply(base)).options(options));
-    guess::SimulationResults results = simulation.run();
+    guess::search::SearchResults run = guess::search::run_search(
+        guess::SimulationConfig()
+            .system(system)
+            .protocol(combo.apply(base))
+            .options(options));
+    const auto& results = *run.extra_as<guess::SimulationResults>();
     auto load = guess::analysis::summarize_load(results.peer_loads);
     table.add_row({std::string(name), results.probes_per_query(),
                    results.good_probes_per_query(),

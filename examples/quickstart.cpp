@@ -5,7 +5,7 @@
 #include <iostream>
 
 #include "common/flags.h"
-#include "guess/simulation.h"
+#include "search/backend.h"
 
 int main(int argc, char** argv) {
   guess::Flags flags(argc, argv);
@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
             << "  simulating " << config.options().warmup << "s warmup + "
             << config.options().measure << "s measurement...\n";
 
-  guess::GuessSimulation simulation(config);
-  guess::SimulationResults results = simulation.run();
+  guess::search::SearchResults run = guess::search::run_search(config);
+  const auto& results = *run.extra_as<guess::SimulationResults>();
 
   std::cout << "\nResults (measurement window only):\n"
             << "  queries completed:    " << results.queries_completed << "\n"

@@ -8,7 +8,8 @@
 
 #include "common/flags.h"
 #include "common/trace.h"
-#include "guess/simulation.h"
+#include "guess/network.h"
+#include "sim/simulator.h"
 
 namespace {
 

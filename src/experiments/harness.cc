@@ -3,11 +3,11 @@
 #include <cmath>
 #include <iostream>
 #include <ostream>
+#include <span>
 
-#include "churn/lifetime.h"
 #include "common/check.h"
-#include "content/content_model.h"
 #include "experiments/parallel_runner.h"
+#include "search/backend.h"
 
 namespace guess::experiments {
 
@@ -164,6 +164,18 @@ std::function<void(int, int)> progress_reporter(bool enabled) {
   };
 }
 
+/// average() over the GUESS results of a run_search sweep.
+AveragedResults average_guess(std::span<const search::SearchResults> runs) {
+  std::vector<SimulationResults> guess;
+  guess.reserve(runs.size());
+  for (const search::SearchResults& run : runs) {
+    const auto* results = run.extra_as<SimulationResults>();
+    GUESS_CHECK_MSG(results != nullptr, "not a GUESS run: " << run.backend);
+    guess.push_back(*results);
+  }
+  return average(guess);
+}
+
 }  // namespace
 
 AveragedResults run_config(const SystemParams& system,
@@ -177,8 +189,8 @@ AveragedResults run_config(const SystemParams& system,
                     .options(options_override)
                     .transport(scale.transport)
                     .scenario(scale.scenario);
-  return average(
-      run_seeds(config, scale.seeds, progress_reporter(scale.progress)));
+  return average_guess(search::run_search_seeds(
+      config, scale.seeds, progress_reporter(scale.progress)));
 }
 
 AveragedResults run_config(const SystemParams& system,
@@ -189,48 +201,27 @@ AveragedResults run_config(const SystemParams& system,
 
 std::vector<AveragedResults> run_configs(const std::vector<ConfigJob>& jobs,
                                          const Scale& scale) {
-  GUESS_CHECK(scale.seeds >= 1);
-  if (jobs.empty()) return {};
-  const int seeds = scale.seeds;
-  const int total = static_cast<int>(jobs.size()) * seeds;
-  // Flattened jobs.size() × seeds replications; slot i is replication
-  // (i % seeds) of config (i / seeds), so results land in config-then-seed
-  // order no matter which worker finishes first.
-  std::vector<SimulationResults> flat(static_cast<std::size_t>(total));
-  auto run_one = [&](int i) {
-    const ConfigJob& job = jobs[static_cast<std::size_t>(i / seeds)];
-    SimulationOptions opt = job.options;
-    opt.seed = job.options.seed + static_cast<std::uint64_t>(i % seeds);
-    GuessSimulation sim(SimulationConfig()
-                            .system(job.system)
-                            .protocol(job.protocol)
-                            .options(opt)
-                            .transport(scale.transport)
-                            .scenario(scale.scenario));
-    flat[static_cast<std::size_t>(i)] = sim.run();
-  };
-
-  auto progress = progress_reporter(scale.progress);
-  int threads = resolve_thread_count(scale.threads);
-  if (threads == 1) {
-    for (int i = 0; i < total; ++i) {
-      run_one(i);
-      if (progress) progress(i + 1, total);
-    }
-  } else {
-    // Warm the shared immutable quantile tables before workers start (see
-    // run_seeds).
-    content::ContentModel::sharing_distribution();
-    churn::LifetimeDistribution::base_distribution();
-    ParallelRunner runner(threads);
-    runner.run(total, run_one, progress);
+  std::vector<SimulationConfig> configs;
+  configs.reserve(jobs.size());
+  for (const ConfigJob& job : jobs) {
+    SimulationOptions options = job.options;
+    options.threads = scale.threads;
+    configs.push_back(SimulationConfig()
+                          .system(job.system)
+                          .protocol(job.protocol)
+                          .options(options)
+                          .transport(scale.transport)
+                          .scenario(scale.scenario));
   }
-
+  const auto seeds = static_cast<std::size_t>(scale.seeds);
+  std::vector<search::SearchResults> runs = search::run_search_seeds(
+      configs, scale.seeds, progress_reporter(scale.progress));
   std::vector<AveragedResults> out;
   out.reserve(jobs.size());
   for (std::size_t c = 0; c < jobs.size(); ++c) {
-    auto begin = flat.begin() + static_cast<std::ptrdiff_t>(c) * seeds;
-    out.push_back(average({begin, begin + seeds}));
+    out.push_back(average_guess(
+        std::span<const search::SearchResults>(runs).subspan(c * seeds,
+                                                             seeds)));
   }
   return out;
 }

@@ -20,8 +20,9 @@
 
 #include "common/flags.h"
 #include "faults/scenario.h"
+#include "guess/config.h"
+#include "guess/metrics.h"
 #include "guess/params.h"
-#include "guess/simulation.h"
 
 namespace guess::experiments {
 
@@ -106,8 +107,9 @@ struct ConfigJob {
 /// the per-configuration averages, in job order. Equivalent to calling
 /// run_config(job.system, job.protocol, scale, job.options) for each job —
 /// same seed derivation, bitwise-identical averages — but all jobs.size() ×
-/// scale.seeds replications are interleaved across the pool, so a multi-
-/// config sweep saturates the machine even at seeds=1.
+/// scale.seeds replications are interleaved across the pool (the
+/// multi-config search::run_search_seeds), so a multi-config sweep
+/// saturates the machine even at seeds=1.
 std::vector<AveragedResults> run_configs(const std::vector<ConfigJob>& jobs,
                                          const Scale& scale);
 

@@ -9,12 +9,12 @@
 // loop it replaces (pinned by tests/experiments/parallel_runner_test.cc).
 //
 // What may run on a worker thread: anything whose state is reachable only
-// from the job's own index (a GuessSimulation owns its Simulator, GuessNetwork
-// and Rng, so a whole replication qualifies — see DESIGN.md "Threading
-// model"). Shared immutable tables (the empirical lifetime/sharing quantile
-// tables) are safe to read concurrently and are warmed eagerly by
-// guess::run_seeds before workers start, so first-touch initialization never
-// serializes the pool.
+// from the job's own index (a search::run_search call owns its Simulator,
+// backend and Rng, so a whole replication qualifies — see DESIGN.md
+// "Threading model"). Shared immutable tables (the empirical
+// lifetime/sharing quantile tables) are safe to read concurrently and are
+// warmed eagerly by search::run_search_seeds before workers start, so
+// first-touch initialization never serializes the pool.
 #pragma once
 
 #include <condition_variable>

@@ -2,8 +2,8 @@
 // guesslib.
 //
 // Historically a simulation was assembled from four loose parameter structs
-// plus a bool threaded positionally through GuessNetwork / GuessSimulation /
-// the bench harness (`SystemParams, ProtocolParams, MaliciousParams,
+// plus a bool threaded positionally through the network, the driver and the
+// bench harness (`SystemParams, ProtocolParams, MaliciousParams,
 // enable_queries, ...`). SimulationConfig replaces that boundary with one
 // builder-style object:
 //
@@ -13,8 +13,8 @@
 //                     .transport(guess::TransportParams::lossy(0.05))
 //                     .seed(7)
 //                     .measure(1800.0);
-//   guess::GuessSimulation sim(config);        // validates on construction
-//   guess::SimulationResults results = sim.run();
+//   auto run = guess::search::run_search(config);  // validates first
+//   const auto& results = *run.extra_as<guess::SimulationResults>();
 //
 // The old positional signatures were removed after every in-tree harness,
 // bench and example migrated; SimulationConfig is the only construction
@@ -105,9 +105,8 @@ struct BackendParams {
 };
 
 /// Run-control block: seed, windows, sampling cadence, threading and the
-/// event-queue backend. Lives inside SimulationConfig; kept as a standalone
-/// struct because the pre-config GuessSimulation signature takes it
-/// directly.
+/// event-queue backend. Lives inside SimulationConfig; a standalone struct
+/// so harnesses can set the whole block at once (SimulationConfig::options).
 struct SimulationOptions {
   std::uint64_t seed = 42;
 
@@ -129,11 +128,12 @@ struct SimulationOptions {
   bool sample_connectivity = false;
   sim::Duration connectivity_sample_interval = 120.0;
 
-  /// Worker threads for run_seeds (replications run concurrently, one per
-  /// thread). 0 = auto: the GUESS_THREADS environment variable when set,
-  /// else all hardware threads. 1 = serial in the calling thread. Thread
-  /// count never changes results — replications are independent and are
-  /// returned in seed order (see DESIGN.md "Threading model").
+  /// Worker threads for search::run_search_seeds (replications run
+  /// concurrently, one per thread). 0 = auto: the GUESS_THREADS environment
+  /// variable when set, else all hardware threads. 1 = serial in the calling
+  /// thread. Thread count never changes results — replications are
+  /// independent and are returned in seed order (see DESIGN.md "Threading
+  /// model").
   int threads = 0;
 
   /// Event-queue backend (--scheduler={heap,calendar}). Both schedulers pop
@@ -172,9 +172,9 @@ struct SimulationOptions {
 };
 
 /// Everything a GUESS simulation is built from, behind chainable setters.
-/// Cheap to copy; validate() (called by GuessSimulation / GuessNetwork on
-/// construction) rejects nonsense configurations with a CheckError instead
-/// of letting them run.
+/// Cheap to copy; validate() (called by search::run_search and by
+/// GuessNetwork on construction) rejects nonsense configurations with a
+/// CheckError instead of letting them run.
 class SimulationConfig {
  public:
   SimulationConfig() = default;

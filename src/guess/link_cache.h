@@ -6,13 +6,12 @@
 //
 // Hot-path structure: the id -> position index is a flat open-addressing
 // table (FlatIdMap) sized once for the bounded capacity, and the policy
-// orderings the run actually uses are maintained incrementally as
-// ScoreIndex heaps (configure_indices), so select_best is O(1), select_top
-// is O(k log n), and a full-cache offer decides accept/reject in O(1) —
-// none of which rescores the whole cache or allocates. Policies that were
-// not configured fall back to the legacy full-scan paths, which produce
-// bitwise-identical selections (the index comparators replicate the scans'
-// position tie-breaks exactly).
+// orderings the run uses are maintained incrementally as ScoreIndex heaps
+// (configure_indices), so select_best is O(1), select_top is O(k log n),
+// and a full-cache offer decides accept/reject in O(1) — none of which
+// rescores the whole cache or allocates. Every non-random policy a caller
+// selects or replaces by must have been passed to configure_indices
+// (CheckError otherwise); kRandom needs no ordering.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +36,8 @@ class LinkCache {
   /// Maintain incremental score orderings for the given selection policies
   /// and retention policy (kRandom entries are ignored — random scores are
   /// per-decision draws and cannot be indexed). Call once after
-  /// construction; selections under other policies use the legacy scans.
+  /// construction; select_best, select_top and offer reject any other
+  /// non-random policy.
   void configure_indices(std::initializer_list<Policy> selection,
                          Replacement retention);
 
@@ -131,6 +131,8 @@ class LinkCache {
   void note_update(std::size_t pos);
   void rebuild_indices();
   const ScoreIndex* find_selection(Policy policy) const;
+  /// The ordering for a configured selection policy; CheckError otherwise.
+  const ScoreIndex& configured_selection(Policy policy) const;
   /// The first-hand-floor guard: true iff replacing `victim` with
   /// `candidate` would dig into the protected first-hand reserve.
   bool floor_protects(std::size_t victim, const CacheEntry& candidate) const {

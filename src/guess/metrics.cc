@@ -1,5 +1,7 @@
 #include "guess/metrics.h"
 
+#include <cmath>
+
 namespace guess {
 
 namespace {
@@ -112,6 +114,41 @@ double SimulationResults::dead_probes_per_query() const {
 
 double SimulationResults::refused_probes_per_query() const {
   return per_query(probes.refused, queries_completed);
+}
+
+AveragedResults average(const std::vector<SimulationResults>& runs) {
+  AveragedResults out;
+  if (runs.empty()) return out;
+  auto n = static_cast<double>(runs.size());
+  RunningStat probes_stat;
+  RunningStat unsat_stat;
+  for (const auto& r : runs) {
+    probes_stat.add(r.probes_per_query());
+    unsat_stat.add(r.unsatisfied_rate());
+  }
+  if (runs.size() > 1) {
+    out.probes_per_query_se = probes_stat.stddev() / std::sqrt(n);
+    out.unsatisfied_rate_se = unsat_stat.stddev() / std::sqrt(n);
+  }
+  for (const auto& r : runs) {
+    out.probes_per_query += r.probes_per_query() / n;
+    out.good_per_query += r.good_probes_per_query() / n;
+    out.dead_per_query += r.dead_probes_per_query() / n;
+    out.refused_per_query += r.refused_probes_per_query() / n;
+    out.unsatisfied_rate += r.unsatisfied_rate() / n;
+    out.fraction_live += r.cache_health.fraction_live / n;
+    out.absolute_live += r.cache_health.absolute_live / n;
+    out.good_entries += r.cache_health.good_entries / n;
+    out.largest_component += r.largest_component.mean() / n;
+    out.final_largest_component +=
+        static_cast<double>(r.final_largest_component) / n;
+    out.final_largest_strong_component +=
+        static_cast<double>(r.final_largest_strong_component) / n;
+    out.response_time += r.response_time.mean() / n;
+    out.queries_completed +=
+        static_cast<double>(r.queries_completed) / n;
+  }
+  return out;
 }
 
 }  // namespace guess

@@ -196,4 +196,28 @@ struct SimulationResults {
   double refused_probes_per_query() const;
 };
 
+/// Aggregate of repeated runs: averages of the headline per-query metrics,
+/// plus standard errors across seeds for the two headline numbers (0 when
+/// only one seed was run).
+struct AveragedResults {
+  double probes_per_query = 0.0;
+  double good_per_query = 0.0;
+  double dead_per_query = 0.0;
+  double refused_per_query = 0.0;
+  double unsatisfied_rate = 0.0;
+  double fraction_live = 0.0;
+  double absolute_live = 0.0;
+  double good_entries = 0.0;
+  double largest_component = 0.0;
+  double response_time = 0.0;
+  double queries_completed = 0.0;
+  double probes_per_query_se = 0.0;
+  double unsatisfied_rate_se = 0.0;
+  /// End-of-run connectivity snapshots (0 unless sample_connectivity).
+  double final_largest_component = 0.0;
+  double final_largest_strong_component = 0.0;
+};
+
+AveragedResults average(const std::vector<SimulationResults>& runs);
+
 }  // namespace guess

@@ -177,7 +177,7 @@ PeerId GuessNetwork::spawn_peer(bool malicious, bool selfish, bool initial) {
                             protocol_.cache_size, malicious, selfish);
   ref.set_credit(protocol_.payments.initial_credit);
   // Maintain incremental orderings for exactly the policies this run's
-  // selections use; everything else keeps the (bitwise-identical) scans.
+  // selections and replacements use (the cache rejects any other).
   ref.cache().configure_indices(
       {protocol_.ping_probe, protocol_.ping_pong, protocol_.query_pong},
       protocol_.cache_replacement);

@@ -1,5 +1,6 @@
 // GuessNetwork: the population of peers, message exchange, churn, workload,
-// and metric collection. This is the engine behind GuessSimulation.
+// and metric collection. This is the engine behind the GUESS search backend
+// (search/adapters.cc), which search::run_search drives.
 //
 // Message exchange flows through a pluggable Transport (DESIGN.md §8). The
 // default SynchronousTransport resolves every probe/reply round trip inline
@@ -94,7 +95,7 @@ class GuessNetwork : public faults::FaultHost, public TransportModulation {
 
   // --- time-resolved interval metrics (DESIGN.md §9) ---
 
-  /// Start the per-interval accumulators; the caller (GuessSimulation)
+  /// Start the per-interval accumulators; the caller (search::run_search)
   /// schedules sample_interval() every `width` seconds. Unlike
   /// begin_measurement() this runs from t=0: a fault needs a pre-fault
   /// baseline even when it lands at the measurement boundary.

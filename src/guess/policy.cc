@@ -22,26 +22,6 @@ double selection_score(Policy policy, const CacheEntry& entry, Rng& rng,
   return 0.0;
 }
 
-double retention_score(Replacement policy, const CacheEntry& entry, Rng& rng,
-                       bool first_hand_only) {
-  switch (policy) {
-    case Replacement::kRandom:
-      return rng.uniform();
-    case Replacement::kLRU:
-      // Evict least-recently-used: retain high TS.
-      return entry.ts;
-    case Replacement::kMRU:
-      // Evict most-recently-used: retain low TS (stale entries survive).
-      return -entry.ts;
-    case Replacement::kLFS:
-      return static_cast<double>(entry.num_files);
-    case Replacement::kLR:
-      return static_cast<double>(entry.trusted_num_res(first_hand_only));
-  }
-  GUESS_CHECK_MSG(false, "unreachable");
-  return 0.0;
-}
-
 double deterministic_selection_score(Policy policy, const CacheEntry& entry,
                                      bool first_hand_only) {
   switch (policy) {
@@ -67,8 +47,10 @@ double deterministic_retention_score(Replacement policy,
     case Replacement::kRandom:
       break;
     case Replacement::kLRU:
+      // Evict least-recently-used: retain high TS.
       return entry.ts;
     case Replacement::kMRU:
+      // Evict most-recently-used: retain low TS (stale entries survive).
       return -entry.ts;
     case Replacement::kLFS:
       return static_cast<double>(entry.num_files);

@@ -35,19 +35,17 @@ enum class Replacement { kRandom, kLRU, kMRU, kLFS, kLR };
 double selection_score(Policy policy, const CacheEntry& entry, Rng& rng,
                        bool first_hand_only = false);
 
-/// Score for replacement policies: the entry with the LOWEST score is the
-/// eviction victim. A Pong candidate is inserted into a full cache only if
-/// its retention score exceeds the victim's. Under kRandom the candidate
-/// always wins: it replaces a uniformly chosen victim (the always-insert /
-/// evict-uniformly baseline — LinkCache::offer special-cases this).
-double retention_score(Replacement policy, const CacheEntry& entry, Rng& rng,
-                       bool first_hand_only = false);
-
 /// Deterministic-policy scores for the incremental score index (checked:
 /// the policy must not be kRandom — random scores are fresh draws per
 /// decision and cannot be cached in an ordering).
 double deterministic_selection_score(Policy policy, const CacheEntry& entry,
                                      bool first_hand_only);
+
+/// Score for replacement policies: the entry with the LOWEST score is the
+/// eviction victim. A Pong candidate is inserted into a full cache only if
+/// its retention score exceeds the victim's. kRandom has no score (checked):
+/// the candidate always wins and replaces a uniformly chosen victim (the
+/// always-insert / evict-uniformly baseline — LinkCache::offer draws it).
 double deterministic_retention_score(Replacement policy,
                                      const CacheEntry& entry,
                                      bool first_hand_only);

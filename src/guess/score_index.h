@@ -1,17 +1,18 @@
 // Incremental policy-score ordering over link-cache positions.
 //
-// The legacy select_best / select_top / offer paths rescanned (and rescored)
-// every cache entry per call. A ScoreIndex keeps one policy's ordering as an
-// indexed binary heap over (score, position) pairs, updated as entries are
-// inserted, evicted, replaced, or refreshed — O(log n) per mutation, O(1)
-// for the best entry, O(k log n) for a top-k.
+// LinkCache's select_best / select_top / offer answer from these orderings
+// instead of rescanning (and rescoring) every cache entry per call. A
+// ScoreIndex keeps one policy's ordering as an indexed binary heap over
+// (score, position) pairs, updated as entries are inserted, evicted,
+// replaced, or refreshed — O(log n) per mutation, O(1) for the best entry,
+// O(k log n) for a top-k.
 //
-// Determinism contract: the heap's comparator is exactly the legacy scan's
-// tie-break — the best entry is the strict score optimum at the LOWEST
-// current position (the scans kept the first maximum/minimum), and top-k
-// pops in (score desc, position asc) order, matching the legacy
-// partial_sort comparator. Since (score, position) pairs are unique, the
-// heap layout cannot influence results: pops follow the total order.
+// Determinism contract: the best entry is the strict score optimum at the
+// LOWEST current position (a scan keeping the first maximum/minimum), and
+// top-k pops in (score desc, position asc) order. Since (score, position)
+// pairs are unique, the heap layout cannot influence results: pops follow
+// the total order. tests/guess/link_cache_index_test.cc holds a full-scan
+// oracle to this contract.
 //
 // Positions are live indices into LinkCache::entries_, which swap-removes:
 // on_swap_remove() both deletes the evicted position and re-keys the entry
@@ -78,8 +79,8 @@ class ScoreIndex {
     slot_of_.pop_back();
   }
 
-  /// The ordering's optimum: (score, position) of the entry the legacy scan
-  /// would have returned.
+  /// The ordering's optimum: (score, position) of the first entry, in
+  /// position order, with the best score.
   const Item& top() const {
     GUESS_CHECK(!heap_.empty());
     return heap_[0];

@@ -5,6 +5,7 @@
 // free-standing driver exactly, so the legacy results struct in the
 // extension slot is identical to what the silo's own entry point produces
 // (tests/search/backend_equivalence_test.cc asserts this field by field).
+// GUESS has no other driver; the same test pins its runs to golden values.
 // The unified SearchResults mapping on top is pure arithmetic over those
 // structs — it can never perturb a run.
 #include "search/adapters.h"
@@ -47,9 +48,9 @@ class GuessBackend final : public SearchBackend {
   void sample_interval() override { network_->sample_interval(); }
 
   void begin_measurement() override {
-    // The exact sampler schedule GuessSimulation::run() established:
-    // measurement first, then an immediate cache-health sample, then the
-    // periodic samplers phased to land inside the window.
+    // Measurement first, then an immediate cache-health sample, then the
+    // periodic samplers phased to land inside the window (the order the
+    // GUESS golden values pin).
     network_->begin_measurement();
     const SimulationOptions& options = config_.options();
     network_->sample_cache_health();

@@ -135,13 +135,12 @@ SearchResults run_search(const SimulationConfig& config) {
       make_backend(config, simulator, Rng(config.seed()));
 
   backend->bootstrap();
-  // Same scheduling order as GuessSimulation::run(): fault actions first,
-  // then the open-loop driver, then the interval sampler — at an exact time
-  // tie the fault applies before that instant's interval sample closes. All
-  // ride the event queue's (time, seq) order, keeping runs bitwise
-  // deterministic across scheduler backends. Closed-loop runs construct no
-  // driver and schedule no extra events, so they stay bitwise identical to
-  // the pre-open-loop code path.
+  // Fault actions first, then the open-loop driver, then the interval
+  // sampler — at an exact time tie the fault applies before that instant's
+  // interval sample closes. All ride the event queue's (time, seq) order,
+  // keeping runs bitwise deterministic across scheduler backends.
+  // Closed-loop runs construct no driver and schedule no extra events, so
+  // they stay bitwise identical to the pre-open-loop code path.
   std::unique_ptr<faults::FaultEngine> fault_engine;
   if (!config.scenario().empty()) {
     fault_engine = std::make_unique<faults::FaultEngine>(config.scenario(),
@@ -171,28 +170,47 @@ SearchResults run_search(const SimulationConfig& config) {
   SearchResults results = backend->collect();
   if (driver) driver->finalize(results);
   results.measure_duration = options.measure;
+  results.events_fired = simulator.events_fired();
   return results;
 }
 
 std::vector<SearchResults> run_search_seeds(
     const SimulationConfig& config, int num_seeds,
     const std::function<void(int, int)>& progress) {
+  return run_search_seeds(std::vector<SimulationConfig>{config}, num_seeds,
+                          progress);
+}
+
+std::vector<SearchResults> run_search_seeds(
+    const std::vector<SimulationConfig>& configs, int num_seeds,
+    const std::function<void(int, int)>& progress) {
   GUESS_CHECK(num_seeds >= 1);
-  config.validate();
-  std::uint64_t base_seed = config.seed();
-  auto run_one = [&, base_seed](int i) {
-    SimulationConfig replication = config;
-    replication.seed(base_seed + static_cast<std::uint64_t>(i));
+  if (configs.empty()) return {};
+  const int requested = configs.front().options().threads;
+  for (const SimulationConfig& config : configs) {
+    config.validate();
+    GUESS_CHECK_MSG(config.options().threads == requested,
+                    "a sweep runs on one pool: every config must ask for "
+                    "the same thread count");
+  }
+  const int total = static_cast<int>(configs.size()) * num_seeds;
+  // Slot i is replication (i % num_seeds) of config (i / num_seeds), so
+  // results land in config-then-seed order whichever worker finishes first.
+  auto run_one = [&](int i) {
+    SimulationConfig replication =
+        configs[static_cast<std::size_t>(i / num_seeds)];
+    replication.seed(replication.seed() +
+                     static_cast<std::uint64_t>(i % num_seeds));
     return run_search(replication);
   };
 
-  int threads = experiments::resolve_thread_count(config.options().threads);
-  if (threads == 1 || num_seeds == 1) {
+  int threads = experiments::resolve_thread_count(requested);
+  if (threads == 1 || total == 1) {
     std::vector<SearchResults> runs;
-    runs.reserve(static_cast<std::size_t>(num_seeds));
-    for (int i = 0; i < num_seeds; ++i) {
+    runs.reserve(static_cast<std::size_t>(total));
+    for (int i = 0; i < total; ++i) {
       runs.push_back(run_one(i));
-      if (progress) progress(i + 1, num_seeds);
+      if (progress) progress(i + 1, total);
     }
     return runs;
   }
@@ -203,7 +221,7 @@ std::vector<SearchResults> run_search_seeds(
   churn::LifetimeDistribution::base_distribution();
 
   experiments::ParallelRunner runner(threads);
-  return runner.map<SearchResults>(num_seeds, run_one, progress);
+  return runner.map<SearchResults>(total, run_one, progress);
 }
 
 }  // namespace guess::search

@@ -14,10 +14,12 @@
 //                     .seed(7);
 //   guess::search::SearchResults r = guess::search::run_search(config);
 //
-// Ported protocols run as thin adapters over their legacy engines and are
-// bitwise-identical to the legacy free-standing drivers (asserted by
-// tests/search/backend_equivalence_test.cc); the legacy per-backend results
-// struct rides along in the typed extension slot (`extra_as<T>()`).
+// run_search is the only simulation driver: GUESS and the ported protocols
+// run through it alike. Ported protocols run as thin adapters over their
+// legacy engines and are bitwise-identical to the legacy free-standing
+// drivers (asserted by tests/search/backend_equivalence_test.cc, which also
+// pins GUESS runs to golden values); the per-backend results struct rides
+// along in the typed extension slot (`extra_as<T>()`).
 #pragma once
 
 #include <any>
@@ -98,6 +100,10 @@ struct SearchResults {
   /// zeros (open_loop == false) for closed-loop runs.
   OverloadStats overload;
 
+  /// Events the run's simulator fired, warmup included
+  /// (sim::Simulator::events_fired(); stamped by run_search).
+  std::uint64_t events_fired = 0;
+
   /// Typed extension slot: the backend's legacy results struct.
   std::any extra;
 
@@ -119,10 +125,9 @@ struct SearchResults {
 };
 
 /// Abstract search protocol. Constructed from (SimulationConfig, Simulator,
-/// Rng) by the factory; driven by run_search() in the exact order
-/// GuessSimulation::run() established (bootstrap → faults → intervals →
-/// warmup → begin_measurement → measure → collect), so the GUESS adapter is
-/// bitwise-identical to the legacy driver.
+/// Rng) by the factory; driven by run_search() in a fixed order (bootstrap →
+/// faults → open-loop driver → intervals → warmup → begin_measurement →
+/// measure → collect) that the GUESS golden values pin.
 ///
 /// SearchBackend is a faults::FaultHost: the PR 4 fault-scenario engine
 /// drives any backend. The base class rejects every action with a
@@ -219,15 +224,27 @@ std::vector<SearchBackendId> registered_backends();
 
 /// Run one full simulation of config.backend(): validate, build the
 /// simulator and backend, bootstrap, attach the fault engine and interval
-/// sampler, warm up, measure, collect. For kGuess this is bitwise-identical
-/// to GuessSimulation::run() (asserted by tests).
+/// sampler, warm up, measure, collect. For kGuess the GUESS-only results
+/// are in extra_as<SimulationResults>().
 SearchResults run_search(const SimulationConfig& config);
 
-/// Seed sweep over run_search (config.seed(), +1, ...), on a worker pool of
-/// options().threads threads — the run_seeds() contract: results come back
-/// in seed order and are bitwise-identical for any thread count.
+/// Seed sweep over run_search (config.seed(), +1, ...) on a worker pool of
+/// options().threads threads (0 = auto, see SimulationOptions::threads).
+/// Results come back in seed order and are bitwise-identical for any thread
+/// count. `progress`, when set, is called after each completed replication
+/// with (completed, num_seeds); it runs on worker threads, serialized, in
+/// completion order.
 std::vector<SearchResults> run_search_seeds(
     const SimulationConfig& config, int num_seeds,
+    const std::function<void(int, int)>& progress = {});
+
+/// The seed sweeps of several configs on one shared worker pool, so a
+/// multi-config sweep saturates the machine even at one seed each.
+/// Replication i of configs[c] runs at seed configs[c].seed() + i and lands
+/// at index c * num_seeds + i. Every config must ask for the same
+/// options().threads; progress counts all configs.size() * num_seeds runs.
+std::vector<SearchResults> run_search_seeds(
+    const std::vector<SimulationConfig>& configs, int num_seeds,
     const std::function<void(int, int)>& progress = {});
 
 }  // namespace guess::search

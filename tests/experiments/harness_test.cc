@@ -4,8 +4,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
 #include "common/check.h"
+#include "search/backend.h"
 
 namespace guess::experiments {
 namespace {
@@ -197,6 +199,78 @@ TEST(Harness, PrintHeaderMentionsEverything) {
   EXPECT_NE(text.find("test claim"), std::string::npos);
   EXPECT_NE(text.find("NetworkSize=1000"), std::string::npos);
   EXPECT_NE(text.find("reduced"), std::string::npos);
+}
+
+void expect_identical(const AveragedResults& a, const AveragedResults& b) {
+  EXPECT_EQ(a.probes_per_query, b.probes_per_query);
+  EXPECT_EQ(a.good_per_query, b.good_per_query);
+  EXPECT_EQ(a.dead_per_query, b.dead_per_query);
+  EXPECT_EQ(a.refused_per_query, b.refused_per_query);
+  EXPECT_EQ(a.unsatisfied_rate, b.unsatisfied_rate);
+  EXPECT_EQ(a.fraction_live, b.fraction_live);
+  EXPECT_EQ(a.absolute_live, b.absolute_live);
+  EXPECT_EQ(a.good_entries, b.good_entries);
+  EXPECT_EQ(a.largest_component, b.largest_component);
+  EXPECT_EQ(a.response_time, b.response_time);
+  EXPECT_EQ(a.queries_completed, b.queries_completed);
+  EXPECT_EQ(a.probes_per_query_se, b.probes_per_query_se);
+  EXPECT_EQ(a.unsatisfied_rate_se, b.unsatisfied_rate_se);
+  EXPECT_EQ(a.final_largest_component, b.final_largest_component);
+  EXPECT_EQ(a.final_largest_strong_component,
+            b.final_largest_strong_component);
+}
+
+// The run_configs contract (harness.h): flattening jobs x seeds onto one
+// pool gives, job by job, exactly the averages of that job's own seed
+// sweep, at any thread count. Doubles compare ==.
+TEST(Harness, RunConfigsEqualsPerJobSeedSweeps) {
+  SystemParams system;
+  system.network_size = 100;
+  system.content.catalog_size = 300;
+  system.content.query_universe = 375;
+  SimulationOptions options;
+  options.seed = 61;
+  options.warmup = 60.0;
+  options.measure = 240.0;
+  std::vector<ConfigJob> jobs;
+  for (const char* name : {"Ran", "MFS", "MR"}) {
+    jobs.push_back(
+        {system, PolicyCombo::from_name(name).apply(ProtocolParams{}),
+         options});
+  }
+  jobs[2].options.seed = 7;  // each job keeps its own base seed
+
+  std::vector<AveragedResults> expected;
+  for (const ConfigJob& job : jobs) {
+    SimulationOptions serial = job.options;
+    serial.threads = 1;
+    std::vector<SimulationResults> runs;
+    for (const search::SearchResults& run : search::run_search_seeds(
+             SimulationConfig()
+                 .system(job.system)
+                 .protocol(job.protocol)
+                 .options(serial),
+             2)) {
+      runs.push_back(*run.extra_as<SimulationResults>());
+    }
+    expected.push_back(average(runs));
+  }
+  // Distinct jobs give distinct averages, so a misplaced slot would show.
+  EXPECT_NE(expected[0].probes_per_query, expected[1].probes_per_query);
+  EXPECT_NE(expected[1].probes_per_query, expected[2].probes_per_query);
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Scale scale;
+    scale.seeds = 2;
+    scale.threads = threads;
+    std::vector<AveragedResults> swept = run_configs(jobs, scale);
+    ASSERT_EQ(swept.size(), jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      SCOPED_TRACE("job " + std::to_string(j));
+      expect_identical(swept[j], expected[j]);
+    }
+  }
 }
 
 }  // namespace

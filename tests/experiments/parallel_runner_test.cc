@@ -1,6 +1,7 @@
 // ParallelRunner: pool mechanics (ordering, exceptions, progress, reuse) and
-// the property the whole subsystem exists to preserve — run_seeds results are
-// bitwise-identical to the serial baseline for every thread count.
+// the property the whole subsystem exists to preserve — run_search_seeds
+// results are bitwise-identical to the serial baseline for every thread
+// count.
 #include "experiments/parallel_runner.h"
 
 #include <gtest/gtest.h>
@@ -15,7 +16,7 @@
 #include <vector>
 
 #include "common/check.h"
-#include "guess/simulation.h"
+#include "search/backend.h"
 #include "../testsupport/simulation_results_eq.h"
 
 namespace guess::experiments {
@@ -38,7 +39,7 @@ SimulationOptions small_options() {
 }
 
 /// The serial baseline the parallel paths must match bit for bit: one
-/// independent GuessSimulation per seed, run in the calling thread.
+/// independent run_search per seed, run in the calling thread.
 std::vector<SimulationResults> serial_baseline(const SystemParams& system,
                                                const SimulationOptions& base,
                                                int num_seeds) {
@@ -46,8 +47,9 @@ std::vector<SimulationResults> serial_baseline(const SystemParams& system,
   for (int i = 0; i < num_seeds; ++i) {
     SimulationOptions opt = base;
     opt.seed = base.seed + static_cast<std::uint64_t>(i);
-    GuessSimulation sim(SimulationConfig().system(system).protocol(ProtocolParams{}).options(opt));
-    runs.push_back(sim.run());
+    runs.push_back(testsupport::guess_results(search::run_search(
+        SimulationConfig().system(system).protocol(ProtocolParams{}).options(
+            opt))));
   }
   return runs;
 }
@@ -64,7 +66,10 @@ TEST(ParallelRunSeeds, BitwiseIdenticalToSerialAcrossThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     SimulationOptions options = base;
     options.threads = threads;
-    auto runs = run_seeds(SimulationConfig().system(system).protocol(ProtocolParams{}).options(options), kSeeds);
+    auto runs = testsupport::guess_results(search::run_search_seeds(
+        SimulationConfig().system(system).protocol(ProtocolParams{}).options(
+            options),
+        kSeeds));
     ASSERT_EQ(runs.size(), golden.size());
     for (int i = 0; i < kSeeds; ++i) {
       SCOPED_TRACE("seed index " + std::to_string(i));
@@ -191,7 +196,10 @@ TEST(ParallelRunSeeds, HonorsGuessThreadsEnvironment) {
   SystemParams system = small_system();
   SimulationOptions options = small_options();
   options.measure = 120.0;
-  auto env_runs = run_seeds(SimulationConfig().system(system).protocol(ProtocolParams{}).options(options), 3);
+  auto env_runs = testsupport::guess_results(search::run_search_seeds(
+      SimulationConfig().system(system).protocol(ProtocolParams{}).options(
+          options),
+      3));
   ::unsetenv("GUESS_THREADS");
   auto golden = serial_baseline(system, options, 3);
   ASSERT_EQ(env_runs.size(), 3u);

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "guess/simulation.h"
+#include "search/backend.h"
 #include "../testsupport/simulation_results_eq.h"
 
 namespace guess::experiments {
@@ -30,12 +30,18 @@ TEST(ParallelStress, ThirtyTwoReplicationsOnFourThreads) {
   options.threads = 4;
 
   const int kSeeds = 32;
-  auto parallel = run_seeds(SimulationConfig().system(system).protocol(ProtocolParams{}).options(options), kSeeds);
+  auto parallel = testsupport::guess_results(search::run_search_seeds(
+      SimulationConfig().system(system).protocol(ProtocolParams{}).options(
+          options),
+      kSeeds));
   ASSERT_EQ(parallel.size(), static_cast<std::size_t>(kSeeds));
 
   SimulationOptions serial = options;
   serial.threads = 1;
-  auto golden = run_seeds(SimulationConfig().system(system).protocol(ProtocolParams{}).options(serial), kSeeds);
+  auto golden = testsupport::guess_results(search::run_search_seeds(
+      SimulationConfig().system(system).protocol(ProtocolParams{}).options(
+          serial),
+      kSeeds));
   for (int i = 0; i < kSeeds; ++i) {
     SCOPED_TRACE("seed index " + std::to_string(i));
     testsupport::expect_identical(parallel[static_cast<std::size_t>(i)],

@@ -13,7 +13,8 @@
 #include "common/rng.h"
 #include "faults/scenario.h"
 #include "guess/network.h"
-#include "guess/simulation.h"
+#include "search/backend.h"
+#include "../testsupport/simulation_results_eq.h"
 
 namespace guess {
 namespace {
@@ -328,8 +329,7 @@ SimulationResults run_attack(const char* spec, DetectionParams detection,
                     .seed(seed)
                     .warmup(100.0)
                     .measure(400.0);
-  GuessSimulation sim(config);
-  return sim.run();
+  return testsupport::guess_results(search::run_search(config));
 }
 
 TEST(AttackEndToEnd, EclipseCohortDeploysAndRetiresThroughTheGrammar) {

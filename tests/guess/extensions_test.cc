@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
-#include "guess/simulation.h"
+#include "guess/network.h"
+#include "search/backend.h"
+#include "sim/simulator.h"
+#include "../testsupport/simulation_results_eq.h"
 
 namespace guess {
 namespace {
@@ -203,8 +206,8 @@ TEST(Selfish, SelfishPeersGetFasterAnswersAndLoadTheNetwork) {
   SystemParams system = base_system(300);
   system.percent_selfish_peers = 20.0;
   system.selfish_parallel_probes = 50;
-  GuessSimulation sim(SimulationConfig().system(system).protocol(ProtocolParams{}).options(quick()));
-  auto results = sim.run();
+  auto results = testsupport::guess_results(search::run_search(
+      SimulationConfig().system(system).options(quick())));
   ASSERT_GT(results.selfish.queries_completed, 0u);
   ASSERT_GT(results.honest.queries_completed, 0u);
   // Blasting wide is the whole point: much faster responses...
@@ -221,10 +224,11 @@ TEST(Selfish, PaymentsContainSelfishBlasting) {
   system.selfish_parallel_probes = 50;
   ProtocolParams with_payments;
   with_payments.payments.enabled = true;
-  GuessSimulation unpaid(SimulationConfig().system(system).protocol(ProtocolParams{}).options(quick()));
-  GuessSimulation paid(SimulationConfig().system(system).protocol(with_payments).options(quick()));
-  auto free_ride = unpaid.run();
-  auto economy = paid.run();
+  auto free_ride = testsupport::guess_results(search::run_search(
+      SimulationConfig().system(system).options(quick())));
+  auto economy = testsupport::guess_results(search::run_search(
+      SimulationConfig().system(system).protocol(with_payments).options(
+          quick())));
   // Free riding: blasting answers essentially instantly.
   EXPECT_LT(free_ride.selfish.response_time.mean(),
             free_ride.honest.response_time.mean() * 0.3);
@@ -241,9 +245,12 @@ TEST(Selfish, RolesPreservedThroughChurn) {
   SystemParams system = base_system(200);
   system.percent_selfish_peers = 15.0;
   system.lifespan_multiplier = 0.05;
-  GuessSimulation sim(SimulationConfig().system(system).protocol(ProtocolParams{}).options(quick()));
-  auto& network = sim.network();
-  sim.run();
+  SimulationOptions options = quick();
+  sim::Simulator simulator;
+  GuessNetwork network(SimulationConfig().system(system).options(options),
+                       simulator, Rng(options.seed));
+  network.initialize();
+  simulator.run_until(options.warmup + options.measure);
   std::size_t selfish = 0;
   for (PeerId id : network.alive_ids()) {
     if (network.find(id)->selfish()) ++selfish;
@@ -257,9 +264,13 @@ TEST(Payments, CreditConservedPlusEndowments) {
   protocol.payments.enabled = true;
   protocol.payments.credit_cap = 1e18;   // no burning at the cap
   protocol.payments.serve_reward = 1.0;  // zero-sum transfers
-  GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(quick()));
-  auto& network = sim.network();
-  sim.run();
+  SimulationOptions options = quick();
+  sim::Simulator simulator;
+  GuessNetwork network(
+      SimulationConfig().system(system).protocol(protocol).options(options),
+      simulator, Rng(options.seed));
+  network.initialize();
+  simulator.run_until(options.warmup + options.measure);
   // Every transfer is zero-sum; credit leaves the system only when peers
   // die. Alive peers' total can therefore never exceed endowments issued.
   double total = 0.0;
@@ -278,8 +289,8 @@ TEST(Payments, StalledQueriesAreAbandonedNotStuck) {
   protocol.payments.enabled = true;
   protocol.payments.initial_credit = 0.0;  // nobody can ever probe
   protocol.payments.max_stalled_slots = 10;
-  GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(quick()));
-  auto results = sim.run();
+  auto results = testsupport::guess_results(search::run_search(
+      SimulationConfig().system(system).protocol(protocol).options(quick())));
   EXPECT_GT(results.queries_stalled_out, 0u);
   EXPECT_EQ(results.queries_satisfied, 0u);
   EXPECT_EQ(results.probes.total(), 0u);
@@ -290,8 +301,9 @@ TEST(AdaptiveParallel, ImprovesWorstCaseResponseTime) {
     ProtocolParams protocol;
     protocol.adaptive_parallel = adaptive;
     protocol.adaptive_parallel_trigger = 5;
-    GuessSimulation sim(SimulationConfig().system(base_system(300)).protocol(protocol).options(quick()));
-    return sim.run();
+    return testsupport::guess_results(search::run_search(
+        SimulationConfig().system(base_system(300)).protocol(protocol).options(
+            quick())));
   };
   auto fixed = run(false);
   auto adaptive = run(true);
@@ -313,8 +325,9 @@ TEST(AdaptivePingE2E, MatchesMaintenanceToChurn) {
     options.enable_queries = false;
     options.warmup = 300.0;
     options.measure = 3000.0;
-    GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(options));
-    return sim.run();
+    return testsupport::guess_results(search::run_search(
+        SimulationConfig().system(system).protocol(protocol).options(
+            options)));
   };
   // Stable network: the adaptive controller backs off (1.5x per window up
   // to the cap), sending far fewer pings than the fixed 30-second schedule
@@ -346,8 +359,9 @@ TEST(DetectionE2E, DetectionPlusBootstrapSaveMrFromCollusion) {
   options.warmup = 1200.0;  // let the attack and the defense reach steady state
   options.measure = 1200.0;
   auto run = [&](const ProtocolParams& protocol) {
-    GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(options));
-    return sim.run();
+    return testsupport::guess_results(search::run_search(
+        SimulationConfig().system(system).protocol(protocol).options(
+            options)));
   };
   auto undefended = run(mr);
   auto detected = run(detect_only);
@@ -373,8 +387,9 @@ TEST(QueryCacheAblation, WithoutQueryCacheRareItemsFail) {
     // Paper-like cache:network ratio so the link cache alone cannot cover
     // the network (the whole point of the query cache, §2.3).
     protocol.cache_size = 30;
-    GuessSimulation sim(SimulationConfig().system(base_system(300)).protocol(protocol).options(quick()));
-    return sim.run();
+    return testsupport::guess_results(search::run_search(
+        SimulationConfig().system(base_system(300)).protocol(protocol).options(
+            quick())));
   };
   auto with = run(true);
   auto without = run(false);

@@ -10,9 +10,11 @@
 #include <set>
 
 #include "common/check.h"
+#include "faults/fault_engine.h"
 #include "faults/scenario.h"
 #include "guess/network.h"
-#include "guess/simulation.h"
+#include "search/backend.h"
+#include "../testsupport/simulation_results_eq.h"
 
 namespace guess {
 namespace {
@@ -182,8 +184,8 @@ TEST(FaultPartition, WindowUnderLossyTransportRecovers) {
                     .seed(11)
                     .warmup(100.0)
                     .measure(500.0);
-  GuessSimulation sim(config);
-  SimulationResults results = sim.run();
+  SimulationResults results =
+      testsupport::guess_results(search::run_search(config));
   // Cross-partition sends were severed (loss=0, so every lost message is
   // the partition's doing)...
   EXPECT_GT(results.transport.messages_lost, 0u);
@@ -231,8 +233,7 @@ TEST(FaultDegrade, WindowRaisesLossRateDuringWindowOnly) {
                       .seed(13)
                       .warmup(100.0)
                       .measure(400.0);
-    GuessSimulation sim(config);
-    return sim.run();
+    return testsupport::guess_results(search::run_search(config));
   };
   // The poison toggle at the horizon is a no-op fault: same run shape, no
   // degradation, so every transport loss below is the window's.
@@ -282,8 +283,7 @@ TEST(FaultPoison, DisablingPoisonImprovesCacheHealth) {
                       .seed(17)
                       .warmup(150.0)
                       .measure(600.0);
-    GuessSimulation sim(config);
-    return sim.run();
+    return testsupport::guess_results(search::run_search(config));
   };
   SimulationResults poisoned = run("at 2000 poison on");  // no-op: always on
   SimulationResults honest = run("at 0 poison off");
@@ -317,12 +317,15 @@ TEST(FaultMassKill, InFlightLossyExchangesResolveWithoutTrippingPayments) {
                     .seed(19)
                     .warmup(100.0)
                     .measure(500.0);
-  GuessSimulation sim(config);
-  SimulationResults results;
-  ASSERT_NO_THROW(results = sim.run());
-  EXPECT_GT(results.probes.good, 0u);
-  for (PeerId id : sim.network().alive_ids()) {
-    const Peer* peer = sim.network().find(id);
+  Fixture f(config, config.seed());
+  faults::FaultEngine engine(config.scenario(), f.simulator, f.network);
+  engine.schedule();
+  f.simulator.run_until(100.0);
+  f.network.begin_measurement();
+  ASSERT_NO_THROW(f.simulator.run_until(600.0));
+  EXPECT_GT(f.network.collect_results().probes.good, 0u);
+  for (PeerId id : f.network.alive_ids()) {
+    const Peer* peer = f.network.find(id);
     EXPECT_GE(peer->credit(), 0.0);
     EXPECT_GE(peer->credit(),
               static_cast<double>(peer->reserved_probes()) *
@@ -339,8 +342,8 @@ TEST(IntervalSeries, ContiguousFromTimeZeroWithLivePopulation) {
                     .seed(23)
                     .warmup(200.0)
                     .measure(400.0);
-  GuessSimulation sim(config);
-  SimulationResults results = sim.run();
+  SimulationResults results =
+      testsupport::guess_results(search::run_search(config));
 
   // Horizon 600 = 6 exact 100 s intervals; the sampler fires at the horizon
   // so there is no trailing partial.
@@ -367,8 +370,8 @@ TEST(IntervalSeries, TrailingPartialIntervalAppended) {
                     .seed(23)
                     .warmup(200.0)
                     .measure(400.0);
-  GuessSimulation sim(config);
-  SimulationResults results = sim.run();
+  SimulationResults results =
+      testsupport::guess_results(search::run_search(config));
   ASSERT_EQ(results.interval_series.size(), 7u);
   const IntervalSample& tail = results.interval_series.back();
   EXPECT_DOUBLE_EQ(tail.start, 540.0);
@@ -381,8 +384,7 @@ TEST(IntervalSeries, DisabledByDefault) {
                     .seed(23)
                     .warmup(100.0)
                     .measure(200.0);
-  GuessSimulation sim(config);
-  EXPECT_TRUE(sim.run().interval_series.empty());
+  EXPECT_TRUE(search::run_search(config).interval_series.empty());
 }
 
 // A kill at an interval boundary: the sample closing at that instant already
@@ -397,8 +399,8 @@ TEST(IntervalSeries, KillAtBoundaryReflectedInClosingSample) {
                     .seed(29)
                     .warmup(200.0)
                     .measure(400.0);
-  GuessSimulation sim(config);
-  SimulationResults results = sim.run();
+  SimulationResults results =
+      testsupport::guess_results(search::run_search(config));
   ASSERT_EQ(results.interval_series.size(), 6u);
   EXPECT_EQ(results.interval_series[1].live_peers, 100u);  // 100..200
   EXPECT_EQ(results.interval_series[2].live_peers, 70u);   // 200..300

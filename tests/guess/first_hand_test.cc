@@ -21,6 +21,7 @@ TEST(FirstHand, TrustedValueDependsOnProvenance) {
 
 TEST(FirstHand, MrSelectionIgnoresForeignClaims) {
   LinkCache cache(kOwner, 4);
+  cache.configure_indices({Policy::kMR}, Replacement::kRandom);
   Rng rng(1);
   cache.insert_free(CacheEntry{1, 0.0, 0, 50, false});  // loud claim
   cache.insert_free(CacheEntry{2, 0.0, 0, 2, true});    // verified producer
@@ -35,6 +36,7 @@ TEST(FirstHand, MrSelectionIgnoresForeignClaims) {
 
 TEST(FirstHand, LrRetentionProtectsVerifiedProducers) {
   LinkCache cache(kOwner, 2);
+  cache.configure_indices({}, Replacement::kLR);
   Rng rng(1);
   cache.set_first_hand_only(true);
   cache.insert_free(CacheEntry{1, 0.0, 0, 50, false});  // unverified claim
@@ -50,6 +52,7 @@ TEST(FirstHand, LrRetentionProtectsVerifiedProducers) {
 
 TEST(FirstHand, ForeignZeroCandidateCannotDisplaceForeignZeroVictim) {
   LinkCache cache(kOwner, 1);
+  cache.configure_indices({}, Replacement::kLR);
   Rng rng(1);
   cache.set_first_hand_only(true);
   cache.insert_free(CacheEntry{1, 0.0, 0, 50, false});
@@ -61,6 +64,7 @@ TEST(FirstHand, ForeignZeroCandidateCannotDisplaceForeignZeroVictim) {
 
 TEST(FirstHand, SetNumResUpgradesProvenance) {
   LinkCache cache(kOwner, 2);
+  cache.configure_indices({Policy::kMR}, Replacement::kRandom);
   cache.insert_free(CacheEntry{1, 0.0, 0, 20, false});
   EXPECT_FALSE(cache.get(1)->first_hand);
   cache.set_num_res(1, 3);  // the owner probed the peer itself
@@ -75,6 +79,7 @@ TEST(FirstHand, StoredClaimSurvivesModeForDetection) {
   // The mode changes what rankings USE, never what is STORED — the §6.4
   // detection heuristic needs the original outsized claim as evidence.
   LinkCache cache(kOwner, 2);
+  cache.configure_indices({}, Replacement::kLR);
   cache.set_first_hand_only(true);
   Rng rng(1);
   cache.offer(CacheEntry{1, 0.0, 0, 42, false}, Replacement::kLR, rng);
@@ -86,6 +91,7 @@ TEST(FirstHand, MfsUnaffectedByMode) {
   // First-hand-only governs NumRes only; NumFiles stays trusted (the MFS
   // gullibility the paper analyzes is a separate axis).
   LinkCache cache(kOwner, 4);
+  cache.configure_indices({Policy::kMFS}, Replacement::kRandom);
   Rng rng(1);
   cache.set_first_hand_only(true);
   cache.insert_free(CacheEntry{1, 0.0, 500, 0, false});

@@ -64,8 +64,8 @@ class ReferenceCache {
 
  private:
   double retention(const CacheEntry& entry) const {
-    Rng unused(0);
-    return retention_score(policy_, entry, unused);
+    return deterministic_retention_score(policy_, entry,
+                                         /*first_hand_only=*/false);
   }
 
   std::size_t capacity_;
@@ -82,6 +82,7 @@ TEST_P(LinkCacheFuzz, MatchesReferenceModel) {
   Rng cache_rng(1);  // deterministic policies never consume it
   const std::size_t capacity = 8;
   LinkCache cache(kOwner, capacity);
+  cache.configure_indices({}, policy);
   ReferenceCache reference(capacity, policy);
 
   double now = 0.0;
@@ -199,6 +200,7 @@ TEST_P(EclipseResistanceFuzz, FloorPreservesFirstHandCoverage) {
   const std::size_t floor = 6;
   constexpr PeerId kAttackerBase = 1000;
   LinkCache cache(kOwner, capacity);
+  cache.configure_indices({}, policy);
   cache.set_first_hand_floor(floor);
 
   std::uint32_t next_unique = 1;
@@ -264,6 +266,7 @@ TEST(EclipseResistanceFuzz, EstablishedFloorIsMonotoneWithoutChurn) {
   Rng rng(77);
   const std::size_t floor = 4;
   LinkCache cache(kOwner, 8);
+  cache.configure_indices({}, Replacement::kLFS);
   cache.set_first_hand_floor(floor);
   std::uint32_t unique = 1;
   // Establish the reserve — probed residents rank ABOVE the remaining

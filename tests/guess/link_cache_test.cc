@@ -41,6 +41,7 @@ TEST(LinkCache, InsertFreePreconditions) {
 
 TEST(LinkCache, OfferFillsFreeSpace) {
   LinkCache cache(kOwner, 2);
+  cache.configure_indices({}, Replacement::kLFS);
   Rng rng(1);
   EXPECT_TRUE(cache.offer(entry(1), Replacement::kLFS, rng));
   EXPECT_TRUE(cache.offer(entry(2), Replacement::kLFS, rng));
@@ -59,6 +60,7 @@ TEST(LinkCache, OfferRejectsSelfAndDuplicates) {
 
 TEST(LinkCache, LfsReplacementKeepsBigSharers) {
   LinkCache cache(kOwner, 3);
+  cache.configure_indices({}, Replacement::kLFS);
   Rng rng(1);
   cache.insert_free(entry(1, 0.0, 10, 0));
   cache.insert_free(entry(2, 0.0, 50, 0));
@@ -74,6 +76,7 @@ TEST(LinkCache, LfsReplacementKeepsBigSharers) {
 
 TEST(LinkCache, LrReplacementKeepsProductivePeers) {
   LinkCache cache(kOwner, 2);
+  cache.configure_indices({}, Replacement::kLR);
   Rng rng(1);
   cache.insert_free(entry(1, 0.0, 0, 5));
   cache.insert_free(entry(2, 0.0, 0, 1));
@@ -85,6 +88,7 @@ TEST(LinkCache, LrReplacementKeepsProductivePeers) {
 
 TEST(LinkCache, LruReplacementEvictsStalest) {
   LinkCache cache(kOwner, 2);
+  cache.configure_indices({}, Replacement::kLRU);
   Rng rng(1);
   cache.insert_free(entry(1, 10.0));
   cache.insert_free(entry(2, 90.0));
@@ -95,6 +99,7 @@ TEST(LinkCache, LruReplacementEvictsStalest) {
 TEST(LinkCache, MruReplacementEvictsFreshest) {
   // The paper's pathological "fairness" policy: stale entries survive.
   LinkCache cache(kOwner, 2);
+  cache.configure_indices({}, Replacement::kMRU);
   Rng rng(1);
   cache.insert_free(entry(1, 10.0));
   cache.insert_free(entry(2, 90.0));
@@ -139,6 +144,9 @@ TEST(LinkCache, TouchAndSetNumResUpdateFields) {
 
 TEST(LinkCache, SelectBestFollowsPolicy) {
   LinkCache cache(kOwner, 4);
+  cache.configure_indices({Policy::kMRU, Policy::kLRU, Policy::kMFS,
+                           Policy::kMR},
+                          Replacement::kRandom);
   Rng rng(1);
   cache.insert_free(entry(1, 10.0, 5, 1));
   cache.insert_free(entry(2, 90.0, 50, 0));
@@ -157,6 +165,7 @@ TEST(LinkCache, SelectBestOnEmptyReturnsNothing) {
 
 TEST(LinkCache, SelectTopReturnsDescendingByPolicy) {
   LinkCache cache(kOwner, 5);
+  cache.configure_indices({Policy::kMFS}, Replacement::kRandom);
   Rng rng(1);
   for (PeerId id = 1; id <= 5; ++id) {
     cache.insert_free(entry(id, 0.0, static_cast<std::uint32_t>(id * 10), 0));
@@ -169,10 +178,11 @@ TEST(LinkCache, SelectTopReturnsDescendingByPolicy) {
 }
 
 TEST(LinkCache, SelectTopBreaksScoreTiesByInsertionIndex) {
-  // Duplicate scores: partial_sort is unstable, so without an explicit
-  // index tie-break the winners among equal-score entries would depend on
-  // the stdlib's pivot choices. Insertion (index) order is the contract.
+  // Duplicate scores: without an explicit index tie-break the winners among
+  // equal-score entries would depend on the heap layout. Insertion (index)
+  // order is the contract.
   LinkCache cache(kOwner, 6);
+  cache.configure_indices({Policy::kMFS}, Replacement::kRandom);
   Rng rng(1);
   cache.insert_free(entry(10, 0.0, 50, 0));
   cache.insert_free(entry(20, 0.0, 50, 0));
@@ -191,6 +201,7 @@ TEST(LinkCache, SelectTopBreaksScoreTiesByInsertionIndex) {
 
 TEST(LinkCache, SelectTopAllTiedReturnsPrefixInInsertionOrder) {
   LinkCache cache(kOwner, 8);
+  cache.configure_indices({Policy::kMFS}, Replacement::kRandom);
   Rng rng(3);
   for (PeerId id = 1; id <= 8; ++id) {
     cache.insert_free(entry(id, 0.0, 7, 0));
@@ -250,6 +261,21 @@ TEST(LinkCache, ZeroCapacityRejected) {
   EXPECT_THROW(LinkCache(kOwner, 0), CheckError);
 }
 
+// Only configured orderings can be selected or replaced by; kRandom needs
+// none. The check holds even when the cache could answer without one.
+TEST(LinkCache, UnconfiguredPolicyRejected) {
+  LinkCache cache(kOwner, 2);
+  cache.configure_indices({Policy::kMFS}, Replacement::kLFS);
+  Rng rng(1);
+  EXPECT_THROW(cache.select_best(Policy::kMR, rng), CheckError);
+  EXPECT_THROW(cache.select_top(Policy::kLRU, 1, rng), CheckError);
+  EXPECT_THROW(cache.offer(entry(1), Replacement::kLR, rng), CheckError);
+  EXPECT_TRUE(cache.offer(entry(1), Replacement::kLFS, rng));
+  EXPECT_TRUE(cache.offer(entry(2), Replacement::kRandom, rng));
+  EXPECT_EQ(cache.select_best(Policy::kMFS, rng)->id, 1u);
+  EXPECT_EQ(cache.select_top(Policy::kRandom, 2, rng).size(), 2u);
+}
+
 // --- first-hand floor (eclipse resistance, DESIGN.md §11) ------------------
 
 TEST(LinkCacheFloor, FirstHandCountTracksObservationsAndEvictions) {
@@ -272,6 +298,7 @@ TEST(LinkCacheFloor, FirstHandCountTracksObservationsAndEvictions) {
 
 TEST(LinkCacheFloor, RefusesDisplacingProtectedFirstHandEntries) {
   LinkCache cache(kOwner, 2);
+  cache.configure_indices({}, Replacement::kLFS);
   cache.set_first_hand_floor(2);
   Rng rng(3);
   cache.insert_free(entry(1, 0.0, 10, 0));
@@ -294,6 +321,7 @@ TEST(LinkCacheFloor, RefusesDisplacingProtectedFirstHandEntries) {
 
 TEST(LinkCacheFloor, ReplacementAllowedDownToTheFloorNotBelow) {
   LinkCache cache(kOwner, 3);
+  cache.configure_indices({}, Replacement::kLFS);
   cache.set_first_hand_floor(1);
   Rng rng(4);
   cache.insert_free(entry(1, 0.0, 1, 0));
@@ -316,6 +344,7 @@ TEST(LinkCacheFloor, ReplacementAllowedDownToTheFloorNotBelow) {
 
 TEST(LinkCacheFloor, FirstHandCandidatesAndNonFirstHandVictimsUnaffected) {
   LinkCache cache(kOwner, 2);
+  cache.configure_indices({}, Replacement::kLFS);
   cache.set_first_hand_floor(2);
   Rng rng(5);
   cache.insert_free(entry(1, 0.0, 10, 0));

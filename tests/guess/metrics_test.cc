@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
-#include "guess/simulation.h"
 
 namespace guess {
 namespace {

@@ -2,7 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "common/trace.h"
-#include "guess/simulation.h"
+#include "guess/network.h"
+#include "sim/simulator.h"
 
 namespace guess {
 namespace {

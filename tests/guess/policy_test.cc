@@ -45,28 +45,32 @@ TEST(Policy, RandomScoresVary) {
 }
 
 TEST(Replacement, LfsEvictsFewestFiles) {
-  Rng rng(1);
   // Lower retention = evicted first.
-  EXPECT_LT(retention_score(Replacement::kLFS, entry(1, 0.0, 3, 0), rng),
-            retention_score(Replacement::kLFS, entry(2, 0.0, 100, 0), rng));
+  EXPECT_LT(deterministic_retention_score(Replacement::kLFS,
+                                          entry(1, 0.0, 3, 0), false),
+            deterministic_retention_score(Replacement::kLFS,
+                                          entry(2, 0.0, 100, 0), false));
 }
 
 TEST(Replacement, LrEvictsFewestResults) {
-  Rng rng(1);
-  EXPECT_LT(retention_score(Replacement::kLR, entry(1, 0.0, 0, 0), rng),
-            retention_score(Replacement::kLR, entry(2, 0.0, 0, 5), rng));
+  EXPECT_LT(deterministic_retention_score(Replacement::kLR,
+                                          entry(1, 0.0, 0, 0), false),
+            deterministic_retention_score(Replacement::kLR,
+                                          entry(2, 0.0, 0, 5), false));
 }
 
 TEST(Replacement, LruEvictsOldest) {
-  Rng rng(1);
-  EXPECT_LT(retention_score(Replacement::kLRU, entry(1, 10.0, 0, 0), rng),
-            retention_score(Replacement::kLRU, entry(2, 90.0, 0, 0), rng));
+  EXPECT_LT(deterministic_retention_score(Replacement::kLRU,
+                                          entry(1, 10.0, 0, 0), false),
+            deterministic_retention_score(Replacement::kLRU,
+                                          entry(2, 90.0, 0, 0), false));
 }
 
 TEST(Replacement, MruEvictsNewest) {
-  Rng rng(1);
-  EXPECT_LT(retention_score(Replacement::kMRU, entry(1, 90.0, 0, 0), rng),
-            retention_score(Replacement::kMRU, entry(2, 10.0, 0, 0), rng));
+  EXPECT_LT(deterministic_retention_score(Replacement::kMRU,
+                                          entry(1, 90.0, 0, 0), false),
+            deterministic_retention_score(Replacement::kMRU,
+                                          entry(2, 10.0, 0, 0), false));
 }
 
 class PolicyRoundTrip : public ::testing::TestWithParam<Policy> {};

@@ -1,8 +1,10 @@
-#include "guess/simulation.h"
-
+// A full GUESS run through the one driver, search::run_search: headline
+// metrics, reproducibility, connectivity sampling, seed sweeps and their
+// averages.
 #include <gtest/gtest.h>
 
-#include "common/check.h"
+#include "search/backend.h"
+#include "../testsupport/simulation_results_eq.h"
 
 namespace guess {
 namespace {
@@ -23,9 +25,13 @@ SimulationOptions quick_options(std::uint64_t seed = 42) {
   return options;
 }
 
+SimulationResults run(const SimulationOptions& options = quick_options()) {
+  return testsupport::guess_results(search::run_search(
+      SimulationConfig().system(test_system()).options(options)));
+}
+
 TEST(Simulation, RunsAndProducesQueries) {
-  GuessSimulation sim(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options()));
-  auto results = sim.run();
+  auto results = run();
   EXPECT_GT(results.queries_completed, 100u);
   EXPECT_GT(results.probes.total(), results.queries_completed);
   EXPECT_GT(results.queries_satisfied, 0u);
@@ -35,12 +41,8 @@ TEST(Simulation, RunsAndProducesQueries) {
 }
 
 TEST(Simulation, SameSeedIsBitwiseReproducible) {
-  auto run = [](std::uint64_t seed) {
-    GuessSimulation sim(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options(seed)));
-    return sim.run();
-  };
-  auto a = run(7);
-  auto b = run(7);
+  auto a = run(quick_options(7));
+  auto b = run(quick_options(7));
   EXPECT_EQ(a.queries_completed, b.queries_completed);
   EXPECT_EQ(a.queries_satisfied, b.queries_satisfied);
   EXPECT_EQ(a.probes.good, b.probes.good);
@@ -51,24 +53,13 @@ TEST(Simulation, SameSeedIsBitwiseReproducible) {
 }
 
 TEST(Simulation, DifferentSeedsDiffer) {
-  auto run = [](std::uint64_t seed) {
-    GuessSimulation sim(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options(seed)));
-    return sim.run();
-  };
-  auto a = run(1);
-  auto b = run(2);
+  auto a = run(quick_options(1));
+  auto b = run(quick_options(2));
   EXPECT_NE(a.probes.good, b.probes.good);
 }
 
-TEST(Simulation, RunTwiceThrows) {
-  GuessSimulation sim(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options()));
-  sim.run();
-  EXPECT_THROW(sim.run(), CheckError);
-}
-
 TEST(Simulation, ResponseTimeConsistentWithProbeSlots) {
-  GuessSimulation sim(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options()));
-  auto results = sim.run();
+  auto results = run();
   // A satisfied query of k probes takes (k-1) × 0.2 s; mean response time
   // must therefore be below probes/query × 0.2.
   EXPECT_GT(results.response_time.mean(), 0.0);
@@ -81,8 +72,7 @@ TEST(Simulation, ConnectivitySamplingProducesSamples) {
   options.enable_queries = false;
   options.sample_connectivity = true;
   options.connectivity_sample_interval = 120.0;
-  GuessSimulation sim(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(options));
-  auto results = sim.run();
+  auto results = run(options);
   EXPECT_GE(results.largest_component.count(), 4u);
   EXPECT_GT(results.largest_component.mean(), 0.0);
   EXPECT_LE(results.largest_component.max(), 150.0);
@@ -94,20 +84,21 @@ TEST(Simulation, ConnectivitySamplingProducesSamples) {
 }
 
 TEST(Simulation, ConnectivityOffLeavesSnapshotZero) {
-  GuessSimulation sim(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options()));
-  auto results = sim.run();
+  auto results = run();
   EXPECT_EQ(results.final_largest_component, 0u);
   EXPECT_EQ(results.final_largest_strong_component, 0u);
 }
 
 TEST(Simulation, RunSeedsProducesOneResultPerSeed) {
-  auto runs = run_seeds(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options()), 3);
+  auto runs = testsupport::guess_results(search::run_search_seeds(
+      SimulationConfig().system(test_system()).options(quick_options()), 3));
   EXPECT_EQ(runs.size(), 3u);
   EXPECT_NE(runs[0].probes.good, runs[1].probes.good);
 }
 
 TEST(Simulation, AverageAggregatesRuns) {
-  auto runs = run_seeds(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options()), 2);
+  auto runs = testsupport::guess_results(search::run_search_seeds(
+      SimulationConfig().system(test_system()).options(quick_options()), 2));
   auto avg = average(runs);
   double expected =
       (runs[0].probes_per_query() + runs[1].probes_per_query()) / 2.0;
@@ -122,8 +113,7 @@ TEST(Simulation, AverageOfNothingIsZeroes) {
 }
 
 TEST(Simulation, MetricsDerivationsAreConsistent) {
-  GuessSimulation sim(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options()));
-  auto results = sim.run();
+  auto results = run();
   EXPECT_NEAR(results.probes_per_query(),
               results.good_probes_per_query() +
                   results.dead_probes_per_query() +

@@ -8,8 +8,9 @@
 
 #include "common/check.h"
 #include "guess/config.h"
-#include "guess/simulation.h"
+#include "guess/network.h"
 #include "guess/transport.h"
+#include "search/backend.h"
 #include "../testsupport/simulation_results_eq.h"
 
 namespace guess {
@@ -329,17 +330,16 @@ TEST(TransportIdentity, OptionsBlockBitwiseIdenticalToChainedSetters) {
   options.seed = 17;
   options.warmup = 120.0;
   options.measure = 480.0;
-  GuessSimulation via_options_block(
-      SimulationConfig().system(system).protocol(protocol).options(options));
-  SimulationResults via_legacy = via_options_block.run();
+  SimulationResults via_legacy = testsupport::guess_results(search::run_search(
+      SimulationConfig().system(system).protocol(protocol).options(options)));
 
-  GuessSimulation modern(SimulationConfig()
-                             .system(system)
-                             .protocol(protocol)
-                             .seed(17)
-                             .warmup(120.0)
-                             .measure(480.0));
-  SimulationResults via_config = modern.run();
+  SimulationResults via_config =
+      testsupport::guess_results(search::run_search(SimulationConfig()
+                                                        .system(system)
+                                                        .protocol(protocol)
+                                                        .seed(17)
+                                                        .warmup(120.0)
+                                                        .measure(480.0)));
 
   testsupport::expect_identical(via_legacy, via_config);
   // The synchronous transport still accounts for traffic.
@@ -362,8 +362,8 @@ TEST(TransportFaultInjection, TotalLossRunTerminatesUnsatisfied) {
                     .seed(5)
                     .warmup(100.0)
                     .measure(300.0);
-  GuessSimulation sim(config);
-  SimulationResults results = sim.run();
+  SimulationResults results =
+      testsupport::guess_results(search::run_search(config));
   EXPECT_GT(results.queries_completed, 0u);
   EXPECT_EQ(results.queries_satisfied, 0u);
   EXPECT_EQ(results.probes.good, 0u);
@@ -392,21 +392,22 @@ TEST(TransportFaultInjection, PaymentsUnderLossDoNotOverdrawCredit) {
   protocol.parallel_probes = 3;  // several probes per slot compete for it
   TransportParams transport = TransportParams::lossy(0.2);
   transport.max_retries = 1;
-  GuessSimulation sim(SimulationConfig()
-                          .system(system)
-                          .protocol(protocol)
-                          .transport(transport)
-                          .seed(11)
-                          .warmup(100.0)
-                          .measure(400.0));
-  SimulationResults results;
-  ASSERT_NO_THROW(results = sim.run());
+  sim::Simulator simulator;
+  GuessNetwork network(
+      SimulationConfig().system(system).protocol(protocol).transport(transport),
+      simulator, Rng(11));
+  ASSERT_NO_THROW({
+    network.initialize();
+    simulator.run_until(100.0);
+    network.begin_measurement();
+    simulator.run_until(500.0);
+  });
   // The economy actually ran (probes were served and paid for) ...
-  EXPECT_GT(results.probes.good, 0u);
+  EXPECT_GT(network.collect_results().probes.good, 0u);
   // ... and no peer's ledger went negative or leaked reservations beyond
   // what is genuinely still in flight at the horizon.
-  for (PeerId id : sim.network().alive_ids()) {
-    const Peer* peer = sim.network().find(id);
+  for (PeerId id : network.alive_ids()) {
+    const Peer* peer = network.find(id);
     EXPECT_GE(peer->credit(), 0.0);
     EXPECT_GE(peer->credit(),
               static_cast<double>(peer->reserved_probes()) *
@@ -430,8 +431,7 @@ TEST(TransportFaultInjection, TimeoutRateMonotonicInLoss) {
                       .seed(9)
                       .warmup(100.0)
                       .measure(400.0);
-    GuessSimulation sim(config);
-    return sim.run();
+    return testsupport::guess_results(search::run_search(config));
   };
   SimulationResults none = run(0.0);
   SimulationResults low = run(0.05);
@@ -498,11 +498,12 @@ TEST(SimulationConfigValidate, RejectsNonsense) {
 TEST(SimulationConfigValidate, ConstructorsValidate) {
   SystemParams tiny;
   tiny.network_size = 1;
-  EXPECT_THROW(GuessSimulation sim(SimulationConfig().system(tiny)),
+  EXPECT_THROW(search::run_search(SimulationConfig().system(tiny)),
                CheckError);
+  sim::Simulator simulator;
   EXPECT_THROW(
-      GuessSimulation sim(
-          SimulationConfig().transport(TransportParams::lossy(2.0))),
+      GuessNetwork(SimulationConfig().transport(TransportParams::lossy(2.0)),
+                   simulator, Rng(1)),
       CheckError);
 }
 

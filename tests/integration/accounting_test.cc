@@ -3,7 +3,8 @@
 // aggregates for any configuration.
 #include <gtest/gtest.h>
 
-#include "guess/simulation.h"
+#include "search/backend.h"
+#include "../testsupport/simulation_results_eq.h"
 
 namespace guess {
 namespace {
@@ -15,8 +16,8 @@ SimulationResults run(SystemParams system, std::uint64_t seed = 42) {
   options.seed = seed;
   options.warmup = 150.0;
   options.measure = 700.0;
-  GuessSimulation sim(SimulationConfig().system(system).protocol(ProtocolParams{}).options(options));
-  return sim.run();
+  return testsupport::guess_results(
+      search::run_search(SimulationConfig().system(system).options(options)));
 }
 
 void check_reconciliation(const SimulationResults& results) {

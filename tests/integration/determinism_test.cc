@@ -3,9 +3,12 @@
 // trace-based debugging and CI regression pinning possible.
 #include <gtest/gtest.h>
 
+#include "faults/fault_engine.h"
 #include "gnutella/dynamic_overlay.h"
-#include "guess/simulation.h"
+#include "guess/network.h"
 #include "onehop/one_hop_dht.h"
+#include "search/backend.h"
+#include "sim/simulator.h"
 #include "../testsupport/simulation_results_eq.h"
 
 namespace guess {
@@ -81,8 +84,9 @@ TEST(Determinism, GuessWithEveryExtensionEnabled) {
     options.seed = seed;
     options.warmup = 150.0;
     options.measure = 600.0;
-    GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(options));
-    return sim.run();
+    return testsupport::guess_results(search::run_search(
+        SimulationConfig().system(system).protocol(protocol).options(
+            options)));
   };
   auto a = run(31);
   auto b = run(31);
@@ -118,8 +122,9 @@ TEST(Determinism, HeapAndCalendarSchedulersBitwiseIdentical) {
     options.warmup = 150.0;
     options.measure = 600.0;
     options.scheduler = scheduler;
-    GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(options));
-    return sim.run();
+    return testsupport::guess_results(search::run_search(
+        SimulationConfig().system(system).protocol(protocol).options(
+            options)));
   };
   auto heap = run(sim::Scheduler::kHeap);
   auto calendar = run(sim::Scheduler::kCalendar);
@@ -147,8 +152,7 @@ TEST(Determinism, LossyTransportHeapAndCalendarBitwiseIdentical) {
                       .warmup(150.0)
                       .measure(600.0)
                       .scheduler(scheduler);
-    GuessSimulation sim(config);
-    return sim.run();
+    return testsupport::guess_results(search::run_search(config));
   };
   auto heap = run(sim::Scheduler::kHeap);
   auto calendar = run(sim::Scheduler::kCalendar);
@@ -186,8 +190,7 @@ TEST(Determinism, FaultScenarioHeapAndCalendarBitwiseIdentical) {
             .warmup(150.0)
             .measure(600.0)
             .scheduler(scheduler);
-    GuessSimulation sim(config);
-    return sim.run();
+    return testsupport::guess_results(search::run_search(config));
   };
   auto heap = run(sim::Scheduler::kHeap);
   auto calendar = run(sim::Scheduler::kCalendar);
@@ -244,8 +247,7 @@ TEST(Determinism, EachAttackHeapAndCalendarBitwiseIdentical) {
                         .warmup(150.0)
                         .measure(450.0)
                         .scheduler(scheduler);
-      GuessSimulation sim(config);
-      return sim.run();
+      return testsupport::guess_results(search::run_search(config));
     };
     auto heap = run(sim::Scheduler::kHeap);
     auto calendar = run(sim::Scheduler::kCalendar);
@@ -282,8 +284,10 @@ TEST(Determinism, AttackGauntletIdenticalAcrossThreadCounts) {
         .measure(480.0)
         .threads(threads);
   };
-  auto serial = run_seeds(config_for(1), 3);
-  auto pooled = run_seeds(config_for(4), 3);
+  auto serial =
+      testsupport::guess_results(search::run_search_seeds(config_for(1), 3));
+  auto pooled =
+      testsupport::guess_results(search::run_search_seeds(config_for(4), 3));
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE("seed index " + std::to_string(i));
@@ -310,8 +314,10 @@ TEST(Determinism, FaultScenarioIdenticalAcrossThreadCounts) {
         .measure(480.0)
         .threads(threads);
   };
-  auto serial = run_seeds(config_for(1), 3);
-  auto pooled = run_seeds(config_for(4), 3);
+  auto serial =
+      testsupport::guess_results(search::run_search_seeds(config_for(1), 3));
+  auto pooled =
+      testsupport::guess_results(search::run_search_seeds(config_for(4), 3));
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE("seed index " + std::to_string(i));
@@ -319,8 +325,8 @@ TEST(Determinism, FaultScenarioIdenticalAcrossThreadCounts) {
   }
 }
 
-// run_seeds (which now dispatches replications onto a worker pool) must be
-// indistinguishable from n completely independent single-seed simulations,
+// run_search_seeds (which dispatches replications onto a worker pool) must
+// be indistinguishable from n completely independent single-seed runs,
 // entry for entry — the contract that makes the parallel path safe to use
 // for every figure and table in the paper reproduction.
 TEST(Determinism, RunSeedsEqualsIndependentRuns) {
@@ -336,14 +342,16 @@ TEST(Determinism, RunSeedsEqualsIndependentRuns) {
   options.threads = 0;  // auto: exercises the default (parallel) path
 
   const int kSeeds = 4;
-  auto sweep = run_seeds(SimulationConfig().system(system).protocol(protocol).options(options), kSeeds);
+  auto sweep = testsupport::guess_results(search::run_search_seeds(
+      SimulationConfig().system(system).protocol(protocol).options(options),
+      kSeeds));
   ASSERT_EQ(sweep.size(), static_cast<std::size_t>(kSeeds));
   for (int i = 0; i < kSeeds; ++i) {
     SCOPED_TRACE("seed index " + std::to_string(i));
     SimulationOptions one = options;
     one.seed = options.seed + static_cast<std::uint64_t>(i);
-    GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(one));
-    auto independent = sim.run();
+    auto independent = testsupport::guess_results(search::run_search(
+        SimulationConfig().system(system).protocol(protocol).options(one)));
     testsupport::expect_identical(sweep[static_cast<std::size_t>(i)],
                                   independent);
   }
@@ -361,20 +369,41 @@ TEST(Determinism, RunSeedsEqualsIndependentRuns) {
 namespace {
 
 // Runs `config` with births claiming slots in a shuffled order when
-// `shuffle_seed` is nonzero (0 = natural slot order).
+// `shuffle_seed` is nonzero (0 = natural slot order). The slots must be
+// seeded before the population is built, so this drives the network
+// directly, in run_search's step order.
 SimulationResults run_with_slot_order(const SimulationConfig& config,
                                       std::uint64_t shuffle_seed,
                                       std::size_t seeded_slots) {
-  GuessSimulation sim(config);
+  const SimulationOptions& options = config.options();
+  sim::Simulator simulator(options.scheduler);
+  GuessNetwork network(config, simulator, Rng(config.seed()));
   if (shuffle_seed != 0) {
     std::vector<std::uint32_t> order(seeded_slots);
     for (std::size_t i = 0; i < seeded_slots; ++i) {
       order[i] = static_cast<std::uint32_t>(i);
     }
     Rng(shuffle_seed).shuffle(order);
-    sim.network().debug_seed_free_slots(std::move(order));
+    network.debug_seed_free_slots(std::move(order));
   }
-  return sim.run();
+  network.initialize();
+  faults::FaultEngine fault_engine(config.scenario(), simulator, network);
+  fault_engine.schedule();
+  if (options.metrics_interval > 0.0) {
+    network.begin_interval_metrics(options.metrics_interval);
+    simulator.every(options.metrics_interval, options.metrics_interval,
+                    [&network]() { network.sample_interval(); });
+  }
+  simulator.run_until(options.warmup);
+  network.begin_measurement();
+  network.sample_cache_health();
+  simulator.every(options.health_sample_interval,
+                  options.health_sample_interval,
+                  [&network]() { network.sample_cache_health(); });
+  simulator.run_until(options.warmup + options.measure);
+  SimulationResults results = network.collect_results();
+  results.measure_duration = options.measure;
+  return results;
 }
 
 }  // namespace
@@ -440,6 +469,9 @@ TEST(Determinism, SlotAssignmentInvisibleUnderFaultScenario) {
           .warmup(150.0)
           .measure(600.0);
   auto natural = run_with_slot_order(config, 0, 0);
+  // The direct drive is run_search's run, step for step.
+  testsupport::expect_identical(
+      natural, testsupport::guess_results(search::run_search(config)));
   auto shuffled = run_with_slot_order(config, 4321, 400);
   testsupport::expect_identical(natural, shuffled);
   auto calendar_shuffled = run_with_slot_order(

@@ -2,7 +2,8 @@
 // (capacity limits, backoff, parallel probes, MR*) switched on.
 #include <gtest/gtest.h>
 
-#include "guess/simulation.h"
+#include "search/backend.h"
+#include "../testsupport/simulation_results_eq.h"
 
 namespace guess {
 namespace {
@@ -23,6 +24,12 @@ SimulationOptions quick(std::uint64_t seed = 42) {
   return options;
 }
 
+SimulationResults simulate(const SystemParams& system,
+                           const ProtocolParams& protocol) {
+  return testsupport::guess_results(search::run_search(
+      SimulationConfig().system(system).protocol(protocol).options(quick())));
+}
+
 TEST(EndToEnd, TightCapacityProducesRefusedProbes) {
   SystemParams system = base_system();
   system.max_probes_per_second = 1;
@@ -31,16 +38,14 @@ TEST(EndToEnd, TightCapacityProducesRefusedProbes) {
   protocol.query_probe = Policy::kMFS;
   protocol.query_pong = Policy::kMFS;
   protocol.cache_replacement = Replacement::kLFS;
-  GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(quick()));
-  auto results = sim.run();
+  auto results = simulate(system, protocol);
   EXPECT_GT(results.probes.refused, 0u);
 }
 
 TEST(EndToEnd, AmpleCapacityNeverRefuses) {
   SystemParams system = base_system();
   system.max_probes_per_second = 100000;
-  GuessSimulation sim(SimulationConfig().system(system).protocol(ProtocolParams{}).options(quick()));
-  auto results = sim.run();
+  auto results = simulate(system, ProtocolParams{});
   EXPECT_EQ(results.probes.refused, 0u);
 }
 
@@ -52,8 +57,7 @@ TEST(EndToEnd, BackoffRunsToCompletion) {
   protocol.query_pong = Policy::kMFS;
   protocol.cache_replacement = Replacement::kLFS;
   protocol.do_backoff = true;
-  GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(quick()));
-  auto results = sim.run();
+  auto results = simulate(system, protocol);
   EXPECT_GT(results.queries_completed, 0u);
   EXPECT_GT(results.queries_satisfied, 0u);
 }
@@ -62,8 +66,7 @@ TEST(EndToEnd, ParallelProbesCutResponseTime) {
   auto run = [](std::size_t k) {
     ProtocolParams protocol;
     protocol.parallel_probes = k;
-    GuessSimulation sim(SimulationConfig().system(base_system()).protocol(protocol).options(quick()));
-    return sim.run();
+    return simulate(base_system(), protocol);
   };
   auto serial = run(1);
   auto parallel = run(5);
@@ -79,8 +82,7 @@ TEST(EndToEnd, ZeroProbeCapPerQueryMeansExhaustiveSearch) {
   SystemParams system = base_system(100);
   ProtocolParams protocol;
   protocol.max_probes_per_query = 0;  // unlimited
-  GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(quick()));
-  auto results = sim.run();
+  auto results = simulate(system, protocol);
   EXPECT_GT(results.queries_completed, 0u);
   // Unsatisfied queries exhausted every reachable candidate, so the query
   // cache population can exceed the link cache size.
@@ -92,8 +94,7 @@ TEST(EndToEnd, ManyDesiredResultsIsHarder) {
   auto run = [](std::size_t desired) {
     SystemParams system = base_system();
     system.num_desired_results = desired;
-    GuessSimulation sim(SimulationConfig().system(system).protocol(ProtocolParams{}).options(quick()));
-    return sim.run();
+    return simulate(system, ProtocolParams{});
   };
   auto one = run(1);
   auto ten = run(10);
@@ -105,8 +106,7 @@ TEST(EndToEnd, FastChurnRaisesDeadProbeShare) {
   auto run = [](double multiplier) {
     SystemParams system = base_system();
     system.lifespan_multiplier = multiplier;
-    GuessSimulation sim(SimulationConfig().system(system).protocol(ProtocolParams{}).options(quick()));
-    return sim.run();
+    return simulate(system, ProtocolParams{});
   };
   auto stable = run(5.0);
   auto churny = run(0.1);
@@ -121,8 +121,7 @@ TEST(EndToEnd, IntroProbabilityZeroStillWorks) {
   SystemParams system = base_system();
   ProtocolParams protocol;
   protocol.intro_prob = 0.0;
-  GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(quick()));
-  auto results = sim.run();
+  auto results = simulate(system, protocol);
   EXPECT_GT(results.queries_satisfied, 0u);
 }
 
@@ -130,8 +129,7 @@ TEST(EndToEnd, SmallPongsSlowDiscovery) {
   auto run = [](std::size_t pong_size) {
     ProtocolParams protocol;
     protocol.pong_size = pong_size;
-    GuessSimulation sim(SimulationConfig().system(base_system()).protocol(protocol).options(quick()));
-    return sim.run();
+    return simulate(base_system(), protocol);
   };
   auto small = run(1);
   auto large = run(10);
@@ -144,8 +142,7 @@ TEST(EndToEnd, MaliciousDeadPoisoningRunsCleanly) {
   SystemParams system = base_system();
   system.percent_bad_peers = 10.0;
   system.bad_pong_behavior = BadPongBehavior::kDead;
-  GuessSimulation sim(SimulationConfig().system(system).protocol(ProtocolParams{}).options(quick()));
-  auto results = sim.run();
+  auto results = simulate(system, ProtocolParams{});
   EXPECT_GT(results.queries_completed, 0u);
   // Fabricated dead addresses inflate wasted probes.
   EXPECT_GT(results.dead_probes_per_query(), 0.0);

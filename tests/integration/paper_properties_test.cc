@@ -7,7 +7,8 @@
 #include "baseline/fixed_extent.h"
 #include "baseline/iterative_deepening.h"
 #include "experiments/harness.h"
-#include "guess/simulation.h"
+#include "search/backend.h"
+#include "../testsupport/simulation_results_eq.h"
 
 namespace guess {
 namespace {
@@ -32,8 +33,9 @@ SimulationResults run_combo(const char* name, SystemParams system,
                             SimulationOptions options = quick(),
                             ProtocolParams base = ProtocolParams{}) {
   auto combo = experiments::PolicyCombo::from_name(name);
-  GuessSimulation sim(SimulationConfig().system(system).protocol(combo.apply(base)).options(options));
-  return sim.run();
+  return testsupport::guess_results(search::run_search(
+      SimulationConfig().system(system).protocol(combo.apply(base)).options(
+          options)));
 }
 
 // The poisoning dynamics depend on the cache:network ratio and the poison
@@ -127,8 +129,12 @@ TEST(PaperProperties, PingIntervalGovernsConnectivity) {
     options.enable_queries = false;
     options.sample_connectivity = true;
     options.measure = 1500.0;
-    GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(options));
-    return sim.run().largest_component.mean();
+    return testsupport::guess_results(
+               search::run_search(SimulationConfig()
+                                      .system(system)
+                                      .protocol(protocol)
+                                      .options(options)))
+        .largest_component.mean();
   };
   double tight = run_connectivity(10.0);
   double loose = run_connectivity(500.0);
@@ -144,8 +150,12 @@ TEST(PaperProperties, CacheSizeLivenessTradeoff) {
     system.lifespan_multiplier = 0.2;
     ProtocolParams protocol;
     protocol.cache_size = cache_size;
-    GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(quick()));
-    return sim.run().cache_health;
+    return testsupport::guess_results(
+               search::run_search(SimulationConfig()
+                                      .system(system)
+                                      .protocol(protocol)
+                                      .options(quick())))
+        .cache_health;
   };
   auto small = run_cache(10);
   auto large = run_cache(120);
@@ -189,8 +199,11 @@ TEST(PaperProperties, SatisfactionRobustToCapacityLimits) {
     SystemParams system = base_system();
     system.max_probes_per_second = cap;
     auto combo = experiments::PolicyCombo::from_name("MR");
-    GuessSimulation sim(SimulationConfig().system(system).protocol(combo.apply(ProtocolParams{})).options(quick()));
-    return sim.run();
+    return testsupport::guess_results(search::run_search(
+        SimulationConfig()
+            .system(system)
+            .protocol(combo.apply(ProtocolParams{}))
+            .options(quick())));
   };
   auto ample = run_capacity(50);
   auto tight = run_capacity(2);

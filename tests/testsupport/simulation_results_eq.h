@@ -1,6 +1,7 @@
 // Bitwise-equality assertions over SimulationResults, shared by the
-// cross-thread determinism tests (tests/experiments/parallel_runner_test.cc)
-// and the integration determinism suite.
+// cross-thread determinism tests (tests/experiments/parallel_runner_test.cc),
+// the integration determinism suite and the GUESS golden tests
+// (tests/search/backend_equivalence_test.cc, via digest()).
 //
 // "Bitwise" is meant literally: a replication is the same sequence of
 // floating-point operations no matter which thread runs it, so every double
@@ -10,9 +11,34 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "guess/metrics.h"
+#include "search/backend.h"
 
 namespace guess::testsupport {
+
+/// The GUESS results riding in a run_search result's extension slot; fails
+/// the test (and returns empty results) if the run was another backend.
+inline SimulationResults guess_results(const search::SearchResults& run) {
+  const auto* results = run.extra_as<SimulationResults>();
+  EXPECT_NE(results, nullptr) << "not a GUESS run: " << run.backend;
+  return results != nullptr ? *results : SimulationResults{};
+}
+
+/// guess_results() of every run of a sweep, in order.
+inline std::vector<SimulationResults> guess_results(
+    const std::vector<search::SearchResults>& runs) {
+  std::vector<SimulationResults> out;
+  out.reserve(runs.size());
+  for (const search::SearchResults& run : runs) {
+    out.push_back(guess_results(run));
+  }
+  return out;
+}
 
 inline void expect_identical(const RunningStat& a, const RunningStat& b) {
   EXPECT_EQ(a.count(), b.count());
@@ -82,6 +108,110 @@ inline void expect_identical(const IntervalSeries& a,
     SCOPED_TRACE("interval " + std::to_string(i));
     expect_identical(a[i], b[i]);
   }
+}
+
+/// 64-bit FNV-1a over the fields expect_identical compares (doubles by bit
+/// pattern), so a golden test can pin a whole run in one number.
+class Digest {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffu;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(const RunningStat& s) {
+    add(s.count());
+    add(s.mean());
+    add(s.variance());
+    add(s.min());
+    add(s.max());
+    add(s.sum());
+  }
+  void add(const SampleSet& s) {
+    add(s.size());
+    for (double v : s.values()) add(v);
+  }
+  void add(const ProbeCounters& p) {
+    add(p.good);
+    add(p.dead);
+    add(p.refused);
+  }
+  void add(const ClassMetrics& c) {
+    add(c.queries_completed);
+    add(c.queries_satisfied);
+    add(c.probes);
+    add(c.response_time);
+  }
+  void add(const TransportCounters& t) {
+    add(t.messages_sent);
+    add(t.messages_lost);
+    add(t.timeouts);
+    add(t.retransmits);
+    add(t.late_replies);
+    add(t.exchanges_failed);
+  }
+  void add(const AttackStats& a) {
+    add(a.adversaries_spawned);
+    add(a.adversaries_retired);
+    add(a.sybil_respawns);
+    add(a.withheld_exchanges);
+    add(a.oversized_pongs);
+    add(a.pong_entries_dropped);
+    add(a.no_reply_charges);
+  }
+  void add(const CacheHealth& c) {
+    add(c.fraction_live);
+    add(c.absolute_live);
+    add(c.good_entries);
+    add(c.entries);
+    add(c.samples);
+  }
+  void add(const IntervalSeries& series) {
+    add(series.size());
+    for (const IntervalSample& s : series) {
+      add(s.start);
+      add(s.end);
+      add(s.queries_completed);
+      add(s.queries_satisfied);
+      add(s.probes);
+      add(s.live_peers);
+      add(s.transport);
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/// Digest of every field expect_identical(SimulationResults) compares.
+inline std::uint64_t digest(const SimulationResults& r) {
+  Digest d;
+  d.add(r.queries_completed);
+  d.add(r.queries_satisfied);
+  d.add(r.probes);
+  d.add(r.honest);
+  d.add(r.selfish);
+  d.add(r.response_time);
+  d.add(r.query_cache_population);
+  d.add(r.query_probes);
+  d.add(r.peer_loads);
+  d.add(r.cache_health);
+  d.add(r.largest_component);
+  d.add(r.final_largest_component);
+  d.add(r.final_largest_strong_component);
+  d.add(r.deaths);
+  d.add(r.pings_sent);
+  d.add(r.pings_to_dead);
+  d.add(r.transport);
+  d.add(r.attack);
+  d.add(r.queries_stalled_out);
+  d.add(r.measure_duration);
+  d.add(r.network_size);
+  d.add(r.interval_series);
+  return d.value();
 }
 
 /// Every field of SimulationResults, entry-for-entry.
