@@ -2,6 +2,8 @@
 // per-probe costs that bound how large a network the simulator can sweep.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "analysis/overlay_graph.h"
 #include "common/rng.h"
 #include "common/zipf.h"
@@ -52,12 +54,17 @@ void BM_LinkCacheOfferRandom(benchmark::State& state) {
 }
 BENCHMARK(BM_LinkCacheOfferRandom)->Arg(100)->Arg(500);
 
+// Pong-sized selections through select_top_into with a reused output
+// vector, as the network builds every Pong.
 void BM_LinkCacheSelectTopMfs(benchmark::State& state) {
   Rng rng(1);
   LinkCache cache = filled_cache(static_cast<std::size_t>(state.range(0)),
                                  rng);
+  std::vector<CacheEntry> out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.select_top(Policy::kMFS, 5, rng));
+    cache.select_top_into(Policy::kMFS, 5, rng, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_LinkCacheSelectTopMfs)->Arg(20)->Arg(100)->Arg(500);
@@ -66,11 +73,30 @@ void BM_LinkCacheSelectTopRandom(benchmark::State& state) {
   Rng rng(1);
   LinkCache cache = filled_cache(static_cast<std::size_t>(state.range(0)),
                                  rng);
+  std::vector<CacheEntry> out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.select_top(Policy::kRandom, 5, rng));
+    cache.select_top_into(Policy::kRandom, 5, rng, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_LinkCacheSelectTopRandom)->Arg(100)->Arg(500);
+
+// Distinct-index sampling at the pong shape (k = PongSize 5 of a 100-entry
+// cache) and the initial-seeding shape (k = 101 of n = 10000 peers).
+void BM_SampleIndices(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  Rng rng(1);
+  std::vector<std::size_t> out;
+  std::vector<std::size_t> scratch;
+  for (auto _ : state) {
+    rng.sample_indices_into(n, k, out, scratch);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SampleIndices)->Args({100, 5})->Args({10000, 101});
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfDistribution zipf(static_cast<std::size_t>(state.range(0)), 0.8);

@@ -82,10 +82,12 @@ class Rng {
   std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k);
 
   /// Allocation-free variant for hot paths: writes the sample into `out`
-  /// (cleared first) using `scratch` for the dense branch's index pool.
-  /// Both vectors keep their capacity across calls, so a warmed caller
-  /// never allocates. Draws the exact engine sequence of sample_indices —
-  /// callers may switch between the two without perturbing determinism.
+  /// (cleared first) using `scratch` for the dense branch's index pool or
+  /// the sparse branch's membership table (k > 16; below that a scan of
+  /// `out` is faster). Both vectors keep their capacity across calls, so a
+  /// warmed caller never allocates. Draws the exact engine sequence of
+  /// sample_indices — callers may switch between the two without perturbing
+  /// determinism.
   void sample_indices_into(std::size_t n, std::size_t k,
                            std::vector<std::size_t>& out,
                            std::vector<std::size_t>& scratch);

@@ -1,15 +1,16 @@
 #include "common/zipf.h"
 
-#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 
 namespace guess {
 
 ZipfDistribution::ZipfDistribution(std::size_t n, double alpha)
-    : alpha_(alpha) {
+    : alpha_(alpha), scale_(static_cast<double>(n)) {
   GUESS_CHECK(n > 0);
+  GUESS_CHECK(n <= std::numeric_limits<std::uint32_t>::max());
   GUESS_CHECK(alpha >= 0.0);
   cdf_.resize(n);
   double acc = 0.0;
@@ -20,13 +21,18 @@ ZipfDistribution::ZipfDistribution(std::size_t n, double alpha)
   normalizer_ = acc;
   for (double& c : cdf_) c /= normalizer_;
   cdf_.back() = 1.0;  // guard against rounding drift
-}
-
-std::size_t ZipfDistribution::sample(Rng& rng) const {
-  double u = rng.uniform();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) --it;
-  return static_cast<std::size_t>(it - cdf_.begin());
+  // guide_[b] counts the ranks whose CDF falls in a bucket below b. Every
+  // u with bucket(u) == b is at least as large as each such CDF value
+  // (bucket() is monotone in u), so lower_bound(u) >= guide_[b]: the walk in
+  // rank() can start there and still stop at lower_bound's answer. Built
+  // with bucket() itself, so no rounding of b / n can put the start past it.
+  guide_.resize(n);
+  std::size_t r = 0;
+  for (std::size_t b = 0; b < n; ++b) {
+    // Terminates: cdf_.back() == 1.0 lands in bucket n-1 >= b.
+    while (bucket(cdf_[r]) < b) ++r;
+    guide_[b] = static_cast<std::uint32_t>(r);
+  }
 }
 
 double ZipfDistribution::pmf(std::size_t rank) const {

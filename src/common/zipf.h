@@ -6,13 +6,18 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
 
 namespace guess {
 
-/// Precomputed-CDF Zipf sampler; sampling is O(log n) via binary search.
+/// Precomputed-CDF Zipf sampler. A draw is an inverse-CDF search for the
+/// first rank whose CDF reaches u, started from a guide table that splits
+/// [0, 1) into n equal buckets, so it walks a few ranks at most instead of
+/// binary-searching all n. The answer is exactly std::lower_bound's: the
+/// guide only picks where the search starts, never which rank a u maps to.
 class ZipfDistribution {
  public:
   /// @param n      number of ranks (> 0)
@@ -22,8 +27,17 @@ class ZipfDistribution {
   std::size_t n() const { return cdf_.size(); }
   double alpha() const { return alpha_; }
 
-  /// Draw a rank in [0, n).
-  std::size_t sample(Rng& rng) const;
+  /// Draw a rank in [0, n): rank(rng.uniform()).
+  std::size_t sample(Rng& rng) const { return rank(rng.uniform()); }
+
+  /// The rank a uniform u >= 0 maps to: the first r with P(rank <= r) >= u,
+  /// clamped to n-1.
+  std::size_t rank(double u) const {
+    std::size_t r = guide_[bucket(u)];
+    const std::size_t last = cdf_.size() - 1;
+    while (r < last && cdf_[r] < u) ++r;
+    return r;
+  }
 
   /// Probability mass of a given rank.
   double pmf(std::size_t rank) const;
@@ -32,9 +46,17 @@ class ZipfDistribution {
   double normalizer() const { return normalizer_; }
 
  private:
+  /// min(floor(u * n), n - 1): the guide bucket holding u.
+  std::size_t bucket(double u) const {
+    auto b = static_cast<std::size_t>(u * scale_);
+    return b < guide_.size() ? b : guide_.size() - 1;
+  }
+
   double alpha_;
   double normalizer_;
-  std::vector<double> cdf_;  // cdf_[r] = P(rank <= r)
+  double scale_;                     // n as a double
+  std::vector<double> cdf_;          // cdf_[r] = P(rank <= r)
+  std::vector<std::uint32_t> guide_; // first rank whose cdf_ is in bucket >= b
 };
 
 }  // namespace guess

@@ -1,8 +1,9 @@
 #include "content/content_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_set>
+#include <cstdint>
 
 #include "common/check.h"
 
@@ -78,15 +79,30 @@ std::size_t ContentModel::sample_file_count(Rng& rng) const {
 Library ContentModel::sample_library(std::size_t count, Rng& rng) const {
   GUESS_CHECK_MSG(count <= max_library_,
                   "library size " << count << " exceeds cap " << max_library_);
-  std::unordered_set<FileId> chosen;
-  chosen.reserve(count * 2);
-  // Distinct Zipf sampling by rejection. Collisions concentrate on the head
-  // ranks; with libraries capped well below the catalog this stays cheap.
-  while (chosen.size() < count) {
-    chosen.insert(static_cast<FileId>(file_popularity_.sample(rng)));
+  if (count == 0) return Library{};
+  // Distinct Zipf sampling by rejection: draw until `count` files are
+  // distinct. Collisions concentrate on the head ranks; with libraries
+  // capped well below the catalog this stays cheap. Membership is one bit
+  // per catalog file, and reading the set bits in order yields the sorted
+  // library without a sort.
+  std::vector<std::uint64_t> chosen((params_.catalog_size + 63) / 64, 0);
+  std::size_t distinct = 0;
+  while (distinct < count) {
+    std::size_t file = file_popularity_.sample(rng);
+    std::uint64_t& word = chosen[file / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (file % 64);
+    if ((word & bit) == 0) {
+      word |= bit;
+      ++distinct;
+    }
   }
-  std::vector<FileId> files(chosen.begin(), chosen.end());
-  std::sort(files.begin(), files.end());
+  std::vector<FileId> files;
+  files.reserve(count);
+  for (std::size_t w = 0; w < chosen.size(); ++w) {
+    for (std::uint64_t bits = chosen[w]; bits != 0; bits &= bits - 1) {
+      files.push_back(static_cast<FileId>(w * 64 + std::countr_zero(bits)));
+    }
+  }
   return Library(std::move(files));
 }
 

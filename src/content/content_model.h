@@ -67,7 +67,10 @@ class ContentModel {
   /// Number of files a newly born peer shares (0 for free riders).
   std::size_t sample_file_count(Rng& rng) const;
 
-  /// Distinct files for a peer sharing `count` files, sampled by popularity.
+  /// Distinct files for a peer sharing `count` files, sampled by popularity:
+  /// Zipf draws are rejected until `count` distinct files are held, tracked
+  /// in a catalog-sized bitmap whose set bits are the sorted library. Two
+  /// allocations per call (bitmap and library; none for count 0).
   Library sample_library(std::size_t count, Rng& rng) const;
 
   /// Convenience: sample_file_count + sample_library.

@@ -10,13 +10,6 @@ LinkCache::LinkCache(PeerId owner, std::size_t capacity)
     : owner_(owner), capacity_(capacity), index_(capacity) {
   GUESS_CHECK_MSG(capacity > 0, "cache capacity must be positive");
   entries_.reserve(capacity);
-  // Selection scratch sized to the bound up front: the cache fills slowly
-  // over a run, and growing these lazily would leak occasional allocations
-  // into the steady-state query path (the zero-alloc test counts them).
-  topk_positions_.reserve(capacity);
-  topk_scratch_.reserve(capacity);
-  sample_out_.reserve(capacity);
-  sample_scratch_.reserve(capacity);
 }
 
 void LinkCache::configure_indices(std::initializer_list<Policy> selection,
@@ -225,18 +218,40 @@ void LinkCache::select_top_into(Policy policy, std::size_t count, Rng& rng,
   count = std::min(count, entries_.size());
   if (count == 0) return;
   if (out.capacity() < count) out.reserve(count);
+  // Working buffers shared by every cache on this thread: a simulation runs
+  // on one thread (each ParallelRunner worker has its own copy) and a
+  // selection finishes before the next starts. Reserved to the largest
+  // cache capacity seen, not grown on demand, so slowly filling caches never
+  // leak an allocation into the steady-state query path.
+  struct Scratch {
+    std::size_t capacity = 0;
+    std::vector<std::uint32_t> positions;
+    std::vector<ScoreIndex::Item> items;
+    std::vector<std::size_t> indices;
+    std::vector<std::size_t> pool;
+  };
+  thread_local Scratch scratch;
+  if (scratch.capacity < capacity_) {
+    scratch.capacity = capacity_;
+    scratch.positions.reserve(capacity_);
+    scratch.items.reserve(capacity_);
+    scratch.indices.reserve(capacity_);
+    // A sparse random sample's membership table (a power of two >= 2k with
+    // k < size / 3) can outgrow the cache, but never twice its capacity.
+    scratch.pool.reserve(2 * capacity_);
+  }
   // A uniform k-subset is the top-k of i.i.d. random scores.
   if (index == nullptr) {
-    rng.sample_indices_into(entries_.size(), count, sample_out_,
-                            sample_scratch_);
-    for (std::size_t idx : sample_out_) {
+    rng.sample_indices_into(entries_.size(), count, scratch.indices,
+                            scratch.pool);
+    for (std::size_t idx : scratch.indices) {
       out.push_back(entries_[idx]);
     }
     return;
   }
-  topk_positions_.clear();
-  index->top_k(count, topk_positions_, topk_scratch_);
-  for (std::uint32_t pos : topk_positions_) {
+  scratch.positions.clear();
+  index->top_k(count, scratch.positions, scratch.items);
+  for (std::uint32_t pos : scratch.positions) {
     out.push_back(entries_[pos]);
   }
 }

@@ -105,7 +105,8 @@ class LinkCache {
                                      Rng& rng) const;
 
   /// Allocation-free select_top: clears and fills `out` (which keeps its
-  /// capacity across calls — a warmed caller never allocates).
+  /// capacity across calls — a warmed caller never allocates). Working
+  /// buffers are per thread, shared by every cache the thread runs.
   void select_top_into(Policy policy, std::size_t count, Rng& rng,
                        std::vector<CacheEntry>& out) const;
 
@@ -153,12 +154,6 @@ class LinkCache {
   Replacement retention_policy_ = Replacement::kRandom;  // kRandom = none
   bool has_retention_index_ = false;
   ScoreIndex retention_index_;
-
-  // Scratch buffers for the allocation-free selection paths (grown once).
-  mutable std::vector<std::uint32_t> topk_positions_;
-  mutable std::vector<ScoreIndex::Item> topk_scratch_;
-  mutable std::vector<std::size_t> sample_out_;
-  mutable std::vector<std::size_t> sample_scratch_;
 };
 
 }  // namespace guess

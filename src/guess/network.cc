@@ -274,11 +274,14 @@ void GuessNetwork::seed_initial_caches() {
   std::size_t seed_size = system_.resolved_cache_seed(protocol_.cache_size);
   // Seed from the initial population only (all alive at time 0).
   std::vector<PeerId> population = table_.alive_ids();
+  // Reused across peers: one allocation each for the whole population.
+  std::vector<std::size_t> picks;
+  std::vector<std::size_t> scratch;
   for (PeerId id : population) {
     Peer& peer = *find(id);
-    auto picks = rng_.sample_indices(population.size(),
-                                     std::min(seed_size + 1,
-                                              population.size()));
+    rng_.sample_indices_into(population.size(),
+                             std::min(seed_size + 1, population.size()),
+                             picks, scratch);
     std::size_t added = 0;
     for (std::size_t idx : picks) {
       if (added >= seed_size) break;

@@ -4,8 +4,12 @@
 
 #include "common/check.h"
 
+#include <algorithm>
+#include <numeric>
 #include <set>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 namespace guess {
 namespace {
@@ -151,29 +155,62 @@ TEST(Rng, SampleIndicesKLargerThanNThrows) {
   EXPECT_THROW(rng.sample_indices(3, 4), CheckError);
 }
 
-// The allocation-free variant must draw the exact engine sequence of
-// sample_indices: the network switched the query hot path to
-// sample_indices_into, and every pinned result depends on the draws not
-// shifting by a single call.
+// The sampler as it was before the sparse branch's membership table:
+// partial Fisher–Yates when dense, rejection with a linear scan of the
+// accepted prefix when sparse. Kept as the oracle for the draws: every
+// pinned result depends on them not shifting by a single call.
+std::vector<std::size_t> reference_sample(Rng& rng, std::size_t n,
+                                          std::size_t k) {
+  std::vector<std::size_t> out;
+  if (k == 0) return out;
+  if (k * 3 >= n) {
+    std::vector<std::size_t> pool(n);
+    std::iota(pool.begin(), pool.end(), std::size_t{0});
+    for (std::size_t i = 0; i < k; ++i) {
+      std::size_t j = i + rng.index(n - i);
+      std::swap(pool[i], pool[j]);
+      out.push_back(pool[i]);
+    }
+    return out;
+  }
+  while (out.size() < k) {
+    std::size_t candidate = rng.index(n);
+    if (std::find(out.begin(), out.end(), candidate) == out.end()) {
+      out.push_back(candidate);
+    }
+  }
+  return out;
+}
+
+// Both entry points draw the oracle's exact sequence, on both sides of the
+// sparse branch's scan/table threshold (k = 16) and at the pong (100, 5)
+// and initial-seeding (10000, 101) shapes.
 TEST(Rng, SampleIndicesIntoDrawIdentity) {
-  Rng a(53);
-  Rng b(53);
+  Rng oracle(53);
+  Rng into(53);
+  Rng plain(53);
   std::vector<std::size_t> out;
   std::vector<std::size_t> scratch;
-  // Sweep both branches (sparse k << n and dense k ~ n), interleaved so a
-  // draw-count mismatch in any call desynchronises everything after it.
+  // Interleaved so a draw-count mismatch in any call desynchronises
+  // everything after it.
   const std::vector<std::pair<std::size_t, std::size_t>> cases = {
       {1, 0}, {1, 1}, {10, 3}, {10, 10}, {100, 5},
-      {100, 99}, {1000, 2}, {7, 6}, {64, 32}};
+      {100, 99}, {1000, 2}, {7, 6}, {64, 32},
+      // Either side of the scan/table threshold, and the seeding shape.
+      {100, 16}, {100, 17}, {64, 21}, {10000, 101}, {100000, 1000}};
   for (int round = 0; round < 50; ++round) {
     for (auto [n, k] : cases) {
-      auto expected = a.sample_indices(n, k);
-      b.sample_indices_into(n, k, out, scratch);
+      auto expected = reference_sample(oracle, n, k);
+      into.sample_indices_into(n, k, out, scratch);
       ASSERT_EQ(out, expected) << "n=" << n << " k=" << k;
+      ASSERT_EQ(plain.sample_indices(n, k), expected)
+          << "n=" << n << " k=" << k;
     }
   }
   // Same number of raw draws consumed overall.
-  EXPECT_EQ(a.engine()(), b.engine()());
+  const auto next = oracle.engine()();
+  EXPECT_EQ(into.engine()(), next);
+  EXPECT_EQ(plain.engine()(), next);
 }
 
 TEST(Rng, SampleIndicesUniformity) {

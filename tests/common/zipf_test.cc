@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "../testsupport/zipf_reference.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <tuple>
 #include <vector>
 
 namespace guess {
@@ -75,6 +79,67 @@ TEST(Zipf, InvalidParametersThrow) {
   ZipfDistribution zipf(10, 1.0);
   EXPECT_THROW(zipf.pmf(10), CheckError);
 }
+
+// --- oracle: the guide-table search against a plain binary search ---
+
+using testsupport::zipf_reference_cdf;
+using testsupport::zipf_reference_rank;
+
+class ZipfGuideTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, double>> {};
+
+// Every u where the two searches could part: each bucket edge b/n and each
+// CDF value, with both neighbouring doubles, plus both ends of [0, 1).
+TEST_P(ZipfGuideTest, RankMatchesLowerBoundAtEveryEdge) {
+  auto [n, alpha] = GetParam();
+  ZipfDistribution zipf(n, alpha);
+  const std::vector<double> cdf = zipf_reference_cdf(n, alpha);
+  std::vector<double> us = {0.0, std::nextafter(1.0, 0.0)};
+  auto add_with_neighbours = [&us](double u) {
+    us.push_back(u);
+    if (u > 0.0) us.push_back(std::nextafter(u, 0.0));
+    us.push_back(std::nextafter(u, 2.0));
+  };
+  for (std::size_t b = 0; b < n; ++b) {
+    add_with_neighbours(static_cast<double>(b) / static_cast<double>(n));
+  }
+  for (double c : cdf) add_with_neighbours(c);
+  for (double u : us) {
+    ASSERT_EQ(zipf.rank(u), zipf_reference_rank(cdf, u))
+        << "n=" << n << " alpha=" << alpha << " u=" << std::hexfloat << u;
+  }
+}
+
+TEST_P(ZipfGuideTest, SampleReplaysBinarySearchDraws) {
+  auto [n, alpha] = GetParam();
+  ZipfDistribution zipf(n, alpha);
+  const std::vector<double> cdf = zipf_reference_cdf(n, alpha);
+  Rng a(61);
+  Rng b(61);
+  for (int i = 0; i < 100000; ++i) {
+    ASSERT_EQ(zipf.sample(a), zipf_reference_rank(cdf, b.uniform()))
+        << "draw " << i;
+  }
+  EXPECT_EQ(a.engine()(), b.engine()());
+}
+
+// One rank; uniform; the default model's catalog and query universe and a
+// size between; and (100, 3.0), where rank 0 holds 83% of the mass, so
+// most buckets share one start rank.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ZipfGuideTest,
+    ::testing::Values(std::make_tuple(std::size_t{1}, 1.0),
+                      std::make_tuple(std::size_t{10}, 0.0),
+                      std::make_tuple(std::size_t{500}, 0.8),
+                      std::make_tuple(std::size_t{8000}, 0.8),
+                      std::make_tuple(std::size_t{10000}, 0.8),
+                      std::make_tuple(std::size_t{100}, 3.0)),
+    [](const auto& info) {
+      std::string alpha = std::to_string(std::get<1>(info.param));
+      std::replace(alpha.begin(), alpha.end(), '.', '_');
+      return "n" + std::to_string(std::get<0>(info.param)) + "_alpha" +
+             alpha.substr(0, alpha.find('_') + 2);
+    });
 
 TEST(Zipf, NormalizerMatchesDirectSum) {
   ZipfDistribution zipf(100, 0.8);

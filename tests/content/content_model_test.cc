@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "../testsupport/zipf_reference.h"
 
+#include <algorithm>
 #include <map>
+#include <unordered_set>
+#include <vector>
 
 namespace guess::content {
 namespace {
@@ -65,6 +69,54 @@ TEST(ContentModel, LibrarySizeCapEnforced) {
   EXPECT_THROW(model.sample_library(101, rng), CheckError);
   Library lib = model.sample_library(100, rng);
   EXPECT_EQ(lib.size(), 100u);
+}
+
+// The library sampler before the catalog bitmap: hash-set membership, then
+// a sort, drawing files by the reference binary search.
+std::vector<FileId> reference_library(const std::vector<double>& cdf,
+                                      std::size_t count, Rng& rng) {
+  std::unordered_set<FileId> chosen;
+  chosen.reserve(count * 2);
+  while (chosen.size() < count) {
+    chosen.insert(static_cast<FileId>(
+        testsupport::zipf_reference_rank(cdf, rng.uniform())));
+  }
+  std::vector<FileId> files(chosen.begin(), chosen.end());
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+// Same files from the same draws, and the same number of draws: catalogs
+// that are not a multiple of the bitmap's 64-bit words, uniform to steep
+// popularity, and library sizes up to the cap.
+TEST(ContentModel, SampleLibraryMatchesHashSetOracle) {
+  for (std::size_t catalog : {100, 500, 8000}) {
+    for (double alpha : {0.0, 0.8, 1.5}) {
+      ContentParams params;
+      params.catalog_size = catalog;
+      params.query_universe = catalog;
+      params.file_alpha = alpha;
+      ContentModel model(params);
+      const auto cap = static_cast<std::size_t>(
+          params.max_library_fraction * static_cast<double>(catalog));
+      const std::vector<double> cdf =
+          testsupport::zipf_reference_cdf(catalog, alpha);
+      Rng a(71);
+      Rng b(71);
+      for (int round = 0; round < 3; ++round) {
+        for (std::size_t count : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{30}, std::size_t{300}, cap}) {
+          if (count > cap) continue;
+          Library library = model.sample_library(count, a);
+          ASSERT_EQ(library.files(), reference_library(cdf, count, b))
+              << "catalog=" << catalog << " alpha=" << alpha
+              << " count=" << count;
+        }
+      }
+      EXPECT_EQ(a.engine()(), b.engine()())
+          << "catalog=" << catalog << " alpha=" << alpha;
+    }
+  }
 }
 
 TEST(ContentModel, PopularFilesMoreReplicated) {

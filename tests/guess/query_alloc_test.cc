@@ -20,6 +20,8 @@
 #include <cstdlib>
 #include <new>
 
+#include "content/content_model.h"
+#include "guess/link_cache.h"
 #include "guess/network.h"
 #include "sim/simulator.h"
 
@@ -111,6 +113,29 @@ INSTANTIATE_TEST_SUITE_P(Schedulers, QueryAllocTest,
                          [](const auto& info) {
                            return sim::scheduler_name(info.param);
                          });
+
+// A birth (one per death, and n at bootstrap) samples a library and builds
+// a link cache. Each has a fixed allocation budget, independent of size.
+TEST(BirthAllocations, SampleLibraryAllocatesAtMostTwice) {
+  content::ContentModel model{content::ContentParams{}};
+  Rng rng(7);
+  for (std::size_t count : {1, 30, 300, 1500}) {
+    std::uint64_t before = allocation_count();
+    content::Library library = model.sample_library(count, rng);
+    std::uint64_t after = allocation_count();
+    EXPECT_LE(after - before, 2u) << "count=" << count;
+    EXPECT_EQ(library.size(), count);
+  }
+}
+
+TEST(BirthAllocations, LinkCacheConstructionAllocatesTwice) {
+  std::uint64_t before = allocation_count();
+  LinkCache cache(0, 100);
+  std::uint64_t after = allocation_count();
+  // The entry vector and the id index; selection scratch is per thread.
+  EXPECT_EQ(after - before, 2u);
+  EXPECT_EQ(cache.capacity(), 100u);
+}
 
 // Sanity: the counter actually counts (a direct call cannot be elided).
 TEST(QueryAllocCounter, CountsHeapAllocations) {
