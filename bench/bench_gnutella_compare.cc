@@ -51,23 +51,14 @@ int main(int argc, char** argv) {
     add_guess_row("GUESS (MFS, k=5 walks)", parallel);
   }
 
-  auto run_gnutella = [&](std::size_t ttl) {
-    gnutella::DynamicParams params;
-    params.network_size = system.network_size;
-    params.content = system.content;
-    params.query_rate = system.query_rate;
-    params.num_desired_results = system.num_desired_results;
-    params.ttl = ttl;
-    sim::Simulator simulator;
-    gnutella::DynamicOverlay overlay(params, simulator, Rng(scale.base_seed));
-    overlay.initialize();
-    simulator.run_until(scale.warmup);
-    overlay.begin_measurement();
-    simulator.run_until(scale.warmup + scale.measure);
-    return overlay.results();
-  };
   for (std::size_t ttl : {2u, 3u, 4u, 5u}) {
-    auto results = run_gnutella(ttl);
+    search::SearchResults run = search::run_search(
+        SimulationConfig()
+            .backend(SearchBackendId::kFlood)
+            .system(system)
+            .flood({.ttl = ttl})
+            .options(scale.options()));
+    const auto& results = *run.extra_as<gnutella::DynamicResults>();
     table.add_row({std::string("Gnutella flood TTL=") + std::to_string(ttl),
                    results.messages_per_query(), results.unsatisfied_rate(),
                    results.response_time.mean(),

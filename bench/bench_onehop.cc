@@ -29,17 +29,15 @@ int main(int argc, char** argv) {
                       "maint msgs/peer/s", "unsat"});
 
   auto run_dht = [&](double multiplier, double delay) {
-    onehop::OneHopParams params;
-    params.network_size = system.network_size;
-    params.lifespan_multiplier = multiplier;
-    params.dissemination_delay = delay;
-    sim::Simulator simulator;
-    onehop::OneHopDht dht(params, simulator, Rng(scale.base_seed));
-    dht.initialize();
-    simulator.run_until(scale.warmup);
-    dht.begin_measurement();
-    simulator.run_until(scale.warmup + scale.measure);
-    auto results = dht.results();
+    SystemParams s = system;
+    s.lifespan_multiplier = multiplier;
+    search::SearchResults run = search::run_search(
+        SimulationConfig()
+            .backend(SearchBackendId::kOneHop)
+            .system(s)
+            .onehop({.dissemination_delay = delay})
+            .options(scale.options()));
+    const auto& results = *run.extra_as<onehop::OneHopResults>();
     table.add_row(
         {std::string("one-hop DHT (D=") + std::to_string(int(delay)) + "s)",
          multiplier, results.mean_probes(),

@@ -109,9 +109,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(flags.get_int("max-probes-per-sec", 100));
   system.percent_bad_peers = flags.get_double("bad", 0.0);
   system.bad_pong_behavior =
-      flags.get_string("bad-behavior", "Dead") == "Bad"
-          ? guess::BadPongBehavior::kBad
-          : guess::BadPongBehavior::kDead;
+      guess::parse_bad_pong_behavior(flags.get_string("bad-behavior", "Dead"));
   system.percent_selfish_peers = flags.get_double("selfish", 0.0);
 
   guess::ProtocolParams protocol;

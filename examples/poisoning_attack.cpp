@@ -15,13 +15,12 @@
 int main(int argc, char** argv) {
   guess::Flags flags(argc, argv);
   double bad_percent = flags.get_double("bad", 10.0);
-  std::string behavior = flags.get_string("behavior", "Bad");
+  guess::BadPongBehavior behavior =
+      guess::parse_bad_pong_behavior(flags.get_string("behavior", "Bad"));
 
   guess::SystemParams system;
   system.percent_bad_peers = bad_percent;
-  system.bad_pong_behavior = behavior == "Dead"
-                                 ? guess::BadPongBehavior::kDead
-                                 : guess::BadPongBehavior::kBad;
+  system.bad_pong_behavior = behavior;
 
   guess::SimulationOptions options;
   options.seed = flags.seed();
@@ -29,8 +28,8 @@ int main(int argc, char** argv) {
   options.measure = flags.get_double("measure", 1600.0);
 
   std::cout << "Cache poisoning: " << bad_percent << "% malicious peers, "
-            << "BadPongBehavior=" << behavior << "\n"
-            << (behavior == "Bad"
+            << "BadPongBehavior=" << guess::to_string(behavior) << "\n"
+            << (behavior == guess::BadPongBehavior::kBad
                     ? "(colluding: attackers advertise each other)\n"
                     : "(non-colluding: attackers advertise dead addresses)\n");
 

@@ -38,7 +38,7 @@ enum class FaultKind {
   kJoin,       ///< flash crowd: `count` new peers join at once
   kPartition,  ///< k-way partition for `duration` (cross-partition silence)
   kDegrade,    ///< transport degradation window: extra loss / slower links
-  kPoison,     ///< toggle the PoisonGenerator on or off (§6.4 onset)
+  kPoison,     ///< silence (off) or resume (on) §6.4's poisoners
   kAttack,     ///< adversary-cohort window: an active attack for `duration`
 };
 

@@ -14,14 +14,13 @@ std::size_t kind_slot(faults::AttackKind kind) {
   return slot;
 }
 
-/// Shared colluding-pong shape (eclipse and sybil): up to `pong_size`
-/// entries naming fellow cohort members, never `self`. A lone member has
-/// nobody to advertise and answers with an empty pong (no RNG draws, like
-/// PoisonGenerator's collusion path).
+/// The colluding pong (eclipse, sybil, §6.4's Bad poisoners): up to
+/// `pong_size` entries naming fellow roster members, never `self`. A lone
+/// member has nobody to advertise and answers with an empty pong (no RNG
+/// draws).
 void colluding_pong(const std::vector<PeerId>& roster, PeerId self,
                     std::size_t pong_size, sim::Time now, Rng& rng,
-                    std::vector<CacheEntry>& out,
-                    const MaliciousParams& params) {
+                    std::vector<CacheEntry>& out) {
   out.clear();
   if (roster.size() <= 1) return;
   if (out.capacity() < pong_size) out.reserve(pong_size);
@@ -30,76 +29,82 @@ void colluding_pong(const std::vector<PeerId>& roster, PeerId self,
     // Retry until we name someone else; the roster is > 1 so this
     // terminates quickly.
     while (id == self) id = roster[rng.index(roster.size())];
-    out.push_back(CacheEntry{id, now, params.claimed_num_files,
-                             params.claimed_num_res});
+    out.push_back(CacheEntry{id, now, kClaimedNumFiles, kClaimedNumRes});
   }
 }
+
+/// The fabricated pong (pong-flood, §6.4's Dead poisoners): `count` entries
+/// drawn from a pool of fabricated dead addresses; empty without a pool.
+void fabricated_pong(const std::vector<PeerId>& pool, std::size_t count,
+                     sim::Time now, Rng& rng, std::vector<CacheEntry>& out) {
+  out.clear();
+  if (pool.empty()) return;
+  if (out.capacity() < count) out.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    out.push_back(CacheEntry{pool[rng.index(pool.size())], now,
+                             kClaimedNumFiles, kClaimedNumRes});
+  }
+}
+
+class PoisonerBehavior final : public AdversaryBehavior {
+ public:
+  PoisonerBehavior(BadPongBehavior pong, const std::vector<PeerId>& addresses)
+      : AdversaryBehavior(addresses), pong_(pong) {}
+  CacheEntry introduction(PeerId self, sim::Time now) const override {
+    return CacheEntry{self, now, kClaimedNumFiles, 0};
+  }
+  void make_pong_into(PeerId self, std::size_t pong_size, sim::Time now,
+                      Rng& rng, std::vector<CacheEntry>& out) const override {
+    if (pong_ == BadPongBehavior::kDead) {
+      fabricated_pong(addresses(), pong_size, now, rng, out);
+    } else {
+      colluding_pong(addresses(), self, pong_size, now, rng, out);
+    }
+  }
+
+ private:
+  BadPongBehavior pong_;
+};
 
 class EclipseBehavior final : public AdversaryBehavior {
  public:
   using AdversaryBehavior::AdversaryBehavior;
-  faults::AttackKind kind() const override {
-    return faults::AttackKind::kEclipse;
-  }
   double ping_interval_factor() const override {
-    return 1.0 / zoo().params().adversary.eclipse_ping_boost;
+    return 1.0 / kCohortPingBoost;
   }
   void make_pong_into(PeerId self, std::size_t pong_size, sim::Time now,
                       Rng& rng, std::vector<CacheEntry>& out) const override {
-    colluding_pong(zoo().roster(kind()), self, pong_size, now, rng, out,
-                   zoo().params());
+    colluding_pong(addresses(), self, pong_size, now, rng, out);
   }
 };
 
 class SybilBehavior final : public AdversaryBehavior {
  public:
   using AdversaryBehavior::AdversaryBehavior;
-  faults::AttackKind kind() const override {
-    return faults::AttackKind::kSybil;
-  }
-  sim::Duration identity_lifetime() const override {
-    return zoo().params().adversary.sybil_lifetime;
-  }
+  sim::Duration identity_lifetime() const override { return kSybilLifetime; }
   void make_pong_into(PeerId self, std::size_t pong_size, sim::Time now,
                       Rng& rng, std::vector<CacheEntry>& out) const override {
-    colluding_pong(zoo().roster(kind()), self, pong_size, now, rng, out,
-                   zoo().params());
+    colluding_pong(addresses(), self, pong_size, now, rng, out);
   }
 };
 
 class PongFloodBehavior final : public AdversaryBehavior {
  public:
   using AdversaryBehavior::AdversaryBehavior;
-  faults::AttackKind kind() const override {
-    return faults::AttackKind::kPongFlood;
-  }
   // Amplification needs contact surface: the flooder pings as aggressively
   // as an eclipse colluder so introductions spread its address quickly.
   double ping_interval_factor() const override {
-    return 1.0 / zoo().params().adversary.eclipse_ping_boost;
+    return 1.0 / kCohortPingBoost;
   }
   void make_pong_into(PeerId /*self*/, std::size_t pong_size, sim::Time now,
                       Rng& rng, std::vector<CacheEntry>& out) const override {
-    out.clear();
-    const std::vector<PeerId>& pool = zoo().flood_pool();
-    if (pool.empty()) return;
-    auto flood = static_cast<std::size_t>(
-        zoo().params().adversary.pong_flood_factor *
-        static_cast<double>(pong_size));
-    if (flood < pong_size) flood = pong_size;
-    if (out.capacity() < flood) out.reserve(flood);
-    for (std::size_t i = 0; i < flood; ++i) {
-      out.push_back(claim_entry(pool[rng.index(pool.size())], now));
-    }
+    fabricated_pong(addresses(), kPongFloodFactor * pong_size, now, rng, out);
   }
 };
 
 class WithholdBehavior final : public AdversaryBehavior {
  public:
   using AdversaryBehavior::AdversaryBehavior;
-  faults::AttackKind kind() const override {
-    return faults::AttackKind::kWithhold;
-  }
   bool withholds_replies() const override { return true; }
   void make_pong_into(PeerId /*self*/, std::size_t /*pong_size*/,
                       sim::Time /*now*/, Rng& /*rng*/,
@@ -112,23 +117,28 @@ class WithholdBehavior final : public AdversaryBehavior {
 
 }  // namespace
 
-CacheEntry AdversaryBehavior::claim_entry(PeerId id, sim::Time now) const {
-  return CacheEntry{id, now, zoo_.params().claimed_num_files,
-                    zoo_.params().claimed_num_res};
-}
-
-AdversaryZoo::AdversaryZoo(MaliciousParams params) : params_(params) {
-  behaviors_[kind_slot(faults::AttackKind::kEclipse)] =
-      std::make_unique<EclipseBehavior>(*this);
-  behaviors_[kind_slot(faults::AttackKind::kSybil)] =
-      std::make_unique<SybilBehavior>(*this);
-  behaviors_[kind_slot(faults::AttackKind::kPongFlood)] =
-      std::make_unique<PongFloodBehavior>(*this);
-  behaviors_[kind_slot(faults::AttackKind::kWithhold)] =
-      std::make_unique<WithholdBehavior>(*this);
+AdversaryZoo::AdversaryZoo(BadPongBehavior poisoner_pong) {
+  using faults::AttackKind;
+  std::size_t eclipse = kind_slot(AttackKind::kEclipse);
+  std::size_t sybil = kind_slot(AttackKind::kSybil);
+  std::size_t withhold = kind_slot(AttackKind::kWithhold);
+  behaviors_[eclipse] = std::make_unique<EclipseBehavior>(rosters_[eclipse]);
+  behaviors_[sybil] = std::make_unique<SybilBehavior>(rosters_[sybil]);
+  behaviors_[kind_slot(AttackKind::kPongFlood)] =
+      std::make_unique<PongFloodBehavior>(flood_pool_);
+  behaviors_[withhold] =
+      std::make_unique<WithholdBehavior>(rosters_[withhold]);
+  behaviors_[kPoisonerSlot] = std::make_unique<PoisonerBehavior>(
+      poisoner_pong, poisoner_pong == BadPongBehavior::kDead
+                         ? dead_pool_
+                         : rosters_[kPoisonerSlot]);
 }
 
 AdversaryZoo::~AdversaryZoo() = default;
+
+void AdversaryZoo::set_dead_pool(std::vector<PeerId> pool) {
+  dead_pool_ = std::move(pool);
+}
 
 void AdversaryZoo::set_flood_pool(std::vector<PeerId> pool) {
   flood_pool_ = std::move(pool);
@@ -140,9 +150,15 @@ const AdversaryBehavior& AdversaryZoo::behavior(
 }
 
 void AdversaryZoo::add(faults::AttackKind kind, PeerId id) {
+  enroll(kind_slot(kind), id);
+}
+
+void AdversaryZoo::add_poisoner(PeerId id) { enroll(kPoisonerSlot, id); }
+
+void AdversaryZoo::enroll(std::size_t slot, PeerId id) {
   GUESS_CHECK(!index_.contains(id));
-  std::vector<PeerId>& roster = rosters_[kind_slot(kind)];
-  index_.emplace(id, Membership{kind, roster.size()});
+  std::vector<PeerId>& roster = rosters_[slot];
+  index_.emplace(id, Membership{slot, roster.size()});
   roster.push_back(id);
 }
 
@@ -151,7 +167,7 @@ void AdversaryZoo::remove(PeerId id) {
   GUESS_CHECK(it != index_.end());
   Membership membership = it->second;
   index_.erase(it);
-  std::vector<PeerId>& roster = rosters_[kind_slot(membership.kind)];
+  std::vector<PeerId>& roster = rosters_[membership.slot];
   if (membership.pos != roster.size() - 1) {
     roster[membership.pos] = roster.back();
     index_[roster[membership.pos]].pos = membership.pos;
@@ -159,28 +175,26 @@ void AdversaryZoo::remove(PeerId id) {
   roster.pop_back();
 }
 
-const AdversaryBehavior* AdversaryZoo::behavior_of(PeerId id) const {
-  auto it = index_.find(id);
-  if (it == index_.end()) return nullptr;
-  return behaviors_[kind_slot(it->second.kind)].get();
-}
-
-bool AdversaryZoo::withholds(PeerId id) const {
-  const AdversaryBehavior* behavior = behavior_of(id);
-  return behavior != nullptr && behavior->withholds_replies();
-}
-
 const std::vector<PeerId>& AdversaryZoo::roster(
     faults::AttackKind kind) const {
   return rosters_[kind_slot(kind)];
 }
 
-void AdversaryZoo::make_pong_into(PeerId self, std::size_t pong_size,
-                                  sim::Time now, Rng& rng,
-                                  std::vector<CacheEntry>& out) const {
-  const AdversaryBehavior* behavior = behavior_of(self);
-  GUESS_CHECK(behavior != nullptr);
-  behavior->make_pong_into(self, pong_size, now, rng, out);
+const std::vector<PeerId>& AdversaryZoo::poisoners() const {
+  return rosters_[kPoisonerSlot];
+}
+
+const AdversaryBehavior* AdversaryZoo::behavior_of(PeerId id) const {
+  auto it = index_.find(id);
+  if (it == index_.end()) return nullptr;
+  std::size_t slot = it->second.slot;
+  if (slot == kPoisonerSlot && !poisoning_) return nullptr;
+  return behaviors_[slot].get();
+}
+
+bool AdversaryZoo::withholds(PeerId id) const {
+  const AdversaryBehavior* behavior = behavior_of(id);
+  return behavior != nullptr && behavior->withholds_replies();
 }
 
 }  // namespace guess

@@ -1,31 +1,36 @@
-// The adversary zoo (DESIGN.md §11) — active attackers beyond §6.4's cache
-// poisoners, generalizing PoisonGenerator's roster/pong machinery into an
-// AdversaryBehavior interface with one concrete behavior per AttackKind:
+// The adversary zoo (DESIGN.md §11) — every hostile peer of a run, behind
+// one AdversaryBehavior interface:
 //
+//   poisoners  — §6.4's PercentBadPeers share of the population. Their pongs
+//                carry fabricated dead addresses (BadPongBehavior::kDead) or
+//                name fellow poisoners (kBad, collusion); `poison off`
+//                silences them until `poison on`;
 //   eclipse    — colluders ping aggressively and answer every Ping/Probe
 //                with a full-width pong naming fellow colluders under
 //                top-of-distribution claims, displacing honest entries from
 //                victims' link caches;
 //   sybil      — a flash crowd of short-lived identities: each sybil
-//                retires after `sybil_lifetime` and is replaced by a fresh
+//                retires after kSybilLifetime and is replaced by a fresh
 //                PeerId (the old id is tombstoned forever), filling victim
 //                caches with soon-dead entries and churning the PeerTable's
 //                id/generation machinery;
-//   pong-flood — oversized pong payloads (`pong_flood_factor` × PongSize
+//   pong-flood — oversized pong payloads (kPongFloodFactor × PongSize
 //                fabricated dead addresses) to inflate victims' cache and
 //                referral bookkeeping;
 //   withhold   — slowloris probe stalling: accept Pings/QueryProbes and
 //                never reply, burning the sender's timeout (and retries,
 //                under the lossy transport) per exchange.
 //
-// Cohorts are deployed and retired deterministically by FaultEngine via
-// `at T attack <kind> frac=F for D` scenario windows; the zoo itself is pure
+// Poisoners are born and die with the population; the four attack cohorts
+// are deployed and retired deterministically by FaultEngine via
+// `at T attack <kind> frac=F for D` scenario windows. The zoo itself is pure
 // bookkeeping + payload generation and draws randomness only from the RNG
 // the network passes in, so attack runs stay bitwise reproducible.
 #pragma once
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -37,29 +42,54 @@
 
 namespace guess {
 
-class AdversaryZoo;
+// The attackers' fixed parameters. The claims sit at the top of the honest
+// distributions so trusting policies (MFS, MR) rank attack entries first.
+inline constexpr std::uint32_t kClaimedNumFiles = 5000;  ///< lie exploiting MFS
+inline constexpr std::uint32_t kClaimedNumRes = 20;      ///< lie exploiting MR
+/// Fabricated dead addresses, as multiples of NetworkSize (finite, so caches
+/// can dedupe repeats like real IPs): the Dead poisoners' pool and the
+/// pong-flood pool.
+inline constexpr std::size_t kDeadPoolFactor = 10;
+inline constexpr std::size_t kFloodPoolFactor = 4;
+/// Eclipse and pong-flood members ping this many times faster than honest
+/// peers, spreading their attack pongs (and introductions) aggressively.
+inline constexpr double kCohortPingBoost = 8.0;
+/// Each sybil identity lives this long before a fresh one replaces it.
+inline constexpr sim::Duration kSybilLifetime = 30.0;
+/// Pong-flood pongs carry this multiple of PongSize entries.
+inline constexpr std::size_t kPongFloodFactor = 8;
 
-/// One attack strategy. Stateless apart from a back-reference to the zoo
-/// (for rosters and the flood pool); per-member state lives in the network
-/// (timers) and the zoo (membership).
+/// One attack strategy. Stateless apart from a reference to the addresses
+/// its pongs draw from (its own roster for colluders, a fabricated pool
+/// otherwise); per-member state lives in the network (timers) and the zoo
+/// (membership).
 class AdversaryBehavior {
  public:
-  explicit AdversaryBehavior(const AdversaryZoo& zoo) : zoo_(zoo) {}
+  explicit AdversaryBehavior(const std::vector<PeerId>& addresses)
+      : addresses_(addresses) {}
   virtual ~AdversaryBehavior() = default;
 
-  virtual faults::AttackKind kind() const = 0;
-
-  /// Multiplier on the honest PingInterval for cohort members; < 1 means
-  /// the attacker pings faster than honest peers.
+  /// Multiplier on the honest PingInterval; < 1 means the attacker pings
+  /// faster than honest peers.
   virtual double ping_interval_factor() const { return 1.0; }
 
   /// True if the attacker swallows inbound exchanges entirely — the sender
   /// sees a timeout (and pays retries under the lossy transport).
   virtual bool withholds_replies() const { return false; }
 
-  /// Identity lifetime: 0 = the member lives for the whole attack window;
-  /// > 0 = it retires after this long and a fresh identity replaces it.
+  /// Identity lifetime: 0 = the member lives until it dies or its attack
+  /// window closes; > 0 = it retires after this long and a fresh identity
+  /// replaces it.
   virtual sim::Duration identity_lifetime() const { return 0.0; }
+
+  /// The entry this member introduces itself with. Cohorts claim NumFiles
+  /// and NumRes — a withholder's only advertising channel (it builds no
+  /// pongs), and the bait that pulls MR-ranked probes into its timeout
+  /// trap; §6.4's poisoners claim NumFiles only. Never first-hand, so the
+  /// first_hand_floor defense still holds.
+  virtual CacheEntry introduction(PeerId self, sim::Time now) const {
+    return CacheEntry{self, now, kClaimedNumFiles, kClaimedNumRes};
+  }
 
   /// Fill `out` with the attack pong this member answers a Ping/QueryProbe
   /// with. May exceed `pong_size` (pong-flood) or be empty (a lone colluder
@@ -69,29 +99,28 @@ class AdversaryBehavior {
                               std::vector<CacheEntry>& out) const = 0;
 
  protected:
-  const AdversaryZoo& zoo() const { return zoo_; }
-
-  /// An entry with the top-of-distribution claims (§6.4's lie, reused by
-  /// every behavior so trusting policies rank attack entries first).
-  CacheEntry claim_entry(PeerId id, sim::Time now) const;
+  const std::vector<PeerId>& addresses() const { return addresses_; }
 
  private:
-  const AdversaryZoo& zoo_;
+  const std::vector<PeerId>& addresses_;
 };
 
-/// Rosters of deployed adversaries (one per AttackKind, PoisonGenerator's
-/// swap-remove idiom) plus the behavior instances and the fabricated
-/// address pool backing pong-flood payloads.
+/// Rosters of hostile peers — §6.4's poisoners plus one cohort per
+/// AttackKind, each in swap-remove order — with their behaviors, the
+/// fabricated address pools and the poisoning toggle.
 class AdversaryZoo {
  public:
-  explicit AdversaryZoo(MaliciousParams params);
+  /// `poisoner_pong` picks what §6.4's poisoners put in their pongs.
+  explicit AdversaryZoo(BadPongBehavior poisoner_pong);
   ~AdversaryZoo();
 
   AdversaryZoo(const AdversaryZoo&) = delete;
   AdversaryZoo& operator=(const AdversaryZoo&) = delete;
 
-  /// Fabricated dead addresses for pong-flood payloads (allocated by the
-  /// network from its id space so they can never collide with real peers).
+  /// Fabricated dead addresses (allocated by the network from its id space
+  /// so they can never collide with real peers): the Dead poisoners' pool
+  /// and the pong-flood pool.
+  void set_dead_pool(std::vector<PeerId> pool);
   void set_flood_pool(std::vector<PeerId> pool);
   const std::vector<PeerId>& flood_pool() const { return flood_pool_; }
 
@@ -100,37 +129,45 @@ class AdversaryZoo {
   /// Membership bookkeeping. An id belongs to at most one roster; add
   /// checks freshness, remove checks membership (GUESS_CHECK).
   void add(faults::AttackKind kind, PeerId id);
+  void add_poisoner(PeerId id);
   void remove(PeerId id);
   bool contains(PeerId id) const { return index_.contains(id); }
   std::size_t size() const { return index_.size(); }
 
-  /// The deployed behavior of `id`, or nullptr if `id` is no adversary.
+  /// Deployed members of `kind` / the poisoners, in swap-remove order.
+  const std::vector<PeerId>& roster(faults::AttackKind kind) const;
+  const std::vector<PeerId>& poisoners() const;
+
+  /// `poison on|off`: while off, poisoners answer with their real caches
+  /// and introduce themselves honestly. Cohorts ignore the toggle.
+  void set_poisoning(bool active) { poisoning_ = active; }
+  bool poisoning() const { return poisoning_; }
+
+  /// The behavior `id` lies with right now, or nullptr: ids outside the
+  /// zoo, and poisoners while poisoning is off.
   const AdversaryBehavior* behavior_of(PeerId id) const;
 
   /// True iff `id` is a deployed reply-withholding adversary.
   bool withholds(PeerId id) const;
 
-  /// Deployed members of `kind`, in swap-remove order.
-  const std::vector<PeerId>& roster(faults::AttackKind kind) const;
-
-  /// Dispatch to the member's behavior (GUESS_CHECKs membership).
-  void make_pong_into(PeerId self, std::size_t pong_size, sim::Time now,
-                      Rng& rng, std::vector<CacheEntry>& out) const;
-
-  const MaliciousParams& params() const { return params_; }
-
  private:
+  /// Roster slots: one per AttackKind, then the poisoners.
+  static constexpr std::size_t kPoisonerSlot = faults::kNumAttackKinds;
+  static constexpr std::size_t kNumRosters = kPoisonerSlot + 1;
+
   struct Membership {
-    faults::AttackKind kind;
-    std::size_t pos;  ///< index into rosters_[kind]
+    std::size_t slot;
+    std::size_t pos;  ///< index into rosters_[slot]
   };
 
-  MaliciousParams params_;
-  std::array<std::unique_ptr<AdversaryBehavior>, faults::kNumAttackKinds>
-      behaviors_;
-  std::array<std::vector<PeerId>, faults::kNumAttackKinds> rosters_;
-  std::unordered_map<PeerId, Membership> index_;
+  void enroll(std::size_t slot, PeerId id);
+
+  std::array<std::vector<PeerId>, kNumRosters> rosters_;
+  std::vector<PeerId> dead_pool_;
   std::vector<PeerId> flood_pool_;
+  std::array<std::unique_ptr<AdversaryBehavior>, kNumRosters> behaviors_;
+  std::unordered_map<PeerId, Membership> index_;
+  bool poisoning_ = true;
 };
 
 }  // namespace guess

@@ -1,11 +1,10 @@
 // SimulationConfig — the unified, validated construction surface of
 // guesslib.
 //
-// Historically a simulation was assembled from four loose parameter structs
-// plus a bool threaded positionally through the network, the driver and the
-// bench harness (`SystemParams, ProtocolParams, MaliciousParams,
-// enable_queries, ...`). SimulationConfig replaces that boundary with one
-// builder-style object:
+// Historically a simulation was assembled from loose parameter structs plus
+// a bool threaded positionally through the network, the driver and the
+// bench harness (`SystemParams, ProtocolParams, enable_queries, ...`).
+// SimulationConfig replaces that boundary with one builder-style object:
 //
 //   auto config = guess::SimulationConfig()
 //                     .system(system)
@@ -167,8 +166,6 @@ struct SimulationOptions {
   /// Overload-control policy + tuning for open-loop runs (DESIGN.md §13.3,
   /// --overload-policy).
   OverloadParams overload;
-
-  MaliciousParams malicious;
 };
 
 /// Everything a GUESS simulation is built from, behind chainable setters.
@@ -187,10 +184,6 @@ class SimulationConfig {
   }
   SimulationConfig& protocol(ProtocolParams v) {
     protocol_ = v;
-    return *this;
-  }
-  SimulationConfig& malicious(MaliciousParams v) {
-    options_.malicious = v;
     return *this;
   }
   SimulationConfig& transport(TransportParams v) {
@@ -297,7 +290,6 @@ class SimulationConfig {
 
   const SystemParams& system() const { return system_; }
   const ProtocolParams& protocol() const { return protocol_; }
-  const MaliciousParams& malicious() const { return options_.malicious; }
   const TransportParams& transport() const { return transport_; }
   const SimulationOptions& options() const { return options_; }
   const faults::Scenario& scenario() const { return scenario_; }

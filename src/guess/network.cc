@@ -103,8 +103,7 @@ GuessNetwork::GuessNetwork(const SimulationConfig& config,
       query_stream_(content::BurstParams{system_.query_rate,
                                          system_.burst_min,
                                          system_.burst_max}),
-      poison_(config.malicious(), system_.bad_pong_behavior),
-      zoo_(config.malicious()) {
+      zoo_(system_.bad_pong_behavior) {
   config.validate();
   churn_ = std::make_unique<churn::ChurnManager>(
       simulator_, churn::LifetimeDistribution(system_.lifespan_multiplier),
@@ -136,16 +135,10 @@ void GuessNetwork::initialize() {
   GUESS_CHECK_MSG(table_.size() == 0 && next_id_ == 0,
                   "initialize() called twice");
   table_.reserve(system_.network_size);
-  // Fabricated dead addresses for non-colluding attackers: allocate a block
-  // of ids that will never belong to a real peer.
+  // Dead poisoners' ammunition, allocated before the population.
   if (system_.bad_fraction() > 0.0 &&
       system_.bad_pong_behavior == BadPongBehavior::kDead) {
-    auto pool_size = static_cast<std::size_t>(
-        poison_.params().dead_pool_factor *
-        static_cast<double>(system_.network_size));
-    std::vector<PeerId> pool(pool_size);
-    for (auto& id : pool) id = next_id_++;
-    poison_.set_dead_pool(std::move(pool));
+    zoo_.set_dead_pool(fabricate_ids(kDeadPoolFactor * system_.network_size));
   }
 
   // Initial population: exactly the configured bad and selfish fractions,
@@ -169,10 +162,15 @@ void GuessNetwork::initialize() {
   seed_initial_caches();
 }
 
-PeerId GuessNetwork::spawn_peer(bool malicious, bool selfish, bool initial) {
+std::vector<PeerId> GuessNetwork::fabricate_ids(std::size_t count) {
+  std::vector<PeerId> ids(count);
+  for (PeerId& id : ids) id = next_id_++;
+  return ids;
+}
+
+Peer& GuessNetwork::create_peer(content::Library library, bool malicious,
+                                bool selfish) {
   PeerId id = next_id_++;
-  content::Library library =
-      malicious ? content::Library{} : content_.sample_peer_library(rng_);
   Peer& ref = table_.create(id, simulator_.now(), std::move(library),
                             protocol_.cache_size, malicious, selfish);
   ref.set_credit(protocol_.payments.initial_credit);
@@ -183,12 +181,12 @@ PeerId GuessNetwork::spawn_peer(bool malicious, bool selfish, bool initial) {
       protocol_.cache_replacement);
   // MR*: ranking ignores foreign NumRes claims from the start.
   ref.cache().set_first_hand_only(protocol_.reset_num_results);
-  // Eclipse resistance (§11): protect a reserve of first-hand entries.
+  // Eclipse resistance (§11): protect a reserve of first-hand entries. Only
+  // query probes create first-hand entries, so attackers' floors stay idle.
   if (protocol_.detection.enabled) {
     ref.cache().set_first_hand_floor(protocol_.detection.first_hand_floor);
   }
   ensure_slot_arrays();
-  if (malicious) poison_.add_bad_peer(id);
   // A peer born during a partition lands on a random side of it.
   if (partition_ways_ > 0) {
     std::uint32_t slot = table_.slot_of(id);
@@ -196,6 +194,15 @@ PeerId GuessNetwork::spawn_peer(bool malicious, bool selfish, bool initial) {
         rng_.index(static_cast<std::size_t>(partition_ways_)));
     partition_epoch_by_slot_[slot] = partition_epoch_;
   }
+  return ref;
+}
+
+PeerId GuessNetwork::spawn_peer(bool malicious, bool selfish, bool initial) {
+  content::Library library =
+      malicious ? content::Library{} : content_.sample_peer_library(rng_);
+  Peer& ref = create_peer(std::move(library), malicious, selfish);
+  PeerId id = ref.id();
+  if (malicious) zoo_.add_poisoner(id);
   trace(TraceCategory::kChurn, [&](std::ostream& os) {
     os << "birth peer=" << id << " files=" << ref.num_files()
        << (malicious ? " malicious" : "") << (selfish ? " selfish" : "");
@@ -208,30 +215,17 @@ PeerId GuessNetwork::spawn_peer(bool malicious, bool selfish, bool initial) {
     churn_->register_peer(id);
     seed_from_friend(ref);
   }
-  start_ping_timer(ref);
+  start_ping_timer(ref, 1.0);
   if (enable_queries_ && !malicious) start_query_workload(ref);
   return id;
 }
 
 PeerId GuessNetwork::spawn_adversary(faults::AttackKind kind) {
-  PeerId id = next_id_++;
-  Peer& ref = table_.create(id, simulator_.now(), content::Library{},
-                            protocol_.cache_size, /*malicious=*/true,
-                            /*selfish=*/false);
-  ref.set_credit(protocol_.payments.initial_credit);
-  ref.cache().configure_indices(
-      {protocol_.ping_probe, protocol_.ping_pong, protocol_.query_pong},
-      protocol_.cache_replacement);
-  ref.cache().set_first_hand_only(protocol_.reset_num_results);
-  ensure_slot_arrays();
+  Peer& ref = create_peer(content::Library{}, /*malicious=*/true,
+                          /*selfish=*/false);
+  PeerId id = ref.id();
   zoo_.add(kind, id);
   ++attack_stats_.adversaries_spawned;
-  if (partition_ways_ > 0) {
-    std::uint32_t slot = table_.slot_of(id);
-    partition_group_by_slot_[slot] = static_cast<int>(
-        rng_.index(static_cast<std::size_t>(partition_ways_)));
-    partition_epoch_by_slot_[slot] = partition_epoch_;
-  }
   trace(TraceCategory::kChurn, [&](std::ostream& os) {
     os << "birth adversary=" << id
        << " kind=" << faults::attack_kind_name(kind);
@@ -241,10 +235,7 @@ PeerId GuessNetwork::spawn_adversary(faults::AttackKind kind) {
   // through its own expiry timer instead of the death/replacement path.
   seed_from_friend(ref);
   const AdversaryBehavior& behavior = zoo_.behavior(kind);
-  sim::Duration interval =
-      protocol_.ping_interval * behavior.ping_interval_factor();
-  ref.set_ping_interval(interval);
-  schedule_next_ping(ref, rng_.uniform(0.0, interval));
+  start_ping_timer(ref, behavior.ping_interval_factor());
   // Adversaries run no query workload, so the burst timer slot is free to
   // carry the sybil identity-expiry event.
   sim::Duration lifetime = behavior.identity_lifetime();
@@ -295,23 +286,14 @@ void GuessNetwork::seed_initial_caches() {
 }
 
 CacheEntry GuessNetwork::introduction_entry(const Peer& peer) const {
-  // Zoo adversaries always lie about their library (the attack windows are
-  // independent of the §6.4 poison toggle); poison attackers lie only while
-  // poisoning is active.
-  std::uint32_t advertised = peer.num_files();
-  if (peer.malicious() && zoo_.contains(peer.id())) {
-    // The zoo also fabricates NumRes in its introductions — a withholder's
-    // only advertising channel (it builds no pongs), and the bait that
-    // pulls MR-ranked probes into its timeout trap. Never first-hand, so
-    // the first_hand_floor defense still holds.
-    return CacheEntry{peer.id(), simulator_.now(),
-                      poison_.params().claimed_num_files,
-                      poison_.params().claimed_num_res};
+  // A liar introduces itself with its behavior's claims; everyone else,
+  // silenced poisoners included, with its real library size.
+  if (peer.malicious()) {
+    if (const AdversaryBehavior* liar = zoo_.behavior_of(peer.id())) {
+      return liar->introduction(peer.id(), simulator_.now());
+    }
   }
-  if (peer.malicious() && poisoning_active_) {
-    advertised = poison_.params().claimed_num_files;
-  }
-  return CacheEntry{peer.id(), simulator_.now(), advertised, 0};
+  return CacheEntry{peer.id(), simulator_.now(), peer.num_files(), 0};
 }
 
 void GuessNetwork::seed_from_friend(Peer& newborn) {
@@ -385,15 +367,7 @@ void GuessNetwork::remove_peer(PeerId id) {
   // the slot's next tenant is stamped at birth.
   release_active_query(table_.slot_of(id));
   flush_load(*peer);
-  // Adversary-zoo members are malicious but never entered the §6.4 poison
-  // roster; each registry removes only its own.
-  if (peer->malicious()) {
-    if (zoo_.contains(id)) {
-      zoo_.remove(id);
-    } else {
-      poison_.remove_bad_peer(id);
-    }
-  }
+  if (peer->malicious()) zoo_.remove(id);
   table_.destroy(id);
 }
 
@@ -413,10 +387,11 @@ void GuessNetwork::flush_load(const Peer& peer) {
 
 // --- pings -----------------------------------------------------------------
 
-void GuessNetwork::start_ping_timer(Peer& peer) {
-  peer.set_ping_interval(protocol_.ping_interval);
+void GuessNetwork::start_ping_timer(Peer& peer, double factor) {
+  sim::Duration interval = protocol_.ping_interval * factor;
+  peer.set_ping_interval(interval);
   // Random phase desynchronizes the population's pings.
-  schedule_next_ping(peer, rng_.uniform(0.0, protocol_.ping_interval));
+  schedule_next_ping(peer, rng_.uniform(0.0, interval));
 }
 
 // Self-rescheduling ping chain: re-reads the peer's (possibly adapted,
@@ -479,17 +454,7 @@ void GuessNetwork::ping_resolved(PeerId pinger_id, PeerId target_id,
   target->cache().touch(pinger_id, simulator_.now());
   maybe_introduce(*target, *pinger);
 
-  if (target->malicious() && zoo_.contains(target_id)) {
-    // Zoo adversaries answer with their behavior's attack pong (attack
-    // windows are independent of the §6.4 poison toggle).
-    zoo_.make_pong_into(target_id, protocol_.pong_size, simulator_.now(),
-                        rng_, pong_scratch_);
-  } else if (target->malicious() && poisoning_active_) {
-    poison_.make_pong_into(target->id(), protocol_.pong_size,
-                           simulator_.now(), rng_, pong_scratch_);
-  } else {
-    make_pong_into(*target, protocol_.ping_pong, pong_scratch_);
-  }
+  make_pong_into(*target, protocol_.ping_pong, pong_scratch_);
   process_pong_entries(*pinger, target->id(), pong_scratch_);
 }
 
@@ -517,8 +482,17 @@ void GuessNetwork::maybe_reseed_from_pong_server(Peer& peer) {
   }
 }
 
-void GuessNetwork::make_pong_into(Peer& responder, Policy policy,
+void GuessNetwork::make_pong_into(const Peer& responder, Policy policy,
                                   std::vector<CacheEntry>& out) {
+  // The flag test comes first: honest responders, all of the traffic of an
+  // attack-free run, never touch the zoo's hash map.
+  if (responder.malicious()) {
+    if (const AdversaryBehavior* liar = zoo_.behavior_of(responder.id())) {
+      liar->make_pong_into(responder.id(), protocol_.pong_size,
+                           simulator_.now(), rng_, out);
+      return;
+    }
+  }
   responder.cache().select_top_into(policy, protocol_.pong_size, rng_, out);
   // Fields travel unmodified (§2.2), but "first hand" is local knowledge.
   for (CacheEntry& entry : out) entry.first_hand = false;
@@ -875,15 +849,7 @@ void GuessNetwork::probe_resolved(PeerId origin_id, std::uint64_t token,
 
   // Every probed peer answers with a Pong (§2.3): entries feed the query
   // cache and, subject to CacheReplacement, the link cache.
-  if (target->malicious() && zoo_.contains(target_id)) {
-    zoo_.make_pong_into(target_id, protocol_.pong_size, simulator_.now(),
-                        rng_, pong_scratch_);
-  } else if (target->malicious() && poisoning_active_) {
-    poison_.make_pong_into(target_id, protocol_.pong_size, simulator_.now(),
-                           rng_, pong_scratch_);
-  } else {
-    make_pong_into(*target, protocol_.query_pong, pong_scratch_);
-  }
+  make_pong_into(*target, protocol_.query_pong, pong_scratch_);
   offer_query_pong(*origin, query, target_id, pong_scratch_);
 
   if (query.note_probe_resolved()) finish_slot(origin_id);
@@ -1083,7 +1049,7 @@ void GuessNetwork::fault_clear_degradation() {
 }
 
 void GuessNetwork::fault_set_poisoning(bool active) {
-  poisoning_active_ = active;
+  zoo_.set_poisoning(active);
   trace(TraceCategory::kFault, [&](std::ostream& os) {
     os << "poisoning " << (active ? "on" : "off");
   });
@@ -1094,15 +1060,10 @@ void GuessNetwork::fault_start_attack(faults::AttackKind kind,
   GUESS_CHECK_MSG(zoo_.roster(kind).empty(),
                   "attack onset for an already-active "
                       << faults::attack_kind_name(kind) << " cohort");
-  // Pong-flood ammunition: fabricated addresses that will never belong to a
-  // real peer, allocated once at first onset (mirrors the poison dead pool).
+  // Pong-flood ammunition, allocated once at the first onset.
   if (kind == faults::AttackKind::kPongFlood && zoo_.flood_pool().empty()) {
-    auto pool_size = static_cast<std::size_t>(
-        zoo_.params().adversary.flood_pool_factor *
-        static_cast<double>(system_.network_size));
-    std::vector<PeerId> pool(std::max<std::size_t>(1, pool_size));
-    for (auto& id : pool) id = next_id_++;
-    zoo_.set_flood_pool(std::move(pool));
+    zoo_.set_flood_pool(fabricate_ids(std::max<std::size_t>(
+        1, kFloodPoolFactor * system_.network_size)));
   }
   std::size_t cohort = std::max<std::size_t>(
       1, static_cast<std::size_t>(

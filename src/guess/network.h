@@ -27,7 +27,6 @@
 #include "faults/fault_host.h"
 #include "guess/adversary.h"
 #include "guess/config.h"
-#include "guess/malicious.h"
 #include "guess/metrics.h"
 #include "guess/params.h"
 #include "guess/peer.h"
@@ -46,9 +45,8 @@ namespace guess {
 class GuessNetwork : public faults::FaultHost, public TransportModulation {
  public:
   /// Primary constructor: the validated SimulationConfig surface. Uses the
-  /// config's system/protocol/malicious/transport blocks and
-  /// enable_queries; run control (warmup, windows, sampling) stays with the
-  /// caller.
+  /// config's system/protocol/transport blocks and enable_queries; run
+  /// control (warmup, windows, sampling) stays with the caller.
   GuessNetwork(const SimulationConfig& config, sim::Simulator& simulator,
                Rng rng);
 
@@ -76,13 +74,13 @@ class GuessNetwork : public faults::FaultHost, public TransportModulation {
   void fault_set_degradation(double extra_loss,
                              double latency_factor) override;
   void fault_clear_degradation() override;
-  /// Toggle attacker pong poisoning. While off, malicious peers answer with
-  /// their real (empty) caches and honest introduction entries.
+  /// Toggle §6.4's poisoners (forwarded to the zoo). While off, they answer
+  /// with their real caches and honest introduction entries.
   void fault_set_poisoning(bool active) override;
   /// Deploy an adversary cohort of floor(fraction * alive) members (min 1)
   /// running `kind`'s behavior (DESIGN.md §11). Cohort members are not
   /// churn-registered — their lifetime is the attack window (sybils recycle
-  /// identities within it) — and they never enter the §6.4 poison roster.
+  /// identities within it) — and the poisoning toggle does not touch them.
   void fault_start_attack(faults::AttackKind kind, double fraction) override;
   /// Retire the whole cohort of `kind` without replacement births.
   void fault_stop_attack(faults::AttackKind kind) override;
@@ -130,10 +128,14 @@ class GuessNetwork : public faults::FaultHost, public TransportModulation {
   std::size_t alive_count() const { return table_.size(); }
   const std::vector<PeerId>& alive_ids() const { return table_.alive_ids(); }
   bool is_malicious(PeerId id) const;
-  bool poisoning_active() const { return poisoning_active_; }
-  /// True iff `id` is a deployed adversary-zoo member (tests).
+  bool poisoning_active() const { return zoo_.poisoning(); }
+  /// True iff `id` is an adversary-zoo member: a poisoner or a deployed
+  /// cohort member (tests).
   bool is_adversary(PeerId id) const { return zoo_.contains(id); }
   const AdversaryZoo& adversary_zoo() const { return zoo_; }
+  /// The entry `peer` introduces itself with right now: a liar's claims,
+  /// else its real library size.
+  CacheEntry introduction_entry(const Peer& peer) const;
   /// Whole-run attack/defense counters (also snapshotted into results).
   const AttackStats& attack_stats() const { return attack_stats_; }
   int partition_ways() const { return partition_ways_; }
@@ -226,20 +228,29 @@ class GuessNetwork : public faults::FaultHost, public TransportModulation {
   struct SybilExpired;
 
   // --- lifecycle ---
+  /// Birth one population member: honest, selfish, or a §6.4 poisoner.
   PeerId spawn_peer(bool malicious, bool selfish, bool initial);
   /// Birth one cohort member of `kind`: malicious, friend-seeded, not
   /// churn-registered, no query workload, ping timer scaled by the
   /// behavior's factor; sybils also arm their identity-expiry timer.
   PeerId spawn_adversary(faults::AttackKind kind);
+  /// The birth steps every peer shares: table entry, credit, cache
+  /// orderings and floors, slot arrays, and a side of an active partition.
+  Peer& create_peer(content::Library library, bool malicious, bool selfish);
+  /// `count` fresh ids that will never belong to a real peer (the zoo's
+  /// fabricated address pools).
+  std::vector<PeerId> fabricate_ids(std::size_t count);
   void sybil_expired(PeerId id);
   void on_peer_death(PeerId id);
-  /// Tear one peer out of the network (timers, queries, alive list, poison
-  /// registry) WITHOUT the replacement birth. The death path and the
+  /// Tear one peer out of the network (timers, queries, alive list, zoo
+  /// roster) WITHOUT the replacement birth. The death path and the
   /// fault-scenario mass kill share this.
   void remove_peer(PeerId id);
   void seed_initial_caches();
   void seed_from_friend(Peer& newborn);
-  void start_ping_timer(Peer& peer);
+  /// Arm the ping chain at `factor` × PingInterval (1 for honest peers and
+  /// poisoners) with a random phase.
+  void start_ping_timer(Peer& peer, double factor);
   void schedule_next_ping(Peer& peer, sim::Duration delay);
   void ping_timer_fired(PeerId id);
   void start_query_workload(Peer& peer);
@@ -251,11 +262,12 @@ class GuessNetwork : public faults::FaultHost, public TransportModulation {
   void ping_resolved(PeerId pinger_id, PeerId target_id, bool measured,
                      DeliveryStatus status);
   void maybe_reseed_from_pong_server(Peer& peer);
-  /// Fill `out` with the responder's Pong (select_top under `policy`).
-  /// Callers pass the shared pong_scratch_; no path generates a Pong while
-  /// another is being consumed (single-threaded event loop, and neither
-  /// process_pong_entries nor offer_query_pong can re-enter a Pong build).
-  void make_pong_into(Peer& responder, Policy policy,
+  /// Fill `out` with the responder's Pong: its behavior's attack pong if it
+  /// lies right now, else select_top under `policy`. Callers pass the shared
+  /// pong_scratch_; no path generates a Pong while another is being consumed
+  /// (single-threaded event loop, and neither process_pong_entries nor
+  /// offer_query_pong can re-enter a Pong build).
+  void make_pong_into(const Peer& responder, Policy policy,
                       std::vector<CacheEntry>& out);
   void process_pong_entries(Peer& receiver, PeerId source,
                             const std::vector<CacheEntry>& entries);
@@ -267,7 +279,6 @@ class GuessNetwork : public faults::FaultHost, public TransportModulation {
   /// answered our Ping/QueryProbe (reply-withholding defense).
   void charge_no_reply(Peer& prober, PeerId target_id);
   void maybe_introduce(Peer& responder, const Peer& initiator);
-  CacheEntry introduction_entry(const Peer& peer) const;
 
   // --- queries ---
   void start_next_query(Peer& origin);
@@ -310,7 +321,7 @@ class GuessNetwork : public faults::FaultHost, public TransportModulation {
 
   content::ContentModel content_;
   content::QueryStream query_stream_;
-  PoisonGenerator poison_;
+  // Every hostile peer: §6.4's poisoners and the attack cohorts.
   AdversaryZoo zoo_;
   std::unique_ptr<churn::ChurnManager> churn_;
   std::unique_ptr<Transport> transport_;
@@ -346,7 +357,6 @@ class GuessNetwork : public faults::FaultHost, public TransportModulation {
   mutable AttackStats attack_stats_;
 
   // --- fault-scenario state (DESIGN.md §9) ---
-  bool poisoning_active_ = true;
   int partition_ways_ = 0;  ///< 0 = no partition active
   // Partition membership as per-slot arrays: an entry is valid only when
   // its stamp matches partition_epoch_, so clearing a partition (or letting

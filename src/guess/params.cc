@@ -46,6 +46,14 @@ std::string to_string(BadPongBehavior behavior) {
   return "?";
 }
 
+BadPongBehavior parse_bad_pong_behavior(const std::string& name) {
+  if (name == "Dead") return BadPongBehavior::kDead;
+  if (name == "Bad") return BadPongBehavior::kBad;
+  GUESS_CHECK_MSG(false,
+                  "unknown bad-pong behavior: " << name << " (Dead | Bad)");
+  return BadPongBehavior::kDead;
+}
+
 std::string describe(const SystemParams& params) {
   std::ostringstream os;
   os << "NetworkSize=" << params.network_size

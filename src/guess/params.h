@@ -235,43 +235,9 @@ struct ProtocolParams {
   static ProtocolParams mr_star_defaults();
 };
 
-/// Knobs of the adversary zoo's attack behaviors (DESIGN.md §11). Cohorts
-/// are deployed by `at T attack <kind> frac=F for D` scenario windows; these
-/// parameters shape what each cohort member does while deployed.
-struct AdversaryParams {
-  /// Eclipse (and pong-flood, which needs the same contact surface): cohort
-  /// members ping this many times faster than honest peers, spreading their
-  /// attack pongs (and introductions) aggressively.
-  double eclipse_ping_boost = 8.0;
-
-  /// Sybil flash crowd: each sybil identity lives this long, then retires
-  /// and is replaced by a fresh identity (new PeerId — the old one is
-  /// tombstoned forever), so victims' caches fill with soon-dead entries.
-  sim::Duration sybil_lifetime = 30.0;
-
-  /// Pong-flood amplification: attack pongs carry this multiple of PongSize
-  /// entries (fabricated dead addresses with top-of-distribution claims).
-  double pong_flood_factor = 8.0;
-
-  /// Fabricated dead addresses backing pong-flood payloads, as a multiple
-  /// of NetworkSize (finite, so caches can dedupe repeats like real IPs).
-  double flood_pool_factor = 4.0;
-};
-
-/// Parameters of malicious peers (§6.4). The attack claims are chosen at the
-/// top of the honest distributions so trusting policies rank attackers first.
-struct MaliciousParams {
-  std::uint32_t claimed_num_files = 5000;  ///< lie exploiting MFS
-  std::uint32_t claimed_num_res = 20;      ///< lie exploiting MR
-  /// Pool of fabricated dead addresses shared by attackers, as a multiple of
-  /// NetworkSize (kept finite so caches can dedupe repeats, like real IPs).
-  double dead_pool_factor = 10.0;
-
-  /// Adversary-zoo behavior knobs (scenario `attack` windows).
-  AdversaryParams adversary;
-};
-
 std::string to_string(BadPongBehavior behavior);
+/// Inverse of to_string: "Dead" or "Bad"; CheckError on anything else.
+BadPongBehavior parse_bad_pong_behavior(const std::string& name);
 
 /// One-line human-readable summaries used by bench headers.
 std::string describe(const SystemParams& params);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
+
 namespace guess {
 namespace {
 
@@ -77,6 +79,14 @@ TEST(Params, DescribeMentionsKeyFields) {
 TEST(Params, BadPongBehaviorNames) {
   EXPECT_EQ(to_string(BadPongBehavior::kDead), "Dead");
   EXPECT_EQ(to_string(BadPongBehavior::kBad), "Bad");
+  for (BadPongBehavior behavior :
+       {BadPongBehavior::kDead, BadPongBehavior::kBad}) {
+    EXPECT_EQ(parse_bad_pong_behavior(to_string(behavior)), behavior);
+  }
+  // Names are exact: a near miss must not silently run another attack.
+  for (const char* name : {"bad", "dead", "Collude", "", "Dead "}) {
+    EXPECT_THROW(parse_bad_pong_behavior(name), CheckError) << name;
+  }
 }
 
 }  // namespace
