@@ -1,10 +1,13 @@
 // Tests for the protocol extensions grounded in the paper's discussion
 // sections: selfish peers + probe payments (§3.3), adaptive ping (§6.1),
 // adaptive parallel probes (§6.2), malicious-referral detection (§6.4),
-// and the query-cache ablation knob (§2.3).
+// and the query-cache ablation knob (§2.3); plus two golden runs that pin
+// every extension together.
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "experiments/harness.h"
+#include "faults/scenario.h"
 #include "guess/network.h"
 #include "search/backend.h"
 #include "sim/simulator.h"
@@ -399,6 +402,92 @@ TEST(QueryCacheAblation, WithoutQueryCacheRareItemsFail) {
   EXPECT_GT(without.unsatisfied_rate(), with.unsatisfied_rate() * 1.5);
   EXPECT_LE(without.query_cache_population.max(), 30.0);
 }
+
+// --- Extension goldens ------------------------------------------------------
+//
+// Two runs pinned to golden values: headline counters exactly, plus a 64-bit
+// digest over every field testsupport::expect_identical compares. The first
+// exercises selfish blasters under the payment economy with DoBackoff and
+// the adaptive probe ramp; the second adaptive ping and pong-server reseeds
+// on a lossy, churning, poisoned network with detection on. Both run under
+// both event-queue schedulers.
+
+class ExtensionGoldenTest : public ::testing::TestWithParam<sim::Scheduler> {};
+
+SimulationConfig golden_base(std::uint64_t seed, sim::Scheduler scheduler) {
+  SystemParams system;
+  system.network_size = 150;
+  system.content.catalog_size = 400;
+  system.content.query_universe = 500;
+  return SimulationConfig()
+      .system(system)
+      .seed(seed)
+      .warmup(200.0)
+      .measure(400.0)
+      .scheduler(scheduler);
+}
+
+TEST_P(ExtensionGoldenTest, SelfishBlastersUnderPaymentsBackoffAndRamp) {
+  SimulationConfig config = golden_base(13, GetParam());
+  SystemParams system = config.system();
+  system.percent_selfish_peers = 20.0;
+  system.max_probes_per_second = 4;
+  ProtocolParams protocol;
+  protocol.query_pong = Policy::kMFS;
+  protocol.payments.enabled = true;
+  protocol.do_backoff = true;
+  protocol.adaptive_parallel = true;
+  protocol.adaptive_parallel_trigger = 5;
+  SimulationResults results = testsupport::guess_results(
+      search::run_search(config.system(system).protocol(protocol)));
+  EXPECT_EQ(results.queries_completed, 526u);
+  EXPECT_EQ(results.queries_satisfied, 489u);
+  EXPECT_EQ(results.probes.good, 7644u);
+  EXPECT_EQ(results.probes.dead, 2075u);
+  EXPECT_EQ(results.probes.refused, 158u);
+  EXPECT_EQ(results.queries_stalled_out, 2u);
+  EXPECT_EQ(results.selfish.queries_completed, 97u);
+  EXPECT_EQ(testsupport::digest(results), 0xdb4a0b630e50a301ull)
+      << std::hex << "0x" << testsupport::digest(results);
+}
+
+TEST_P(ExtensionGoldenTest, AdaptivePingAndReseedOnLossyPoisonedNetwork) {
+  SimulationConfig config = golden_base(17, GetParam());
+  SystemParams system = config.system();
+  system.lifespan_multiplier = 0.3;
+  system.percent_bad_peers = 10.0;
+  system.bad_pong_behavior = BadPongBehavior::kBad;
+  ProtocolParams protocol =
+      experiments::PolicyCombo::from_name("MR").apply(ProtocolParams{});
+  protocol.detection.enabled = true;
+  protocol.bootstrap.pong_server_reseed = true;
+  protocol.adaptive_ping.enabled = true;
+  protocol.adaptive_ping.window = 5;
+  protocol.adaptive_ping.dead_low = 0.25;
+  TransportParams transport = TransportParams::lossy(0.05);
+  transport.max_retries = 2;
+  SimulationResults results = testsupport::guess_results(
+      search::run_search(config.system(system)
+                             .protocol(protocol)
+                             .transport(transport)
+                             .metrics_interval(50.0)));
+  EXPECT_EQ(results.queries_completed, 533u);
+  EXPECT_EQ(results.queries_satisfied, 500u);
+  EXPECT_EQ(results.probes.good, 7187u);
+  EXPECT_EQ(results.probes.dead, 3629u);
+  EXPECT_EQ(results.pings_sent, 2748u);
+  EXPECT_EQ(results.pings_to_dead, 988u);
+  EXPECT_EQ(results.transport.retransmits, 1470u);
+  EXPECT_EQ(testsupport::digest(results), 0xad3557e253a0ca36ull)
+      << std::hex << "0x" << testsupport::digest(results);
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedulers, ExtensionGoldenTest,
+                         ::testing::Values(sim::Scheduler::kHeap,
+                                           sim::Scheduler::kCalendar),
+                         [](const auto& info) {
+                           return sim::scheduler_name(info.param);
+                         });
 
 }  // namespace
 }  // namespace guess
