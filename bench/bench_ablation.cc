@@ -14,6 +14,7 @@ int main(int argc, char** argv) {
   using namespace guess;
   Flags flags(argc, argv);
   auto scale = experiments::Scale::from_flags(flags);
+  flags.reject_unread();
 
   SystemParams system;
   ProtocolParams base;
@@ -113,9 +114,7 @@ int main(int argc, char** argv) {
         SystemParams s = system;
         s.lifespan_multiplier = multiplier;
         ProtocolParams p = base;
-        p.adaptive_ping.enabled = adaptive;
-        p.adaptive_ping.window = 5;
-        p.adaptive_ping.dead_low = 0.25;
+        p.adaptive_ping = adaptive;
         SimulationOptions options = scale.options();
         options.enable_queries = false;  // isolate maintenance traffic
         options.warmup = 600.0;

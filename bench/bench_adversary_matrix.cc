@@ -156,11 +156,11 @@ int main(int argc, char** argv) {
   }
 
   SystemParams system;
-  system.network_size =
-      static_cast<std::size_t>(flags.get_int("n", scale.full ? 1000 : 200));
+  system.network_size = flags.get_size("n", scale.full ? 1000 : 200);
   const double frac = flags.get_double("frac", 0.15);
   const std::string out_path =
       flags.get_string("out", "BENCH_adversary.json");
+  flags.reject_unread();
 
   // Query-side MR/MR with LR replacement: the score-driven configuration
   // every cache-targeting attack aims at (fabricated top-of-distribution

@@ -290,8 +290,7 @@ bool check_against_baseline(
 int main(int argc, char** argv) {
   using namespace guess;
   Flags flags(argc, argv);
-  const std::size_t n =
-      static_cast<std::size_t>(flags.get_int("n", flags.full() ? 1000 : 500));
+  const std::size_t n = flags.get_size("n", flags.full() ? 1000 : 500);
   const double warmup = flags.get_double("warmup", 300.0);
   const double measure =
       flags.get_double("measure", flags.full() ? 2400.0 : 900.0);
@@ -301,6 +300,7 @@ int main(int argc, char** argv) {
       flags.get_string("out", "BENCH_backends.json");
   const std::string check_path = flags.get_string("check", "");
   const double tolerance = flags.get_double("tolerance", 0.10);
+  flags.reject_unread();
 
   std::cout << "# Backend matrix — n=" << n << " warmup=" << warmup
             << " measure=" << measure << " seed=" << seed << "\n\n";

@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   using namespace guess;
   Flags flags(argc, argv);
   auto scale = experiments::Scale::from_flags(flags);
+  flags.reject_unread();
 
   SystemParams base;
   base.bad_pong_behavior = BadPongBehavior::kBad;
@@ -36,7 +37,7 @@ int main(int argc, char** argv) {
     for (int mode = 0; mode < 3; ++mode) {
       ProtocolParams protocol = mr;
       if (mode >= 1) protocol.detection.enabled = true;
-      if (mode >= 2) protocol.bootstrap.pong_server_reseed = true;
+      if (mode >= 2) protocol.pong_server_reseed = true;
       const char* name = mode == 0   ? "none"
                          : mode == 1 ? "detection"
                                      : "detection+reseed";

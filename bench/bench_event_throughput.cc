@@ -164,15 +164,15 @@ int main(int argc, char** argv) {
   using namespace guess;
   Flags flags(argc, argv);
   const bool full = flags.full();
-  const int peers = static_cast<int>(flags.get_int("peers", 512));
-  const long long events =
-      flags.get_int("events", full ? 4'000'000 : 1'000'000);
-  const auto network =
-      static_cast<std::size_t>(flags.get_int("network", full ? 1000 : 400));
+  const int peers = static_cast<int>(flags.get_size("peers", 512));
+  const auto events = static_cast<long long>(
+      flags.get_size("events", full ? 4'000'000 : 1'000'000));
+  const std::size_t network = flags.get_size("network", full ? 1000 : 400);
   const double measure = flags.get_double("measure", full ? 1200.0 : 300.0);
   const std::uint64_t seed = flags.seed();
   const std::string out_path =
       flags.get_string("out", "BENCH_events.json");
+  flags.reject_unread();
 
   std::cout << "# Event-core throughput — churn-heavy workload (peers="
             << peers << ", events=" << events << ", seed=" << seed << ")\n";

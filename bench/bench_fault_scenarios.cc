@@ -9,6 +9,7 @@
 // time to recovery, and post-onset availability.
 //
 //   ./build/bench/bench_fault_scenarios [--interval=60] [--seeds=3]
+//       [--n=200] [--warmup=150] [--measure=600]
 //       [--scenario="at 800 kill 0.5"]      # replace the canned set
 //
 // Scenario runs are bitwise deterministic: the same seed produces the same
@@ -66,8 +67,12 @@ int main(int argc, char** argv) {
   double interval =
       scale.metrics_interval > 0.0 ? scale.metrics_interval : 60.0;
   scale.metrics_interval = interval;
+  scale.warmup = flags.get_double("warmup", scale.warmup);
+  scale.measure = flags.get_double("measure", scale.measure);
 
   SystemParams system;  // paper defaults
+  system.network_size = flags.get_size("n", system.network_size);
+  flags.reject_unread();
   ProtocolParams protocol;
 
   // Canned scenarios, placed a quarter into the measurement window so both

@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   // 34-point sweep: trends are across configs, so default to a single seed
   // unless the caller asks for more.
   if (flags.seeds() == 0 && !scale.full) scale.seeds = 1;
+  flags.reject_unread();
 
   SystemParams base;
   base.lifespan_multiplier = 0.2;

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   using namespace guess;
   Flags flags(argc, argv);
   auto scale = experiments::Scale::from_flags(flags);
+  flags.reject_unread();
 
   SystemParams system;  // paper defaults
   ProtocolParams protocol;

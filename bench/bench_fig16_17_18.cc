@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   using namespace guess;
   Flags flags(argc, argv);
   auto scale = experiments::Scale::from_flags(flags);
+  flags.reject_unread();
 
   SystemParams base;
   base.bad_pong_behavior = BadPongBehavior::kDead;

@@ -16,9 +16,9 @@
 int main(int argc, char** argv) {
   using namespace guess;
   Flags flags(argc, argv);
-  auto n = static_cast<std::size_t>(
-      flags.get_int("n", flags.full() ? 10000 : 2000));
+  const std::size_t n = flags.get_size("n", flags.full() ? 10000 : 2000);
   Rng rng(flags.seed());
+  flags.reject_unread();
 
   std::cout << "Fragmentation & amplification (§3), overlays of " << n
             << " peers\n";

@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   using namespace guess;
   Flags flags(argc, argv);
   auto scale = experiments::Scale::from_flags(flags);
+  flags.reject_unread();
 
   SystemParams system;
   experiments::print_header(

@@ -398,8 +398,7 @@ int main(int argc, char** argv) {
   using namespace guess;
   Flags flags(argc, argv);
   BenchParams params;
-  params.n = static_cast<std::size_t>(
-      flags.get_int("n", flags.full() ? 1000 : 250));
+  params.n = flags.get_size("n", flags.full() ? 1000 : 250);
   params.warmup = flags.get_double("warmup", 150.0);
   params.measure = flags.get_double("measure", flags.full() ? 900.0 : 300.0);
   params.slo = flags.slo_ms() / 1000.0;
@@ -411,6 +410,7 @@ int main(int argc, char** argv) {
   const std::string out_path = flags.get_string("out", "BENCH_overload.json");
   const std::string check_path = flags.get_string("check", "");
   const double tolerance = flags.get_double("tolerance", 0.10);
+  flags.reject_unread();
 
   std::cout << "# Overload matrix — n=" << params.n << " warmup="
             << params.warmup << " measure=" << params.measure << " slo="

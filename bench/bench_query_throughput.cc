@@ -204,12 +204,13 @@ int main(int argc, char** argv) {
   const std::string out_path = flags.get_string("out", "BENCH_queries.json");
   const std::string check_path = flags.get_string("check", "");
   const double tolerance = flags.get_double("tolerance", 0.30);
-  const long long only_n = flags.get_int("n", 0);
+  const std::size_t only_n = flags.get_size("n", 0);
   const double measure_override = flags.get_double("measure", 0.0);
+  flags.reject_unread();
 
   std::vector<std::size_t> sizes;
   if (only_n > 0) {
-    sizes.push_back(static_cast<std::size_t>(only_n));
+    sizes.push_back(only_n);
   } else {
     sizes = {1000, 10000};
     if (full) sizes.push_back(50000);

@@ -14,6 +14,7 @@ int main(int argc, char** argv) {
   using namespace guess;
   Flags flags(argc, argv);
   auto scale = experiments::Scale::from_flags(flags);
+  flags.reject_unread();
 
   SystemParams system;  // paper defaults
   ProtocolParams base;
@@ -51,7 +52,6 @@ int main(int argc, char** argv) {
   for (bool adaptive : {false, true}) {
     ProtocolParams p = base;
     p.adaptive_parallel = adaptive;
-    p.adaptive_parallel_trigger = 5;
     search::SearchResults run = search::run_search(
         SimulationConfig().system(system).protocol(p).options(
             scale.options()));

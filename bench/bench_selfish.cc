@@ -17,9 +17,9 @@ int main(int argc, char** argv) {
   using namespace guess;
   Flags flags(argc, argv);
   auto scale = experiments::Scale::from_flags(flags);
+  flags.reject_unread();
 
   SystemParams base;
-  base.selfish_parallel_probes = 100;
   base.max_probes_per_second = 20;  // capacity tight enough to feel the blast
 
   experiments::print_header(
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
       // which a peer's serve income easily covers. (§3.3: payments motivate
       // peers "to probe as few peers as possible".)
       protocol.query_pong = Policy::kMFS;
-      protocol.payments.enabled = payments;
+      protocol.payments = payments;
       search::SearchResults run = search::run_search(
           SimulationConfig().system(system).protocol(protocol).options(
               scale.options()));

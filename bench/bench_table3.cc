@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   using namespace guess;
   Flags flags(argc, argv);
   auto scale = experiments::Scale::from_flags(flags);
+  flags.reject_unread();
 
   SystemParams system;
   system.lifespan_multiplier = 0.2;  // the §6.1 strain setting

@@ -17,9 +17,10 @@
 
 int main(int argc, char** argv) {
   guess::Flags flags(argc, argv);
-  auto n = static_cast<std::size_t>(flags.get_int("n", 1000));
-  auto ttl = static_cast<std::size_t>(flags.get_int("ttl", 4));
+  const std::size_t n = flags.get_size("n", 1000);
+  const std::size_t ttl = flags.get_size("ttl", 4);
   guess::Rng rng(flags.seed());
+  flags.reject_unread();
 
   guess::SystemParams system;
   system.network_size = n;

@@ -6,6 +6,7 @@
 //   ./build/examples/guess_cli --n=2000 --query-pong=MFS --cache-size=50
 //       --bad=10 --bad-behavior=Bad --detection --measure=3600
 #include <iostream>
+#include <limits>
 
 #include "analysis/load_analysis.h"
 #include "common/check.h"
@@ -50,16 +51,18 @@ Extensions:
   --first-hand-floor=0     LinkCache keeps at least this many first-hand
                            entries against foreign displacement (0 = off)
   --reseed                 pong-server rebootstrap (§6.1)
-  --adaptive-ping          adaptive PingInterval (§6.1)
-  --adaptive-parallel      adaptive probe-rate ramp (§6.2)
+  --adaptive-ping          adaptive PingInterval (§6.1): every 5 pings, 1 dead
+                           grows it 1.5x, 2+ dead halve it
+  --adaptive-parallel      adaptive probe-rate ramp (§6.2): doubles the
+                           probes per slot after 5 result-less slots
   --no-query-cache         ablate the query cache (§2.3)
 
 Transport fault injection (presence of any switches on LossyTransport):
   --loss=0.05              i.i.d. per-message loss probability
   --link-latency=0.05      one-way link latency (s)
   --probe-timeout=2        per-attempt round-trip timeout (s)
-  --max-retries=0          retransmits after the first timeout
-  --max-backoff=60         cap on a single retransmit backoff delay (s)
+  --max-retries=0          retransmits after the first timeout (each sent
+                           the instant its predecessor times out)
 
 Fault scenarios (DESIGN.md §9) and attacks (DESIGN.md §11):
   --scenario="at 600 kill 0.3; at 600 partition 2 for 300"
@@ -86,6 +89,8 @@ Open-loop arrivals + overload control (DESIGN.md §13):
 
 Run control:
   --seed=42 --warmup=600 --measure=2400 --connectivity
+
+Unknown flags, and negative values for counts and sizes, are rejected.
 )";
 }
 
@@ -99,14 +104,15 @@ int main(int argc, char** argv) {
   }
 
   guess::SystemParams system;
-  system.network_size =
-      static_cast<std::size_t>(flags.get_int("n", 1000));
-  system.num_desired_results =
-      static_cast<std::size_t>(flags.get_int("desired", 1));
+  system.network_size = flags.get_size("n", 1000);
+  system.num_desired_results = flags.get_size("desired", 1);
   system.lifespan_multiplier = flags.get_double("lifespan", 1.0);
   system.query_rate = flags.get_double("query-rate", 9.26e-3);
-  system.max_probes_per_second =
-      static_cast<std::uint32_t>(flags.get_int("max-probes-per-sec", 100));
+  const std::size_t max_probes = flags.get_size("max-probes-per-sec", 100);
+  GUESS_CHECK_MSG(max_probes <= std::numeric_limits<std::uint32_t>::max(),
+                  "--max-probes-per-sec must fit in 32 bits, got "
+                      << max_probes);
+  system.max_probes_per_second = static_cast<std::uint32_t>(max_probes);
   system.percent_bad_peers = flags.get_double("bad", 0.0);
   system.bad_pong_behavior =
       guess::parse_bad_pong_behavior(flags.get_string("bad-behavior", "Dead"));
@@ -124,31 +130,26 @@ int main(int argc, char** argv) {
   protocol.cache_replacement =
       guess::parse_replacement(flags.get_string("replacement", "Ran"));
   protocol.ping_interval = flags.get_double("ping-interval", 30.0);
-  protocol.cache_size =
-      static_cast<std::size_t>(flags.get_int("cache-size", 100));
-  protocol.pong_size =
-      static_cast<std::size_t>(flags.get_int("pong-size", 5));
+  protocol.cache_size = flags.get_size("cache-size", 100);
+  protocol.pong_size = flags.get_size("pong-size", 5);
   protocol.intro_prob = flags.get_double("intro-prob", 0.1);
   protocol.reset_num_results = flags.get_bool("reset-num-results", false);
   protocol.do_backoff = flags.get_bool("backoff", false);
-  protocol.parallel_probes =
-      static_cast<std::size_t>(flags.get_int("parallel", 1));
-  protocol.payments.enabled = flags.get_bool("payments", false);
+  protocol.parallel_probes = flags.get_size("parallel", 1);
+  protocol.payments = flags.get_bool("payments", false);
   if (flags.get_bool("detection-hardened", false)) {
     protocol.detection = guess::DetectionParams::hardened();
   }
   protocol.detection.enabled =
       flags.get_bool("detection", protocol.detection.enabled);
-  protocol.detection.max_pong_entries = static_cast<std::size_t>(
-      flags.get_int("max-pong-entries",
-                    static_cast<int>(protocol.detection.max_pong_entries)));
+  protocol.detection.max_pong_entries =
+      flags.get_size("max-pong-entries", protocol.detection.max_pong_entries);
   protocol.detection.charge_no_reply =
       flags.get_bool("charge-no-reply", protocol.detection.charge_no_reply);
-  protocol.detection.first_hand_floor = static_cast<std::size_t>(
-      flags.get_int("first-hand-floor",
-                    static_cast<int>(protocol.detection.first_hand_floor)));
-  protocol.bootstrap.pong_server_reseed = flags.get_bool("reseed", false);
-  protocol.adaptive_ping.enabled = flags.get_bool("adaptive-ping", false);
+  protocol.detection.first_hand_floor =
+      flags.get_size("first-hand-floor", protocol.detection.first_hand_floor);
+  protocol.pong_server_reseed = flags.get_bool("reseed", false);
+  protocol.adaptive_ping = flags.get_bool("adaptive-ping", false);
   protocol.adaptive_parallel = flags.get_bool("adaptive-parallel", false);
   protocol.use_query_cache = !flags.get_bool("no-query-cache", false);
 
@@ -158,8 +159,7 @@ int main(int argc, char** argv) {
     transport.loss = flags.loss();
     transport.link_latency = flags.link_latency();
     transport.probe_timeout = flags.probe_timeout();
-    transport.max_retries = static_cast<std::size_t>(flags.max_retries());
-    transport.max_backoff = flags.max_backoff();
+    transport.max_retries = flags.max_retries();
   }
 
   GUESS_CHECK_MSG(!(flags.has("scenario") && flags.has("scenario-file")),
@@ -192,6 +192,7 @@ int main(int argc, char** argv) {
       .arrival_dist(guess::sim::parse_arrival_dist(flags.arrival_dist()))
       .overload_policy(guess::parse_overload_policy(flags.overload_policy()))
       .slo(flags.slo_ms() / 1000.0);
+  flags.reject_unread();
 
   std::cout << "backend:  " << guess::backend_name(backend) << "\n"
             << "system:   " << guess::describe(system) << "\n"

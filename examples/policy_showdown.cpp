@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   options.seed = flags.seed();
   options.warmup = flags.get_double("warmup", 400.0);
   options.measure = flags.get_double("measure", 1600.0);
+  flags.reject_unread();
 
   const char* combos[] = {"Ran", "MRU", "LRU", "MFS", "MR", "MR*"};
 

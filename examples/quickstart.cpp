@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
                     .seed(flags.seed())
                     .warmup(flags.get_double("warmup", 600.0))
                     .measure(flags.get_double("measure", 1800.0));
+  flags.reject_unread();
 
   std::cout << "GUESS quickstart\n"
             << "  system:   " << guess::describe(system) << "\n"

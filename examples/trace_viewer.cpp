@@ -42,12 +42,11 @@ unsigned parse_categories(const std::string& spec) {
 int main(int argc, char** argv) {
   guess::Flags flags(argc, argv);
   double seconds = flags.get_double("seconds", 120.0);
-  auto last = static_cast<std::size_t>(flags.get_int("last", 80));
+  const std::size_t last = flags.get_size("last", 80);
   unsigned mask = parse_categories(flags.get_string("categories", "all"));
 
   guess::SystemParams system;
-  system.network_size =
-      static_cast<std::size_t>(flags.get_int("n", 100));
+  system.network_size = flags.get_size("n", 100);
   system.lifespan_multiplier = flags.get_double("lifespan", 0.2);
   system.percent_bad_peers = flags.get_double("bad", 0.0);
   system.bad_pong_behavior = guess::BadPongBehavior::kBad;
@@ -66,6 +65,7 @@ int main(int argc, char** argv) {
   guess::GuessNetwork network(
       guess::SimulationConfig().system(system).protocol(protocol), simulator,
       guess::Rng(flags.seed()));
+  flags.reject_unread();
   guess::Tracer tracer(mask, 1u << 20);
   network.set_tracer(&tracer);
   network.initialize();

@@ -25,8 +25,15 @@ for bench in build/bench/bench_*; do
     "$bench" --benchmark_format=csv > "$RESULTS/$name.csv" || true
     continue
   fi
+  csv=--csv
+  case "$name" in
+    # Standalone matrix/throughput benches write JSON and take no --csv
+    # (every bench rejects flags it does not read).
+    bench_backend_matrix|bench_event_throughput|bench_fragmentation|\
+    bench_overload|bench_query_throughput) csv= ;;
+  esac
   echo "=== $name (--full) ==="
-  "$bench" --full --csv "$@" | tee "$RESULTS/$name.txt"
+  "$bench" --full $csv "$@" | tee "$RESULTS/$name.txt"
 done
 
 echo

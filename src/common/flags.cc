@@ -23,12 +23,14 @@ Flags::Flags(int argc, const char* const* argv) {
 }
 
 std::optional<std::string> Flags::raw(const std::string& name) const {
+  read_.insert(name);
   auto it = values_.find(name);
   if (it == values_.end()) return std::nullopt;
   return it->second;
 }
 
 bool Flags::has(const std::string& name) const {
+  read_.insert(name);
   return values_.contains(name);
 }
 
@@ -52,6 +54,13 @@ std::int64_t Flags::get_int(const std::string& name,
   return out;
 }
 
+std::size_t Flags::get_size(const std::string& name,
+                            std::size_t fallback) const {
+  std::int64_t out = get_int(name, static_cast<std::int64_t>(fallback));
+  GUESS_CHECK_MSG(out >= 0, "--" << name << " must be >= 0, got " << out);
+  return static_cast<std::size_t>(out);
+}
+
 double Flags::get_double(const std::string& name, double fallback) const {
   auto v = raw(name);
   if (!v) return fallback;
@@ -66,6 +75,15 @@ std::string Flags::get_string(const std::string& name,
                               const std::string& fallback) const {
   auto v = raw(name);
   return v ? *v : fallback;
+}
+
+void Flags::reject_unread() const {
+  std::string unread;
+  for (const auto& [name, value] : values_) {
+    (void)value;
+    if (!read_.contains(name)) unread += " --" + name;
+  }
+  GUESS_CHECK_MSG(unread.empty(), "unknown flag(s):" << unread);
 }
 
 }  // namespace guess

@@ -5,15 +5,19 @@
 // them dependency-free.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 
 namespace guess {
 
 /// Parsed command line: positional arguments are rejected, flags are
-/// `--name`, `--name=value`.
+/// `--name`, `--name=value`. Every name asked about through has() or a
+/// getter is recorded, so a binary can reject the flags it never read
+/// (reject_unread) instead of silently running without them.
 class Flags {
  public:
   /// Throws CheckError on malformed arguments.
@@ -24,20 +28,27 @@ class Flags {
   /// Boolean flag: present without value, or =true/=false/=1/=0.
   bool get_bool(const std::string& name, bool fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// A count or size: get_int, but a negative value throws CheckError
+  /// naming the flag instead of wrapping through an unsigned cast.
+  std::size_t get_size(const std::string& name, std::size_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   std::string get_string(const std::string& name,
                          const std::string& fallback) const;
+
+  /// Throws CheckError listing every flag given on the command line that
+  /// no has() or getter call has asked about. Call after the last read.
+  void reject_unread() const;
 
   /// Common harness conventions.
   bool full() const { return get_bool("full", false); }
   std::uint64_t seed() const {
     return static_cast<std::uint64_t>(get_int("seed", 42));
   }
-  int seeds() const { return static_cast<int>(get_int("seeds", 0)); }
+  int seeds() const { return static_cast<int>(get_size("seeds", 0)); }
 
   /// Worker threads for seed sweeps. 0 (the default) = auto: the
   /// GUESS_THREADS environment variable when set, else all hardware threads.
-  int threads() const { return static_cast<int>(get_int("threads", 0)); }
+  int threads() const { return static_cast<int>(get_size("threads", 0)); }
 
   /// Event-queue backend name: "heap" (default) or "calendar". Parsed into
   /// sim::Scheduler by the harness (sim::parse_scheduler).
@@ -58,15 +69,11 @@ class Flags {
   /// Per-attempt round-trip timeout in seconds (--probe-timeout=2).
   double probe_timeout() const { return get_double("probe-timeout", 2.0); }
   /// Retransmit attempts after the first timeout (--max-retries=2).
-  int max_retries() const {
-    return static_cast<int>(get_int("max-retries", 0));
-  }
-  /// Cap on a single retransmit backoff delay in seconds (--max-backoff=30).
-  double max_backoff() const { return get_double("max-backoff", 60.0); }
+  std::size_t max_retries() const { return get_size("max-retries", 0); }
   /// True when any fault-injection flag was given.
   bool has_transport_flags() const {
     return has("loss") || has("link-latency") || has("probe-timeout") ||
-           has("max-retries") || has("max-backoff");
+           has("max-retries");
   }
 
   /// Search backend name (--backend=gossip): one of guess, flood,
@@ -111,6 +118,7 @@ class Flags {
  private:
   std::optional<std::string> raw(const std::string& name) const;
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace guess

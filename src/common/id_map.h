@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/check.h"
@@ -25,6 +26,9 @@ class FlatIdMap {
   explicit FlatIdMap(std::size_t capacity = 0) { reset(capacity); }
 
   void reset(std::size_t capacity) {
+    // Beyond this the doubling below would wrap to 0 and never terminate.
+    GUESS_CHECK_MSG(capacity <= std::numeric_limits<std::size_t>::max() / 4,
+                    "FlatIdMap capacity " << capacity << " cannot be sized");
     std::size_t want = 8;
     while (want < capacity * 2) want *= 2;
     slots_.assign(want, Slot{});

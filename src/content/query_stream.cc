@@ -4,18 +4,16 @@
 
 namespace guess::content {
 
-QueryStream::QueryStream(BurstParams params) : params_(params) {
-  GUESS_CHECK(params_.query_rate > 0.0);
-  GUESS_CHECK(params_.burst_min >= 1);
-  GUESS_CHECK(params_.burst_max >= params_.burst_min);
+QueryStream::QueryStream(double query_rate) : query_rate_(query_rate) {
+  GUESS_CHECK(query_rate_ > 0.0);
 }
 
-double QueryStream::mean_burst_size() const {
-  return 0.5 * static_cast<double>(params_.burst_min + params_.burst_max);
+double QueryStream::mean_burst_size() {
+  return 0.5 * static_cast<double>(kBurstMin + kBurstMax);
 }
 
 double QueryStream::burst_rate() const {
-  return params_.query_rate / mean_burst_size();
+  return query_rate_ / mean_burst_size();
 }
 
 sim::Duration QueryStream::next_burst_gap(Rng& rng) const {
@@ -23,9 +21,9 @@ sim::Duration QueryStream::next_burst_gap(Rng& rng) const {
 }
 
 std::size_t QueryStream::next_burst_size(Rng& rng) const {
-  return static_cast<std::size_t>(rng.uniform_int(
-      static_cast<std::int64_t>(params_.burst_min),
-      static_cast<std::int64_t>(params_.burst_max)));
+  return static_cast<std::size_t>(
+      rng.uniform_int(static_cast<std::int64_t>(kBurstMin),
+                      static_cast<std::int64_t>(kBurstMax)));
 }
 
 }  // namespace guess::content

@@ -14,30 +14,27 @@
 
 namespace guess::content {
 
-struct BurstParams {
-  double query_rate = 9.26e-3;  ///< expected queries per user per second
-  std::size_t burst_min = 1;
-  std::size_t burst_max = 5;
-};
+/// Burst size bounds (§5.1), shared by every backend's workload.
+inline constexpr std::size_t kBurstMin = 1;
+inline constexpr std::size_t kBurstMax = 5;
 
 /// Generates (inter-burst gap, burst size) pairs for one peer.
 class QueryStream {
  public:
-  explicit QueryStream(BurstParams params);
+  /// `query_rate`: expected queries per user per second (> 0).
+  explicit QueryStream(double query_rate);
 
   /// Exponential gap until the next burst.
   sim::Duration next_burst_gap(Rng& rng) const;
 
-  /// Uniform burst size in [burst_min, burst_max].
+  /// Uniform burst size in [kBurstMin, kBurstMax].
   std::size_t next_burst_size(Rng& rng) const;
 
-  double mean_burst_size() const;
+  static double mean_burst_size();
   double burst_rate() const;  ///< bursts per second per peer
 
-  const BurstParams& params() const { return params_; }
-
  private:
-  BurstParams params_;
+  double query_rate_;
 };
 
 }  // namespace guess::content

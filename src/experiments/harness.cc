@@ -30,14 +30,7 @@ Scale Scale::from_flags(const Flags& flags) {
     scale.transport.loss = flags.loss();
     scale.transport.link_latency = flags.link_latency();
     scale.transport.probe_timeout = flags.probe_timeout();
-    // Reject before the unsigned cast: a negative value would wrap to an
-    // effectively unbounded retry count.
-    GUESS_CHECK_MSG(flags.max_retries() >= 0,
-                    "--max-retries must be >= 0, got "
-                        << flags.max_retries());
-    scale.transport.max_retries =
-        static_cast<std::size_t>(flags.max_retries());
-    scale.transport.max_backoff = flags.max_backoff();
+    scale.transport.max_retries = flags.max_retries();
     // Non-finite values pass every downstream range check (NaN compares
     // false); reject them here where the flag name is known.
     GUESS_CHECK_MSG(std::isfinite(scale.transport.loss),
@@ -46,8 +39,6 @@ Scale Scale::from_flags(const Flags& flags) {
                     "--link-latency must be finite");
     GUESS_CHECK_MSG(std::isfinite(scale.transport.probe_timeout),
                     "--probe-timeout must be finite");
-    GUESS_CHECK_MSG(std::isfinite(scale.transport.max_backoff),
-                    "--max-backoff must be finite");
   }
   GUESS_CHECK_MSG(!(flags.has("scenario") && flags.has("scenario-file")),
                   "--scenario and --scenario-file are mutually exclusive");

@@ -8,6 +8,8 @@
 //                   env var, else all hardware threads; 1 = serial)
 //   --progress      report replications completed / total on stderr
 //   --csv           additionally emit CSV blocks for plotting
+// and each main calls Flags::reject_unread() after its last read, so a flag
+// the bench does not read fails the run instead of being ignored.
 // The default (reduced) scale preserves every shape the paper reports while
 // finishing in seconds-to-minutes; EXPERIMENTS.md records both scales.
 // Replications are independent and run concurrently on a ParallelRunner
@@ -42,10 +44,9 @@ struct Scale {
   /// results, only simulator speed.
   sim::Scheduler scheduler = sim::Scheduler::kHeap;
   /// Message transport (--loss / --link-latency / --probe-timeout /
-  /// --max-retries / --max-backoff switch on LossyTransport; default
-  /// synchronous). Applied uniformly to every configuration the harness
-  /// runs, so any bench can be re-run under fault injection without
-  /// per-bench plumbing.
+  /// --max-retries switch on LossyTransport; default synchronous). Applied
+  /// uniformly to every configuration the harness runs, so any bench can be
+  /// re-run under fault injection without per-bench plumbing.
   TransportParams transport;
   /// Fault scenario (--scenario / --scenario-file, DESIGN.md §9); empty by
   /// default. Like the transport, applied to every configuration run.

@@ -47,10 +47,11 @@ DynamicOverlay::DynamicOverlay(DynamicParams params,
       simulator_(simulator),
       rng_(std::move(rng)),
       content_(params.content),
-      query_stream_(content::BurstParams{params.query_rate, 1, 5}) {
-  GUESS_CHECK(params_.network_size > params_.target_degree + 1);
-  GUESS_CHECK(params_.max_degree >= params_.target_degree);
-  GUESS_CHECK(params_.loss >= 0.0 && params_.loss < 1.0);
+      query_stream_(params.query_rate) {
+  // Smaller populations than kTargetDegree + 1 simply leave peers below
+  // their target degree: connect_to_random bounds its attempts.
+  GUESS_CHECK(params_.network_size >= 2);
+  GUESS_CHECK(params_.loss >= 0.0 && params_.loss <= 1.0);
   churn_ = std::make_unique<churn::ChurnManager>(
       simulator_, churn::LifetimeDistribution(params_.lifespan_multiplier),
       rng_.split(), [this](PeerId id) { on_peer_death(id); });
@@ -66,9 +67,9 @@ void DynamicOverlay::initialize() {
   // Wire the initial overlay after all peers exist.
   for (PeerId id : alive_ids_) {
     PeerState& peer = *peers_.at(id);
-    if (peer.neighbors.size() < params_.target_degree) {
+    if (peer.neighbors.size() < kTargetDegree) {
       connect_to_random(peer,
-                        params_.target_degree - peer.neighbors.size());
+                        kTargetDegree - peer.neighbors.size());
     }
   }
 }
@@ -88,7 +89,7 @@ DynamicOverlay::PeerId DynamicOverlay::spawn_peer(bool initial) {
     churn_->register_peer(id);
     // A joining peer opens its connections right away (§3.2: joining is
     // simple — only the new neighbors update state).
-    connect_to_random(ref, params_.target_degree);
+    connect_to_random(ref, kTargetDegree);
   }
   schedule_next_burst(ref);
   return id;
@@ -119,7 +120,7 @@ void DynamicOverlay::remove_peer(PeerId id, bool respawn) {
   for (PeerId other : neighbors) {
     auto it = peers_.find(other);
     if (it == peers_.end()) continue;
-    if (it->second->neighbors.size() < params_.target_degree) {
+    if (it->second->neighbors.size() < kTargetDegree) {
       connect_to_random(*it->second, 1);
       if (measuring_) ++results_.repairs;
     }
@@ -163,8 +164,8 @@ bool DynamicOverlay::add_link(PeerId a, PeerId b) {
   PeerState& pa = *peers_.at(a);
   PeerState& pb = *peers_.at(b);
   if (pa.connected_to(b)) return false;
-  if (pa.neighbors.size() >= params_.max_degree ||
-      pb.neighbors.size() >= params_.max_degree) {
+  if (pa.neighbors.size() >= kMaxDegree ||
+      pb.neighbors.size() >= kMaxDegree) {
     return false;
   }
   pa.neighbors.push_back(b);
@@ -258,8 +259,8 @@ FloodQueryOutcome DynamicOverlay::run_query(PeerId origin,
   // unsatisfied query waited out the full TTL depth.
   outcome.response_time =
       outcome.satisfied
-          ? static_cast<double>(first_result_depth) * params_.hop_delay
-          : static_cast<double>(params_.ttl) * params_.hop_delay;
+          ? static_cast<double>(first_result_depth) * kHopDelay
+          : static_cast<double>(params_.ttl) * kHopDelay;
 
   if (!measuring_) return outcome;
   ++results_.queries_completed;

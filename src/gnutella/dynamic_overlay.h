@@ -28,17 +28,18 @@
 
 namespace guess::gnutella {
 
+/// Connections each peer tries to keep open (Gnutella clients of the era
+/// defaulted to 4-8).
+inline constexpr std::size_t kTargetDegree = 4;
+/// Hard connection cap — the §3.3 remedy against hub formation.
+inline constexpr std::size_t kMaxDegree = 12;
+/// One-hop forwarding latency in seconds (response time = hops × this).
+inline constexpr double kHopDelay = 0.05;
+
 struct DynamicParams {
   std::size_t network_size = 1000;
-  /// Connections each peer tries to keep open (Gnutella clients of the era
-  /// defaulted to 4-8).
-  std::size_t target_degree = 4;
-  /// Hard connection cap — the §3.3 remedy against hub formation.
-  std::size_t max_degree = 12;
   /// Flood TTL: overlay hops a query travels.
   std::size_t ttl = 4;
-  /// One-hop forwarding latency in seconds (response time = hops × this).
-  double hop_delay = 0.05;
   double lifespan_multiplier = 1.0;
   double query_rate = 9.26e-3;
   std::size_t num_desired_results = 1;
@@ -57,8 +58,8 @@ struct DynamicParams {
 /// adapter turns this into an observer callback).
 struct FloodQueryOutcome {
   bool satisfied = false;
-  /// Modeled service time: first-result hop depth × hop_delay when
-  /// satisfied, full TTL depth × hop_delay when not (the flood ran to
+  /// Modeled service time: first-result hop depth × kHopDelay when
+  /// satisfied, full TTL depth × kHopDelay when not (the flood ran to
   /// extinction either way; an unsatisfied querier waited out the deepest
   /// hop).
   double response_time = 0.0;

@@ -48,16 +48,10 @@ const SimulationConfig& SimulationConfig::validate() const {
                   "transport link_latency must be finite");
   GUESS_CHECK_MSG(std::isfinite(transport_.probe_timeout),
                   "transport probe_timeout must be finite");
-  GUESS_CHECK_MSG(std::isfinite(transport_.retry_backoff),
-                  "transport retry_backoff must be finite");
-  GUESS_CHECK_MSG(std::isfinite(transport_.max_backoff),
-                  "transport max_backoff must be finite");
   GUESS_CHECK_MSG(std::isfinite(options_.warmup), "warmup must be finite");
   GUESS_CHECK_MSG(std::isfinite(options_.measure), "measure must be finite");
   GUESS_CHECK_MSG(std::isfinite(options_.metrics_interval),
                   "metrics_interval must be finite");
-  GUESS_CHECK_MSG(std::isfinite(options_.health_sample_interval),
-                  "health_sample_interval must be finite");
   GUESS_CHECK_MSG(std::isfinite(options_.connectivity_sample_interval),
                   "connectivity_sample_interval must be finite");
   GUESS_CHECK_MSG(std::isfinite(options_.offered_qps),
@@ -79,8 +73,10 @@ const SimulationConfig& SimulationConfig::validate() const {
   GUESS_CHECK_MSG(system_.lifespan_multiplier > 0.0,
                   "lifespan_multiplier must be > 0, got "
                       << system_.lifespan_multiplier);
-  GUESS_CHECK_MSG(system_.query_rate >= 0.0,
-                  "query_rate must be >= 0, got " << system_.query_rate);
+  // Every backend builds its bursty query stream from the rate, open-loop
+  // runs included, so a zero rate is as invalid as a negative one.
+  GUESS_CHECK_MSG(system_.query_rate > 0.0,
+                  "query_rate must be > 0, got " << system_.query_rate);
   GUESS_CHECK_MSG(
       system_.percent_bad_peers >= 0.0 && system_.percent_bad_peers <= 100.0,
       "percent_bad_peers must be in [0, 100], got "
@@ -92,17 +88,11 @@ const SimulationConfig& SimulationConfig::validate() const {
   GUESS_CHECK_MSG(
       system_.percent_bad_peers + system_.percent_selfish_peers <= 100.0,
       "bad + selfish percentages exceed the population");
-  GUESS_CHECK_MSG(system_.burst_min >= 1 &&
-                      system_.burst_min <= system_.burst_max,
-                  "query burst bounds must satisfy 1 <= min <= max");
 
   // Protocol (Table 2).
   GUESS_CHECK_MSG(protocol_.ping_interval > 0.0,
                   "ping_interval must be > 0, got "
                       << protocol_.ping_interval);
-  GUESS_CHECK_MSG(protocol_.probe_interval > 0.0,
-                  "probe_interval must be > 0, got "
-                      << protocol_.probe_interval);
   GUESS_CHECK_MSG(protocol_.cache_size >= 1, "cache_size must be >= 1");
   GUESS_CHECK_MSG(protocol_.pong_size >= 1, "pong_size must be >= 1");
   GUESS_CHECK_MSG(protocol_.intro_prob >= 0.0 && protocol_.intro_prob <= 1.0,
@@ -110,8 +100,6 @@ const SimulationConfig& SimulationConfig::validate() const {
                       << protocol_.intro_prob);
   GUESS_CHECK_MSG(protocol_.parallel_probes >= 1,
                   "parallel_probes must be >= 1");
-  GUESS_CHECK_MSG(protocol_.backoff_duration >= 0.0,
-                  "backoff_duration must be >= 0");
 
   // Transport (DESIGN.md §8).
   GUESS_CHECK_MSG(transport_.loss >= 0.0 && transport_.loss <= 1.0,
@@ -123,23 +111,15 @@ const SimulationConfig& SimulationConfig::validate() const {
   GUESS_CHECK_MSG(transport_.link_latency >= 0.0,
                   "transport link_latency must be >= 0, got "
                       << transport_.link_latency);
-  GUESS_CHECK_MSG(transport_.retry_backoff >= 0.0,
-                  "transport retry_backoff must be >= 0, got "
-                      << transport_.retry_backoff);
   // Far above any sensible retry policy; catches negative values wrapped
   // through an unsigned cast (e.g. a mis-parsed --max-retries).
   GUESS_CHECK_MSG(transport_.max_retries <= 1000,
                   "transport max_retries must be <= 1000, got "
                       << transport_.max_retries);
-  GUESS_CHECK_MSG(transport_.max_backoff > 0.0,
-                  "transport max_backoff must be > 0, got "
-                      << transport_.max_backoff);
 
   // Run control.
   GUESS_CHECK_MSG(options_.warmup >= 0.0, "warmup must be >= 0");
   GUESS_CHECK_MSG(options_.measure >= 0.0, "measure must be >= 0");
-  GUESS_CHECK_MSG(options_.health_sample_interval > 0.0,
-                  "health_sample_interval must be > 0");
   GUESS_CHECK_MSG(options_.connectivity_sample_interval > 0.0,
                   "connectivity_sample_interval must be > 0");
   GUESS_CHECK_MSG(options_.threads >= 0, "threads must be >= 0");
@@ -189,25 +169,18 @@ const SimulationConfig& SimulationConfig::validate() const {
 
   // Backend tuning blocks (only the selected backend reads its block, but
   // nonsense in any block is rejected up front — a config is one value).
-  GUESS_CHECK_MSG(backends_.flood.target_degree >= 1,
-                  "flood target_degree must be >= 1");
-  GUESS_CHECK_MSG(backends_.flood.max_degree >= backends_.flood.target_degree,
-                  "flood max_degree must be >= target_degree");
   GUESS_CHECK_MSG(backends_.flood.ttl >= 1, "flood ttl must be >= 1");
-  GUESS_CHECK_MSG(backends_.flood.hop_delay >= 0.0,
-                  "flood hop_delay must be >= 0");
-  GUESS_CHECK_MSG(backends_.iterative.num_queries >= 1,
-                  "iterative num_queries must be >= 1");
-  for (std::size_t i = 1; i < backends_.iterative.schedule.size(); ++i) {
-    GUESS_CHECK_MSG(backends_.iterative.schedule[i] >
-                        backends_.iterative.schedule[i - 1],
-                    "iterative schedule must be strictly increasing");
-  }
   GUESS_CHECK_MSG(backends_.onehop.dissemination_delay >= 0.0,
                   "onehop dissemination_delay must be >= 0");
   GUESS_CHECK_MSG(backends_.gossip.gossip_interval > 0.0,
                   "gossip gossip_interval must be > 0");
   GUESS_CHECK_MSG(backends_.gossip.fanout >= 1, "gossip fanout must be >= 1");
+  // A gossip round needs `fanout` distinct partners besides the peer itself.
+  GUESS_CHECK_MSG(backend_ != SearchBackendId::kGossip ||
+                      backends_.gossip.fanout < system_.network_size,
+                  "gossip fanout must be < network_size, got fanout "
+                      << backends_.gossip.fanout << " with network_size "
+                      << system_.network_size);
   GUESS_CHECK_MSG(backends_.gossip.ads_per_exchange >= 1,
                   "gossip ads_per_exchange must be >= 1");
   GUESS_CHECK_MSG(backends_.gossip.knowledge_capacity >= 1,

@@ -25,7 +25,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "faults/scenario.h"
 #include "guess/overload.h"
@@ -56,20 +55,12 @@ const char* backend_name(SearchBackendId id);
 /// Parse a --backend= value; throws CheckError on unknown names.
 SearchBackendId parse_backend(const std::string& name);
 
-/// Tuning for the flooding backend (gnutella::DynamicParams overrides; the
-/// workload fields come from SystemParams).
+/// Tuning for the flooding backend (the workload fields come from
+/// SystemParams; the degrees and hop delay are gnutella::kTargetDegree,
+/// kMaxDegree and kHopDelay). The iterative-deepening backend has no tuning:
+/// it always runs baseline::default_schedule(network_size).
 struct FloodBackendParams {
-  std::size_t target_degree = 4;  ///< connections each peer keeps open
-  std::size_t max_degree = 12;    ///< hard cap (§3.3 anti-hub remedy)
-  std::size_t ttl = 4;            ///< flood TTL in overlay hops
-  double hop_delay = 0.05;        ///< per-hop forwarding latency (s)
-};
-
-/// Tuning for the iterative-deepening backend. An empty schedule means
-/// baseline::default_schedule(network_size) (rings at 20%/50%/100%).
-struct IterativeBackendParams {
-  std::vector<std::size_t> schedule;
-  std::size_t num_queries = 10000;  ///< Monte-Carlo queries per run
+  std::size_t ttl = 4;  ///< flood TTL in overlay hops
 };
 
 /// Tuning for the one-hop DHT backend.
@@ -89,7 +80,7 @@ struct GossipBackendParams {
   /// re-forwarded before it goes quiet (0 = only own-library ads spread).
   std::size_t residual_pushes = 2;
   /// Fallback probing budget per query once local knowledge is exhausted
-  /// (mirrors ProtocolParams::max_probes_per_query).
+  /// (mirrors kMaxProbesPerQuery).
   std::size_t max_probes = 1000;
   sim::Duration probe_interval = 0.2;    ///< modeled per-probe RTT slot (s)
 };
@@ -98,10 +89,12 @@ struct GossipBackendParams {
 /// block is read. GUESS tuning stays in ProtocolParams (Table 2).
 struct BackendParams {
   FloodBackendParams flood;
-  IterativeBackendParams iterative;
   OneHopBackendParams onehop;
   GossipBackendParams gossip;
 };
+
+/// Interval between cache-health samples (Table 3, Figures 18/21).
+inline constexpr sim::Duration kHealthSampleInterval = 60.0;
 
 /// Run-control block: seed, windows, sampling cadence, threading and the
 /// event-queue backend. Lives inside SimulationConfig; a standalone struct
@@ -118,9 +111,6 @@ struct SimulationOptions {
 
   /// False for the §6.1 maintenance-only runs (Figures 6/7 isolate pings).
   bool enable_queries = true;
-
-  /// Interval between cache-health samples (Table 3, Figures 18/21).
-  sim::Duration health_sample_interval = 60.0;
 
   /// When true, also sample the conceptual overlay's largest connected
   /// component every connectivity_sample_interval (Figures 6/7).
@@ -271,10 +261,6 @@ class SimulationConfig {
   }
   SimulationConfig& flood(FloodBackendParams v) {
     backends_.flood = v;
-    return *this;
-  }
-  SimulationConfig& iterative(IterativeBackendParams v) {
-    backends_.iterative = std::move(v);
     return *this;
   }
   SimulationConfig& onehop(OneHopBackendParams v) {

@@ -100,9 +100,7 @@ GuessNetwork::GuessNetwork(const SimulationConfig& config,
       simulator_(simulator),
       rng_(std::move(rng)),
       content_(system_.content),
-      query_stream_(content::BurstParams{system_.query_rate,
-                                         system_.burst_min,
-                                         system_.burst_max}),
+      query_stream_(system_.query_rate),
       zoo_(system_.bad_pong_behavior) {
   config.validate();
   churn_ = std::make_unique<churn::ChurnManager>(
@@ -173,7 +171,7 @@ Peer& GuessNetwork::create_peer(content::Library library, bool malicious,
   PeerId id = next_id_++;
   Peer& ref = table_.create(id, simulator_.now(), std::move(library),
                             protocol_.cache_size, malicious, selfish);
-  ref.set_credit(protocol_.payments.initial_credit);
+  ref.set_credit(kInitialCredit);
   // Maintain incremental orderings for exactly the policies this run's
   // selections and replacements use (the cache rejects any other).
   ref.cache().configure_indices(
@@ -462,18 +460,15 @@ void GuessNetwork::ping_resolved(PeerId pinger_id, PeerId target_id,
 // threshold pulls fresh live addresses from the pong server. The server
 // tracks liveness only — it serves uniformly random live peers.
 void GuessNetwork::maybe_reseed_from_pong_server(Peer& peer) {
-  const BootstrapParams& bootstrap = protocol_.bootstrap;
-  if (!bootstrap.pong_server_reseed) return;
-  if (peer.cache().size() >= bootstrap.min_entries) return;
-  if (simulator_.now() - peer.last_reseed() < bootstrap.cooldown) return;
+  if (!protocol_.pong_server_reseed) return;
+  if (peer.cache().size() >= kReseedMinEntries) return;
+  if (simulator_.now() - peer.last_reseed() < kReseedCooldown) return;
   peer.set_last_reseed(simulator_.now());
   trace(TraceCategory::kCache, [&](std::ostream& os) {
     os << "reseed peer=" << peer.id() << " entries=" << peer.cache().size();
   });
-  std::size_t amount = bootstrap.amount != 0
-                           ? bootstrap.amount
-                           : system_.resolved_cache_seed(protocol_.cache_size);
-  for (std::size_t i = 0; i < amount; ++i) {
+  std::size_t count = system_.resolved_cache_seed(protocol_.cache_size);
+  for (std::size_t i = 0; i < count; ++i) {
     auto id = random_alive_peer(peer.id());
     if (!id || peer.blacklisted(*id)) continue;
     if (peer.cache().full()) break;
@@ -635,8 +630,8 @@ void GuessNetwork::start_next_query(Peer& origin) {
   content::FileId file = pending.file;
   PeerId id = origin.id();
   // Selfish peers ignore the serial-probing rule and blast wide (§3.3).
-  std::size_t parallel = origin.selfish() ? system_.selfish_parallel_probes
-                                          : protocol_.parallel_probes;
+  std::size_t parallel =
+      origin.selfish() ? kSelfishParallelProbes : protocol_.parallel_probes;
   auto desired = static_cast<std::uint32_t>(system_.num_desired_results);
   bool fho = protocol_.reset_num_results || origin.first_hand_only();
   // Recycle a pooled execution (reset is equivalent to construction but
@@ -685,13 +680,12 @@ void GuessNetwork::query_step(PeerId origin_id) {
   Peer* origin = find(origin_id);
   GUESS_CHECK(origin != nullptr);  // death releases the active query
   QueryExecution& query = *active;
-  const PaymentParams& payments = protocol_.payments;
 
   query.begin_slot();
   for (std::size_t k = 0; k < query.slot_parallel(); ++k) {
     // A creditless peer cannot probe this slot (§3.3 payments): the query
     // stalls until inbound probes earn more credit.
-    if (payments.enabled && !origin->can_afford(payments.probe_cost)) {
+    if (protocol_.payments && !origin->can_afford(kProbeCost)) {
       query.note_creditless();
       break;
     }
@@ -712,7 +706,7 @@ void GuessNetwork::query_step(PeerId origin_id) {
     // credit covers a single probe commit it to every one of them. A
     // served probe commits the reservation in probe_resolved; dead,
     // refused, and stale resolutions release it.
-    if (payments.enabled) origin->reserve_credit(payments.probe_cost);
+    if (protocol_.payments) origin->reserve_credit(kProbeCost);
     // Under SynchronousTransport the completion (probe_resolved) runs
     // inline before exchange() returns, reproducing the pre-transport
     // in-slot processing order; the slot cannot close mid-loop because
@@ -741,7 +735,7 @@ void GuessNetwork::probe_resolved(PeerId origin_id, std::uint64_t token,
     // A stale token normally means the origin died, taking its credit
     // ledger with it; release defensively if it is somehow still alive so
     // a reservation cannot leak.
-    if (protocol_.payments.enabled) {
+    if (protocol_.payments) {
       if (Peer* origin = find(origin_id)) origin->release_credit();
     }
     return;
@@ -762,7 +756,7 @@ void GuessNetwork::probe_resolved(PeerId origin_id, std::uint64_t token,
     // credit changes hands — there is nobody to pay, so the reservation
     // returns. A dead referral counts against whoever supplied the entry
     // (§6.4 detection).
-    if (protocol_.payments.enabled) origin->release_credit();
+    if (protocol_.payments) origin->release_credit();
     query.record_outcome(ProbeOutcome::kDead);
     origin->cache().evict(target_id);
     if (origin->note_referral(referrer, /*bad=*/true, protocol_.detection)) {
@@ -784,11 +778,10 @@ void GuessNetwork::probe_resolved(PeerId origin_id, std::uint64_t token,
     // Overloaded: the probe is dropped. Without backoff the prober treats
     // the silence as death and evicts — the implicit throttle of §6.3.
     // Dropped unserved means nobody is paid: the reservation returns.
-    if (protocol_.payments.enabled) origin->release_credit();
+    if (protocol_.payments) origin->release_credit();
     query.record_outcome(ProbeOutcome::kRefused);
     if (protocol_.do_backoff) {
-      origin->set_backoff(target_id,
-                          simulator_.now() + protocol_.backoff_duration);
+      origin->set_backoff(target_id, simulator_.now() + kBackoffDuration);
     } else {
       origin->cache().evict(target_id);
     }
@@ -797,12 +790,11 @@ void GuessNetwork::probe_resolved(PeerId origin_id, std::uint64_t token,
   }
 
   query.record_outcome(ProbeOutcome::kGood);
-  if (protocol_.payments.enabled) {
+  if (protocol_.payments) {
     // The probe was served: the issue-time reservation becomes a spend,
     // the server earns (§3.3).
-    origin->commit_credit(protocol_.payments.probe_cost);
-    target->earn_credit(protocol_.payments.serve_reward,
-                        protocol_.payments.credit_cap);
+    origin->commit_credit(kProbeCost);
+    target->earn_credit(kServeReward, kCreditCap);
   }
   // All probes of a slot are in flight together: a target cannot know the
   // query was satisfied by a concurrent probe, so it answers as if the
@@ -864,7 +856,6 @@ void GuessNetwork::finish_slot(PeerId origin_id) {
   Peer* origin = find(origin_id);
   GUESS_CHECK(origin != nullptr);
   QueryExecution& query = *active;
-  const PaymentParams& payments = protocol_.payments;
   std::size_t probes_this_slot = query.slot_probes_issued();
   bool creditless = query.slot_creditless();
 
@@ -876,8 +867,7 @@ void GuessNetwork::finish_slot(PeerId origin_id) {
     finish_query(*origin, query, /*satisfied=*/true);
     return;
   }
-  if (protocol_.max_probes_per_query != 0 &&
-      query.counters().total() >= protocol_.max_probes_per_query) {
+  if (query.counters().total() >= kMaxProbesPerQuery) {
     finish_query(*origin, query, /*satisfied=*/false);
     return;
   }
@@ -889,7 +879,7 @@ void GuessNetwork::finish_slot(PeerId origin_id) {
   }
   if (creditless && probes_this_slot == 0) {
     query.note_stalled_slot();
-    if (query.stalled_slots() >= payments.max_stalled_slots) {
+    if (query.stalled_slots() >= kMaxStalledSlots) {
       if (measuring_) ++results_.queries_stalled_out;
       finish_query(*origin, query, /*satisfied=*/false);
       return;
@@ -898,10 +888,8 @@ void GuessNetwork::finish_slot(PeerId origin_id) {
     query.reset_stall();
   }
   query.note_slot(query.results() > query.slot_results_baseline(),
-                  protocol_.adaptive_parallel,
-                  protocol_.adaptive_parallel_trigger,
-                  protocol_.adaptive_parallel_max);
-  simulator_.after(protocol_.probe_interval, QueryStepFired{this, origin_id});
+                  protocol_.adaptive_parallel);
+  simulator_.after(kProbeInterval, QueryStepFired{this, origin_id});
 }
 
 void GuessNetwork::offer_query_pong(Peer& origin, QueryExecution& query,

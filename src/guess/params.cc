@@ -8,9 +8,7 @@
 namespace guess {
 
 std::size_t SystemParams::resolved_cache_seed(std::size_t cache_size) const {
-  std::size_t seed = cache_seed_size;
-  if (seed == 0) seed = network_size / 100;
-  seed = std::max<std::size_t>(seed, 5);
+  std::size_t seed = std::max<std::size_t>(network_size / 100, 5);
   seed = std::min(seed, cache_size);
   seed = std::min(seed, network_size > 1 ? network_size - 1 : 1);
   return seed;

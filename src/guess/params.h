@@ -1,6 +1,8 @@
 // System and protocol parameters — the paper's Tables 1 and 2, plus the
-// implementation knobs the paper fixes in prose (probe slot of 0.2 s,
-// CacheSeedSize ≈ NetworkSize/100, parallel probes as a §6.2 extension).
+// values the paper fixes in prose (probe slot of 0.2 s, CacheSeedSize ≈
+// NetworkSize/100) and the constants of the extensions it sketches without
+// parameters (§3.3 payments, §6.1 adaptive ping and pong-server reseeds,
+// §6.2 parallel probes and the adaptive ramp).
 #pragma once
 
 #include <cstddef>
@@ -8,7 +10,6 @@
 #include <string>
 
 #include "content/content_model.h"
-#include "content/query_stream.h"
 #include "guess/policy.h"
 #include "sim/time.h"
 
@@ -30,68 +31,61 @@ struct SystemParams {
   double percent_bad_peers = 0.0;        ///< PercentBadPeers, as a percentage (0..100)
   BadPongBehavior bad_pong_behavior = BadPongBehavior::kDead;
 
-  /// CacheSeedSize (§5.1): initial live entries per cache; the paper found
-  /// any small value (~NetworkSize/100) equivalent. 0 = NetworkSize/100,
-  /// clamped to [5, cache size].
-  std::size_t cache_seed_size = 0;
-
   /// Percentage of peers that are SELFISH (§3.3): they follow the protocol
-  /// except that they blast `selfish_parallel_probes` probes per slot
-  /// instead of probing serially, maximizing their own response time at
-  /// everyone else's expense. Selfishness is orthogonal to malice.
+  /// except that they blast kSelfishParallelProbes probes per slot instead
+  /// of probing serially, maximizing their own response time at everyone
+  /// else's expense. Selfishness is orthogonal to malice.
   double percent_selfish_peers = 0.0;
-  std::size_t selfish_parallel_probes = 100;
 
-  /// Content/query workload (DESIGN.md substitutions #2/#3).
+  /// Content/query workload (DESIGN.md substitutions #2/#3). Query bursts
+  /// are content::kBurstMin..kBurstMax queries long (§5.1).
   content::ContentParams content;
 
-  /// Burst structure of query arrivals (§5.1).
-  std::size_t burst_min = 1;
-  std::size_t burst_max = 5;
-
-  /// Resolved cache seed size for a given cache capacity.
+  /// CacheSeedSize (§5.1) for a given cache capacity: initial live entries
+  /// per cache. The paper found any small value (~NetworkSize/100)
+  /// equivalent, so it is NetworkSize/100 clamped to [5, cache size].
   std::size_t resolved_cache_seed(std::size_t cache_size) const;
 
   /// Fraction in [0,1) derived from percent_bad_peers.
   double bad_fraction() const { return percent_bad_peers / 100.0; }
 };
 
-/// Probe-payment economy (§3.3's countermeasure to selfish probing): every
-/// probe delivered to a live peer transfers `probe_cost` credits from the
-/// prober to the server. Peers start with `initial_credit` and can hold at
-/// most `credit_cap`. A peer without credit cannot probe — its query stalls
-/// until inbound probes earn it more (or the stall limit expires the query).
-/// This caps any peer's long-run probe rate at the rate it serves others,
-/// which is exactly the incentive the paper sketches (via PPay [23]).
-/// Default economy: a mild producer surplus (serve_reward > probe_cost)
-/// keeps honest serial querying affordable even though load (and hence
-/// income) concentrates on big sharers, while a blaster still burns its
-/// endowment in a few queries and drops to its serve-rate budget.
-struct PaymentParams {
-  bool enabled = false;
-  double initial_credit = 100.0;
-  double probe_cost = 1.0;
-  double serve_reward = 2.0;
-  double credit_cap = 1000.0;
-  /// A stalled (creditless) query is abandoned as unsatisfied after this
-  /// many consecutive probe slots without progress.
-  std::size_t max_stalled_slots = 600;
-};
+/// Probes a selfish peer (§3.3) sends per slot.
+inline constexpr std::size_t kSelfishParallelProbes = 100;
 
-/// Adaptive ping maintenance — the runtime guideline §6.1 closes with:
-/// "if a peer discovers that many of its probes are to dead addresses, the
-/// peer should decrease its PingInterval... if almost all its entries are
-/// live, it may increase it." Every `window` pings the peer looks at the
-/// dead fraction and halves its interval (≥ min_interval) when above
-/// `dead_high`, or grows it by 1.5x (≤ max_interval) when below `dead_low`.
-struct AdaptivePingParams {
-  bool enabled = false;
-  sim::Duration min_interval = 5.0;
-  sim::Duration max_interval = 480.0;
-  std::size_t window = 10;
-  double dead_high = 0.3;
-  double dead_low = 0.05;
-};
+/// Probe-payment economy (§3.3's countermeasure to selfish probing; enabled
+/// by ProtocolParams::payments): every probe served by a live peer transfers
+/// kProbeCost credits from the prober, and the server earns kServeReward.
+/// Peers start with kInitialCredit and can hold at most kCreditCap. A peer
+/// without credit cannot probe — its query stalls until inbound probes earn
+/// it more, and is abandoned as unsatisfied after kMaxStalledSlots
+/// consecutive slots without progress. This caps any peer's long-run probe
+/// rate at the rate it serves others, which is exactly the incentive the
+/// paper sketches (via PPay [23]). The mild producer surplus (kServeReward >
+/// kProbeCost) keeps honest serial querying affordable even though load
+/// (and hence income) concentrates on big sharers, while a blaster still
+/// burns its endowment in a few queries and drops to its serve-rate budget.
+inline constexpr double kInitialCredit = 100.0;
+inline constexpr double kProbeCost = 1.0;
+inline constexpr double kServeReward = 2.0;
+inline constexpr double kCreditCap = 1000.0;
+inline constexpr std::size_t kMaxStalledSlots = 600;
+
+/// Adaptive ping maintenance (enabled by ProtocolParams::adaptive_ping) —
+/// the runtime guideline §6.1 closes with: "if a peer discovers that many
+/// of its probes are to dead addresses, the peer should decrease its
+/// PingInterval... if almost all its entries are live, it may increase it."
+/// Every kPingAdaptWindow pings the peer looks at the dead fraction and
+/// halves its interval (>= kMinPingInterval) when above kPingDeadHigh, or
+/// grows it by 1.5x (<= kMaxPingInterval) when below kPingDeadLow. With a
+/// window of 5 the dead fraction is a multiple of 0.2, so the hold band
+/// [kPingDeadLow, kPingDeadHigh] is empty: one dead ping in five grows the
+/// interval and two shrink it.
+inline constexpr std::size_t kPingAdaptWindow = 5;
+inline constexpr double kPingDeadHigh = 0.3;
+inline constexpr double kPingDeadLow = 0.25;
+inline constexpr sim::Duration kMinPingInterval = 5.0;
+inline constexpr sim::Duration kMaxPingInterval = 480.0;
 
 /// Malicious-peer detection — §6.4's closing future work: "detecting
 /// malicious peers can be accomplished using heuristics — for example...
@@ -157,21 +151,34 @@ struct DetectionParams {
   static DetectionParams hardened();
 };
 
-/// Pong-server rebootstrap. §6.1: "unless there is some form of centralized
-/// boot-strapping server (e.g., pong servers such as those run by LimeWire
-/// for Gnutella), the network is unlikely to heal." A peer whose link cache
-/// has shrunk below `min_entries` (it has been eaten by churn, poisoning or
-/// blacklist evictions) asks the pong server for fresh live addresses, at
-/// most once per `cooldown` — the paper's "we do not wish to make heavy use
-/// of the service" constraint. The server tracks liveness, not honesty: it
-/// hands out uniformly random live peers, attackers included.
-struct BootstrapParams {
-  bool pong_server_reseed = false;
-  std::size_t min_entries = 10;
-  /// Addresses handed out per reseed (0 = the CacheSeedSize default).
-  std::size_t amount = 0;
-  sim::Duration cooldown = 300.0;
-};
+/// Pong-server rebootstrap (enabled by ProtocolParams::pong_server_reseed).
+/// §6.1: "unless there is some form of centralized boot-strapping server
+/// (e.g., pong servers such as those run by LimeWire for Gnutella), the
+/// network is unlikely to heal." A peer whose link cache has shrunk below
+/// kReseedMinEntries (it has been eaten by churn, poisoning or blacklist
+/// evictions) asks the pong server for CacheSeedSize fresh live addresses,
+/// at most once per kReseedCooldown — the paper's "we do not wish to make
+/// heavy use of the service" constraint. The server tracks liveness, not
+/// honesty: it hands out uniformly random live peers, attackers included.
+inline constexpr std::size_t kReseedMinEntries = 10;
+inline constexpr sim::Duration kReseedCooldown = 300.0;
+
+/// Serial probing slot: one probe is sent, then the peer waits for the
+/// reply or the timeout before the next probe (§2.3; 0.2 s per §6.2).
+inline constexpr sim::Duration kProbeInterval = 0.2;
+
+/// Hard cap on probes per query; 1000 matches the largest extent the paper
+/// evaluates (Figure 8).
+inline constexpr std::size_t kMaxProbesPerQuery = 1000;
+
+/// With DoBackoff, how long a refused peer is exempt from re-probing.
+inline constexpr sim::Duration kBackoffDuration = 30.0;
+
+/// §6.2's adaptive probe ramp (enabled by ProtocolParams::adaptive_parallel):
+/// a query that completes kAdaptiveParallelTrigger consecutive result-less
+/// probe slots doubles its per-slot probe count, up to kAdaptiveParallelMax.
+inline constexpr std::size_t kAdaptiveParallelTrigger = 5;
+inline constexpr std::size_t kAdaptiveParallelMax = 32;
 
 /// Table 2: parameters of the GUESS protocol itself.
 struct ProtocolParams {
@@ -187,34 +194,21 @@ struct ProtocolParams {
   std::size_t pong_size = 5;                   ///< PongSize
   double intro_prob = 0.1;                     ///< IntroProb
 
-  // --- Fixed by the GUESS spec / paper prose ---
-
-  /// Serial probing slot: one probe is sent, then the peer waits for the
-  /// reply or the timeout before the next probe (§2.3; 0.2 s per §6.2).
-  sim::Duration probe_interval = 0.2;
-
   /// Probes sent per slot (§6.2's parallel-walk extension; spec default 1).
   std::size_t parallel_probes = 1;
 
-  /// Hard cap on probes per query (0 = probe until candidates run out).
-  /// 1000 matches the largest extent the paper evaluates (Figure 8).
-  std::size_t max_probes_per_query = 1000;
-
-  /// With DoBackoff, how long a refused peer is exempt from re-probing.
-  sim::Duration backoff_duration = 30.0;
-
   /// Probe-payment economy (§3.3); disabled by default.
-  PaymentParams payments;
+  bool payments = false;
 
   /// Adaptive ping maintenance (§6.1 guideline); disabled by default.
-  AdaptivePingParams adaptive_ping;
+  bool adaptive_ping = false;
 
   /// Malicious-peer detection (§6.4 future work); disabled by default.
   DetectionParams detection;
 
   /// Pong-server rebootstrap (§6.1's healing mechanism); disabled by
   /// default.
-  BootstrapParams bootstrap;
+  bool pong_server_reseed = false;
 
   /// When false, Pong entries received during a query do NOT extend the
   /// candidate set — the query can only probe the link-cache snapshot it
@@ -222,13 +216,10 @@ struct ProtocolParams {
   /// (§2.3's mechanism for probing beyond the link cache).
   bool use_query_cache = true;
 
-  /// §6.2's future-work extension: when enabled, a query that completes
-  /// `adaptive_parallel_trigger` consecutive result-less probe slots doubles
-  /// its per-slot probe count (up to `adaptive_parallel_max`). Improves
-  /// worst-case response time at a small probe overhead.
+  /// §6.2's future-work extension: the adaptive probe ramp
+  /// (kAdaptiveParallelTrigger, kAdaptiveParallelMax). Improves worst-case
+  /// response time at a small probe overhead.
   bool adaptive_parallel = false;
-  std::size_t adaptive_parallel_trigger = 10;
-  std::size_t adaptive_parallel_max = 32;
 
   /// Configure the MR* policy of §6.4 for all query-side policy types:
   /// MR ordering + first-hand-only NumRes.

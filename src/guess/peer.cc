@@ -68,17 +68,17 @@ bool Peer::accept_probe(sim::Time now, std::uint32_t max_probes_per_second) {
   return true;
 }
 
-void Peer::note_ping_result(bool dead, const AdaptivePingParams& params) {
-  if (!params.enabled) return;
+void Peer::note_ping_result(bool dead, bool adaptive) {
+  if (!adaptive) return;
   ++ping_window_total_;
   if (dead) ++ping_window_dead_;
-  if (ping_window_total_ < params.window) return;
+  if (ping_window_total_ < kPingAdaptWindow) return;
   double dead_fraction = static_cast<double>(ping_window_dead_) /
                          static_cast<double>(ping_window_total_);
-  if (dead_fraction > params.dead_high) {
-    ping_interval_ = std::max(params.min_interval, ping_interval_ * 0.5);
-  } else if (dead_fraction < params.dead_low) {
-    ping_interval_ = std::min(params.max_interval, ping_interval_ * 1.5);
+  if (dead_fraction > kPingDeadHigh) {
+    ping_interval_ = std::max(kMinPingInterval, ping_interval_ * 0.5);
+  } else if (dead_fraction < kPingDeadLow) {
+    ping_interval_ = std::min(kMaxPingInterval, ping_interval_ * 1.5);
   }
   ping_window_total_ = 0;
   ping_window_dead_ = 0;

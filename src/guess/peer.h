@@ -55,7 +55,7 @@ class Peer {
   double credit() const { return credit_; }
   /// Affordable = credit minus what probes already in flight have reserved.
   /// Reservations are a *count*, not a summed amount: every in-flight probe
-  /// reserves the same per-run probe_cost, so the ledger stays exact (no
+  /// reserves the same kProbeCost, so the ledger stays exact (no
   /// floating-point residue from repeated add/subtract).
   bool can_afford(double cost) const {
     return credit_ - static_cast<double>(reserved_) * cost >= cost;
@@ -82,9 +82,9 @@ class Peer {
   }
   sim::Duration ping_interval() const { return ping_interval_; }
 
-  /// Record one ping outcome; with adaptation enabled, every
-  /// `params.window` pings the interval is adjusted by the dead fraction.
-  void note_ping_result(bool dead, const AdaptivePingParams& params);
+  /// Record one ping outcome; with `adaptive`, every kPingAdaptWindow pings
+  /// the interval is adjusted by the dead fraction (§6.1).
+  void note_ping_result(bool dead, bool adaptive);
 
   // --- malicious-referral detection (§6.4) ---
 

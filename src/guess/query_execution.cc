@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "guess/params.h"
 
 namespace guess {
 
@@ -67,16 +68,17 @@ void QueryExecution::reset(PeerId origin, content::FileId file,
   token_ = 0;
 }
 
-void QueryExecution::note_slot(bool any_results, bool adaptive,
-                               std::size_t trigger, std::size_t max) {
+void QueryExecution::note_slot(bool any_results, bool adaptive) {
   if (any_results) {
     resultless_slots_ = 0;
     return;
   }
   ++resultless_slots_;
-  if (adaptive && resultless_slots_ >= trigger) {
-    // Double, capped at `max`, but never shrink below the starting width.
-    parallel_ = std::max(parallel_, std::min(parallel_ * 2, max));
+  if (adaptive && resultless_slots_ >= kAdaptiveParallelTrigger) {
+    // Double, capped at the maximum, but never shrink below the starting
+    // width.
+    parallel_ = std::max(parallel_,
+                         std::min(parallel_ * 2, kAdaptiveParallelMax));
     resultless_slots_ = 0;
   }
 }

@@ -125,10 +125,10 @@ class QueryExecution {
   std::size_t slot_parallel() const { return parallel_; }
 
   /// Record the outcome of one probe slot for the §6.2 adaptive extension:
-  /// after `trigger` consecutive result-less slots the per-slot probe count
-  /// doubles (capped at `max`, never below the starting width).
-  void note_slot(bool any_results, bool adaptive, std::size_t trigger,
-                 std::size_t max);
+  /// with `adaptive`, after kAdaptiveParallelTrigger consecutive result-less
+  /// slots the per-slot probe count doubles (capped at kAdaptiveParallelMax,
+  /// never below the starting width).
+  void note_slot(bool any_results, bool adaptive);
 
   /// A slot in which no probe could be sent (creditless under payments).
   void note_stalled_slot() { ++stalled_slots_; }

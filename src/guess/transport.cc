@@ -18,18 +18,8 @@ std::string describe(const TransportParams& params) {
   }
   std::ostringstream os;
   os << "Lossy loss=" << params.loss << " latency=" << params.link_latency
-     << "s ("
-     << (params.latency_distribution == LatencyDistribution::kFixed
-             ? "fixed"
-             : params.latency_distribution == LatencyDistribution::kUniform
-                   ? "uniform"
-                   : "exponential")
-     << ") timeout=" << params.probe_timeout
-     << "s retries=" << params.max_retries << " backoff="
-     << (params.backoff == TransportParams::Backoff::kFixed ? "fixed"
-                                                            : "exponential")
-     << "/" << params.retry_backoff << "s max_backoff=" << params.max_backoff
-     << "s";
+     << "s timeout=" << params.probe_timeout
+     << "s retries=" << params.max_retries;
   return os.str();
 }
 
@@ -79,8 +69,6 @@ LossyTransport::LossyTransport(TransportParams params,
   GUESS_CHECK(params_.loss >= 0.0 && params_.loss <= 1.0);
   GUESS_CHECK(params_.probe_timeout > 0.0);
   GUESS_CHECK(params_.link_latency >= 0.0);
-  GUESS_CHECK(params_.retry_backoff >= 0.0);
-  GUESS_CHECK(params_.max_backoff > 0.0);
 }
 
 std::uint32_t LossyTransport::acquire_slot() {
@@ -113,46 +101,17 @@ void LossyTransport::exchange(MessageKind kind, PeerId from, PeerId to,
   send_attempt(slot);
 }
 
-sim::Duration LossyTransport::draw_latency() {
-  switch (params_.latency_distribution) {
-    case LatencyDistribution::kFixed:
-      return params_.link_latency;
-    case LatencyDistribution::kUniform:
-      return rng_.uniform(0.0, 2.0 * params_.link_latency);
-    case LatencyDistribution::kExponential:
-      return params_.link_latency <= 0.0
-                 ? 0.0
-                 : rng_.exponential(1.0 / params_.link_latency);
-  }
-  return params_.link_latency;
-}
-
-sim::Duration LossyTransport::backoff_delay(std::uint32_t attempt) const {
-  if (params_.backoff == TransportParams::Backoff::kFixed) {
-    return std::min(params_.retry_backoff, params_.max_backoff);
-  }
-  // Exponential: attempt k (1-based) already timed out, so the k+1-th send
-  // waits retry_backoff * 2^(k-1), capped at max_backoff. Break out of the
-  // doubling as soon as the cap is reached — 2^k overflows to inf long
-  // before a large max_retries runs out.
-  sim::Duration delay = params_.retry_backoff;
-  for (std::uint32_t i = 1; i < attempt && delay < params_.max_backoff; ++i) {
-    delay *= 2.0;
-  }
-  return std::min(delay, params_.max_backoff);
-}
-
 void LossyTransport::send_attempt(std::uint32_t slot) {
   PendingExchange& p = slab_[slot];
   ++p.attempt;
   ++counters_.messages_sent;
 
-  // An attempt's fate is sealed at send time: both legs' loss coins and
-  // latencies are drawn up front (a fixed four-draw budget per attempt keeps
-  // the stream easy to reason about), and exactly one event resolves it —
-  // delivery at now + rtt, or the timeout at now + probe_timeout. Fault
-  // modulation perturbs the *parameters* of the draws, never their count, so
-  // the RNG stream stays aligned across fault windows opening and closing.
+  // An attempt's fate is sealed at send time: both legs' loss coins are
+  // drawn up front (a fixed two-draw budget per attempt keeps the stream
+  // easy to reason about), and exactly one event resolves it — delivery at
+  // now + rtt, or the timeout at now + probe_timeout. Fault modulation
+  // perturbs the *parameters* of the draws, never their count, so the RNG
+  // stream stays aligned across fault windows opening and closing.
   double loss = params_.loss;
   double latency_factor = 1.0;
   bool severed = false;
@@ -163,7 +122,7 @@ void LossyTransport::send_attempt(std::uint32_t slot) {
   }
   bool request_lost = rng_.bernoulli(loss);
   bool reply_lost = rng_.bernoulli(loss);
-  sim::Duration rtt = (draw_latency() + draw_latency()) * latency_factor;
+  sim::Duration rtt = 2.0 * params_.link_latency * latency_factor;
 
   if (!severed && !request_lost && !reply_lost &&
       rtt <= params_.probe_timeout) {
@@ -209,13 +168,14 @@ void LossyTransport::attempt_resolved(std::uint32_t slot, bool delivered) {
   ++counters_.timeouts;
   if (static_cast<std::size_t>(p.attempt) <= params_.max_retries) {
     ++counters_.retransmits;
-    sim::Duration delay = backoff_delay(p.attempt);
     trace(simulator_.now(), [&](std::ostream& os) {
       os << kind_name(p.kind) << " " << p.from << " -> " << p.to
-         << " retransmit after=" << delay << "s (attempt " << p.attempt + 1
-         << "/" << params_.max_retries + 1 << ")";
+         << " retransmit (attempt " << p.attempt + 1 << "/"
+         << params_.max_retries + 1 << ")";
     });
-    simulator_.after(delay, ResendFired{this, slot});
+    // The resend is its own event at the timeout instant, behind anything
+    // else already queued for this time.
+    simulator_.after(0.0, ResendFired{this, slot});
     return;
   }
   ++counters_.exchanges_failed;

@@ -10,11 +10,11 @@
 //    exchange() returns, consuming no randomness and scheduling no events —
 //    simulations through it are bitwise-identical to the pre-transport code.
 //  * LossyTransport — UDP-faithful fault injection: each message leg is lost
-//    i.i.d. with probability `loss`, delivery latency is drawn from a
-//    configurable distribution, an unanswered attempt times out after
-//    `probe_timeout` (the timeout is a real scheduled event on the slab
-//    event queue), and a retry policy re-sends up to `max_retries` times
-//    with fixed or exponential backoff before the exchange fails.
+//    i.i.d. with probability `loss` and takes `link_latency` to deliver, an
+//    unanswered attempt times out after `probe_timeout` (the timeout is a
+//    real scheduled event on the slab event queue), and the request is
+//    re-sent the instant a timeout fires, up to `max_retries` times, before
+//    the exchange fails.
 //
 // What the messages *mean* — liveness checks, pong processing, eviction on
 // silence — stays in GuessNetwork; the transport only moves them. In
@@ -52,13 +52,6 @@ enum class DeliveryStatus {
   kTimedOut,   ///< every attempt expired unanswered (lost, late, or void)
 };
 
-/// One-way delivery-latency model of LossyTransport.
-enum class LatencyDistribution {
-  kFixed,        ///< every leg takes exactly `link_latency`
-  kUniform,      ///< uniform in [0, 2 * link_latency)
-  kExponential,  ///< exponential with mean `link_latency`
-};
-
 /// Which transport GuessNetwork instantiates, plus the LossyTransport knobs
 /// (ignored by SynchronousTransport). Part of SimulationConfig; surfaced on
 /// the command line as --loss / --link-latency / --probe-timeout /
@@ -68,38 +61,22 @@ struct TransportParams {
     kSynchronous,  ///< §5.1 in-event semantics (the default)
     kLossy,        ///< loss + latency + timeout/retry fault injection
   };
-  enum class Backoff {
-    kFixed,        ///< every retransmit waits `retry_backoff`
-    kExponential,  ///< attempt k waits retry_backoff * 2^(k-1)
-  };
-
   Kind kind = Kind::kSynchronous;
 
   /// Per-leg i.i.d. loss probability in [0, 1]; a round trip needs both the
   /// request and the reply leg to survive.
   double loss = 0.0;
 
-  /// Mean one-way delivery latency, seconds, and its distribution.
+  /// One-way delivery latency of every leg, seconds.
   sim::Duration link_latency = 0.05;
-  LatencyDistribution latency_distribution = LatencyDistribution::kFixed;
 
   /// How long the requester waits for the reply before declaring the
   /// attempt dead (per attempt, seconds).
   sim::Duration probe_timeout = 2.0;
 
   /// Retransmits after the first attempt (0 = a single attempt per
-  /// exchange); each re-send waits `retry_backoff` (fixed) or
-  /// retry_backoff * 2^(attempt-1) (exponential) after its predecessor's
-  /// timeout fires.
+  /// exchange); each re-send goes out when its predecessor's timeout fires.
   std::size_t max_retries = 0;
-  Backoff backoff = Backoff::kFixed;
-  sim::Duration retry_backoff = 0.0;
-
-  /// Upper bound on a single retransmit delay, seconds. Without a cap the
-  /// exponential schedule doubles unbounded, so a high-retry configuration
-  /// pushes one backoff past any simulation horizon (2^k seconds overflows
-  /// to years within ~25 retries). Surfaced as --max-backoff.
-  sim::Duration max_backoff = 60.0;
 
   /// A lossy configuration with every fault-injection knob at its default.
   static TransportParams lossy(double loss_probability) {
@@ -193,7 +170,7 @@ class SynchronousTransport final : public Transport {
                 Completion on_complete) override;
 };
 
-/// Fault-injecting transport: per-leg loss, distributed latency, per-attempt
+/// Fault-injecting transport: per-leg loss, fixed leg latency, per-attempt
 /// timeout events and a bounded retry policy. Owns its own RNG stream so
 /// enabling it perturbs no other subsystem's draws. Exchange state lives in
 /// a free-list slab; the scheduled thunks are three-word structs that stay
@@ -212,7 +189,7 @@ class LossyTransport final : public Transport {
 
  private:
   struct AttemptResolved;  // event thunk: delivery or timeout fired
-  struct ResendFired;      // event thunk: backoff elapsed, re-send
+  struct ResendFired;      // event thunk: re-send after a timeout
 
   struct PendingExchange {
     MessageKind kind = MessageKind::kPing;
@@ -229,14 +206,11 @@ class LossyTransport final : public Transport {
   void release_slot(std::uint32_t slot);
 
   /// Send (or re-send) the request for one attempt: draws the attempt's
-  /// fate — both legs' loss and latency — and schedules the single event
-  /// that resolves it (delivery at now+rtt, else timeout at now+timeout).
+  /// fate — both legs' loss — and schedules the single event that resolves
+  /// it (delivery at now+rtt, else timeout at now+timeout).
   void send_attempt(std::uint32_t slot);
   void attempt_resolved(std::uint32_t slot, bool delivered);
   void complete(std::uint32_t slot, DeliveryStatus status);
-
-  sim::Duration draw_latency();
-  sim::Duration backoff_delay(std::uint32_t attempt) const;
 
   TransportParams params_;
   sim::Simulator& simulator_;

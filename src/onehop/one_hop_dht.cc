@@ -29,7 +29,7 @@ OneHopDht::OneHopDht(OneHopParams params, sim::Simulator& simulator, Rng rng)
     : params_(params), simulator_(simulator), rng_(std::move(rng)) {
   GUESS_CHECK(params_.network_size >= 2);
   GUESS_CHECK(params_.dissemination_delay >= 0.0);
-  GUESS_CHECK(params_.loss >= 0.0 && params_.loss < 1.0);
+  GUESS_CHECK(params_.loss >= 0.0 && params_.loss <= 1.0);
   churn_ = std::make_unique<churn::ChurnManager>(
       simulator_, churn::LifetimeDistribution(params_.lifespan_multiplier),
       rng_.split(),
@@ -142,18 +142,21 @@ bool OneHopDht::lookup_random_key() {
   Position believed = owner_of(view_, key);
   // Walk the believed successor list past departed peers — and, under loss,
   // past probes that never came back. Bounded by the view size (in practice
-  // a handful of steps at realistic churn). The loss guard short-circuits,
-  // so a loss-free run draws no randomness here (bitwise legacy behavior).
-  std::size_t safety = view_.size();
-  while ((!ring_.contains(believed) ||
-          (params_.loss > 0.0 && rng_.bernoulli(params_.loss))) &&
-         safety-- > 0) {
+  // a handful of steps at realistic churn); a walk that never gets an answer
+  // (a view all stale, or total loss) fails the lookup. The loss guard
+  // short-circuits, so a loss-free run draws no randomness here (bitwise
+  // legacy behavior).
+  bool answered = false;
+  for (std::size_t steps = 0;; ++steps) {
+    answered = ring_.contains(believed) &&
+               !(params_.loss > 0.0 && rng_.bernoulli(params_.loss));
+    if (answered || steps == view_.size()) break;
     ++timeouts;
     auto it = view_.upper_bound(believed);
     if (it == view_.end()) it = view_.begin();
     believed = it->first;
   }
-  if (!ring_.contains(believed)) return false;  // pathological: view all stale
+  if (!answered) return false;
 
   bool direct = believed == true_owner;
   std::uint64_t probes = timeouts + 1 + (direct ? 0 : 1);

@@ -54,8 +54,7 @@ class GuessBackend final : public SearchBackend {
     network_->begin_measurement();
     const SimulationOptions& options = config_.options();
     network_->sample_cache_health();
-    simulator_.every(options.health_sample_interval,
-                     options.health_sample_interval,
+    simulator_.every(kHealthSampleInterval, kHealthSampleInterval,
                      [this]() { network_->sample_cache_health(); });
     if (options.sample_connectivity) {
       simulator_.every(options.connectivity_sample_interval,
@@ -184,13 +183,9 @@ class FloodBackend final : public SearchBackend {
                Rng rng)
       : simulator_(simulator) {
     const SystemParams& system = config.system();
-    const FloodBackendParams& tuning = config.backends().flood;
     gnutella::DynamicParams params;
     params.network_size = system.network_size;
-    params.target_degree = tuning.target_degree;
-    params.max_degree = tuning.max_degree;
-    params.ttl = tuning.ttl;
-    params.hop_delay = tuning.hop_delay;
+    params.ttl = config.backends().flood.ttl;
     params.lifespan_multiplier = system.lifespan_multiplier;
     params.query_rate = system.query_rate;
     params.num_desired_results = system.num_desired_results;
@@ -289,7 +284,8 @@ class IterativeBackend final : public SearchBackend {
     // the legacy batch result in the extension slot stays untouched).
     // Schedule rings are clamped to the current population: a mass kill can
     // shrink it below the deepest ring (no-op clamps when it hasn't).
-    std::vector<std::size_t> schedule = resolved_schedule();
+    std::vector<std::size_t> schedule =
+        baseline::default_schedule(config_.system().network_size);
     content::FileId file = model_->draw_query(rng);
     std::size_t deepest = std::min(schedule.back(), population_->size());
     std::vector<std::size_t> order =
@@ -356,24 +352,24 @@ class IterativeBackend final : public SearchBackend {
       out.probe_samples = std::move(samples);
       return out;
     }
-    std::vector<std::size_t> schedule = resolved_schedule();
+    std::vector<std::size_t> schedule =
+        baseline::default_schedule(config_.system().network_size);
     for (std::size_t& ring : schedule) {
       ring = std::min(ring, population_->size());
     }
-    std::size_t num_queries = config_.backends().iterative.num_queries;
     SampleSet samples;
     baseline::DeepeningResult legacy = baseline::evaluate_iterative_deepening(
-        *population_, *model_, schedule, num_queries,
+        *population_, *model_, schedule, kIterativeQueries,
         static_cast<std::uint32_t>(config_.system().num_desired_results),
         rng_, &samples);
 
     SearchResults out;
     out.backend = name();
     out.network_size = population_->size();
-    auto n = static_cast<double>(num_queries);
-    out.queries_completed = num_queries + extra_completed_;
+    auto n = static_cast<double>(kIterativeQueries);
+    out.queries_completed = kIterativeQueries + extra_completed_;
     out.queries_satisfied =
-        num_queries -
+        kIterativeQueries -
         static_cast<std::uint64_t>(
             std::llround(legacy.unsatisfied_rate * n)) +
         extra_satisfied_;
@@ -396,13 +392,6 @@ class IterativeBackend final : public SearchBackend {
   }
 
  private:
-  std::vector<std::size_t> resolved_schedule() const {
-    const IterativeBackendParams& tuning = config_.backends().iterative;
-    return tuning.schedule.empty()
-               ? baseline::default_schedule(config_.system().network_size)
-               : tuning.schedule;
-  }
-
   SimulationConfig config_;
   sim::Simulator& simulator_;
   Rng rng_;

@@ -11,6 +11,10 @@
 
 namespace guess::search {
 
+/// Monte-Carlo queries in the iterative backend's closed-loop batch, run over
+/// baseline::default_schedule(network_size).
+inline constexpr std::size_t kIterativeQueries = 10000;
+
 std::unique_ptr<SearchBackend> make_guess_backend(
     const SimulationConfig& config, sim::Simulator& simulator, Rng rng);
 std::unique_ptr<SearchBackend> make_flood_backend(

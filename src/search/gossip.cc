@@ -18,7 +18,7 @@ GossipBackend::GossipBackend(const SimulationConfig& config,
       simulator_(simulator),
       rng_(std::move(rng)),
       content_(config.system().content),
-      query_stream_(content::BurstParams{config.system().query_rate, 1, 5}) {
+      query_stream_(config.system().query_rate) {
   const GossipBackendParams& tuning = config_.backends().gossip;
   GUESS_CHECK(config_.system().network_size >= 2);
   GUESS_CHECK(tuning.fanout < config_.system().network_size);

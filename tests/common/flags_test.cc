@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/check.h"
 
 namespace guess {
@@ -54,6 +56,45 @@ TEST(Flags, HarnessConventions) {
   EXPECT_TRUE(flags.full());
   EXPECT_TRUE(flags.has("seed"));
   EXPECT_FALSE(flags.has("absent"));
+}
+
+// Sizes and counts: a negative value is an error naming the flag, never a
+// wrap-around through an unsigned cast.
+TEST(Flags, GetSizeRejectsNegativeValues) {
+  EXPECT_EQ(make({"--n=200"}).get_size("n", 7), 200u);
+  EXPECT_EQ(make({}).get_size("n", 7), 7u);
+  EXPECT_EQ(make({"--n=0"}).get_size("n", 7), 0u);
+  try {
+    make({"--cache-size=-1"}).get_size("cache-size", 100);
+    FAIL() << "negative size accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("--cache-size"), std::string::npos);
+  }
+  EXPECT_THROW(make({"--max-retries=-2"}).max_retries(), CheckError);
+  EXPECT_THROW(make({"--seeds=-3"}).seeds(), CheckError);
+  EXPECT_THROW(make({"--threads=-1"}).threads(), CheckError);
+}
+
+// A flag nobody asked about is rejected by name, so a typo (or a flag a
+// binary does not support) cannot silently run with the default.
+TEST(Flags, RejectUnreadNamesEveryUnknownFlag) {
+  auto flags = make({"--seed=3", "--max-retires=2", "--max-backoff=5"});
+  EXPECT_EQ(flags.seed(), 3u);
+  try {
+    flags.reject_unread();
+    FAIL() << "unread flags accepted";
+  } catch (const CheckError& e) {
+    std::string what = e.what();
+    EXPECT_NE(what.find("--max-retires"), std::string::npos);
+    EXPECT_NE(what.find("--max-backoff"), std::string::npos);
+    EXPECT_EQ(what.find("--seed"), std::string::npos);
+  }
+  // Asking about a flag counts as reading it, whatever the answer is used
+  // for.
+  flags.has("max-retires");
+  flags.get_double("max-backoff", 0.0);
+  EXPECT_NO_THROW(flags.reject_unread());
+  EXPECT_NO_THROW(make({}).reject_unread());
 }
 
 }  // namespace

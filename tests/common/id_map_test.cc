@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -44,6 +45,16 @@ TEST(FlatIdMap, CheckedMisuseThrows) {
   EXPECT_THROW(map.assign(99, 0), CheckError);  // missing key
   map.insert(2, 1);
   EXPECT_THROW(map.insert(3, 2), CheckError);   // over capacity
+}
+
+// A capacity whose table size cannot be represented throws instead of
+// doubling a size_t until it wraps to 0 and spinning forever.
+TEST(FlatIdMap, UnsizableCapacityThrows) {
+  EXPECT_THROW(FlatIdMap(std::numeric_limits<std::size_t>::max()),
+               CheckError);
+  FlatIdMap map(4);
+  EXPECT_THROW(map.reset(std::numeric_limits<std::size_t>::max() / 2),
+               CheckError);
 }
 
 TEST(FlatIdMap, UnboundedModeGrows) {

@@ -8,27 +8,24 @@ namespace guess::content {
 namespace {
 
 TEST(QueryStream, BurstSizeWithinBounds) {
-  QueryStream stream(BurstParams{0.01, 1, 5});
+  QueryStream stream(0.01);
   Rng rng(3);
   for (int i = 0; i < 1000; ++i) {
     std::size_t size = stream.next_burst_size(rng);
-    EXPECT_GE(size, 1u);
-    EXPECT_LE(size, 5u);
+    EXPECT_GE(size, kBurstMin);
+    EXPECT_LE(size, kBurstMax);
   }
 }
 
 TEST(QueryStream, MeanBurstSizeIsMidpoint) {
-  QueryStream stream(BurstParams{0.01, 1, 5});
-  EXPECT_DOUBLE_EQ(stream.mean_burst_size(), 3.0);
-  QueryStream fixed(BurstParams{0.01, 4, 4});
-  EXPECT_DOUBLE_EQ(fixed.mean_burst_size(), 4.0);
+  EXPECT_DOUBLE_EQ(QueryStream::mean_burst_size(), 3.0);
 }
 
 TEST(QueryStream, BurstRateDeliversTargetQueryRate) {
   // rate = queries/sec; bursts of mean size B arrive at rate/B.
-  BurstParams params{9.26e-3, 1, 5};
-  QueryStream stream(params);
-  EXPECT_NEAR(stream.burst_rate(), 9.26e-3 / 3.0, 1e-12);
+  const double query_rate = 9.26e-3;
+  QueryStream stream(query_rate);
+  EXPECT_NEAR(stream.burst_rate(), query_rate / 3.0, 1e-12);
 
   // Empirically: total queries over simulated gaps ≈ rate × time.
   Rng rng(7);
@@ -38,23 +35,22 @@ TEST(QueryStream, BurstRateDeliversTargetQueryRate) {
     elapsed += stream.next_burst_gap(rng);
     queries += static_cast<double>(stream.next_burst_size(rng));
   }
-  EXPECT_NEAR(queries / elapsed, params.query_rate,
-              params.query_rate * 0.05);
+  EXPECT_NEAR(queries / elapsed, query_rate, query_rate * 0.05);
 }
 
 TEST(QueryStream, GapsAreExponentialish) {
-  QueryStream stream(BurstParams{0.1, 1, 1});
+  QueryStream stream(0.1);
   Rng rng(9);
   double sum = 0.0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) sum += stream.next_burst_gap(rng);
-  EXPECT_NEAR(sum / n, 1.0 / stream.burst_rate(), 0.3);
+  const double mean_gap = 1.0 / stream.burst_rate();
+  EXPECT_NEAR(sum / n, mean_gap, 0.03 * mean_gap);
 }
 
 TEST(QueryStream, InvalidParamsRejected) {
-  EXPECT_THROW(QueryStream(BurstParams{0.0, 1, 5}), CheckError);
-  EXPECT_THROW(QueryStream(BurstParams{0.01, 0, 5}), CheckError);
-  EXPECT_THROW(QueryStream(BurstParams{0.01, 6, 5}), CheckError);
+  EXPECT_THROW(QueryStream(0.0), CheckError);
+  EXPECT_THROW(QueryStream(-0.01), CheckError);
 }
 
 }  // namespace

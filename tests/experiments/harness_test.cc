@@ -58,15 +58,6 @@ TEST(Scale, NegativeMaxRetriesRejected) {
   EXPECT_THROW(Scale::from_flags(make({"--max-retries=-1"})), CheckError);
 }
 
-TEST(Scale, MaxBackoffFlagThreadsThrough) {
-  auto scale = Scale::from_flags(make({"--loss=0.05", "--max-backoff=7.5"}));
-  EXPECT_EQ(scale.transport.kind, TransportParams::Kind::kLossy);
-  EXPECT_DOUBLE_EQ(scale.transport.max_backoff, 7.5);
-  // --max-backoff alone is a transport flag: it switches on LossyTransport.
-  auto alone = Scale::from_flags(make({"--max-backoff=5"}));
-  EXPECT_EQ(alone.transport.kind, TransportParams::Kind::kLossy);
-}
-
 TEST(Scale, NonFiniteTransportFlagsRejected) {
   EXPECT_THROW(Scale::from_flags(make({"--loss=nan"})), CheckError);
   EXPECT_THROW(Scale::from_flags(make({"--loss=0.1", "--link-latency=inf"})),
@@ -74,8 +65,6 @@ TEST(Scale, NonFiniteTransportFlagsRejected) {
   EXPECT_THROW(
       Scale::from_flags(make({"--loss=0.1", "--probe-timeout=nan"})),
       CheckError);
-  EXPECT_THROW(Scale::from_flags(make({"--loss=0.1", "--max-backoff=inf"})),
-               CheckError);
   EXPECT_THROW(Scale::from_flags(make({"--interval=nan"})), CheckError);
   EXPECT_THROW(Scale::from_flags(make({"--interval=-5"})), CheckError);
 }

@@ -29,9 +29,9 @@ TEST(DynamicOverlay, InitializeWiresConnectedOverlay) {
   Fixture f;
   EXPECT_EQ(f.overlay.alive_count(), 200u);
   EXPECT_EQ(f.overlay.largest_component(), 200u);
-  // Each peer initiates target_degree links and receives about as many.
-  EXPECT_GT(f.overlay.mean_degree(), 4.0);
-  EXPECT_LE(f.overlay.max_degree_seen(), 12u);
+  // Each peer initiates kTargetDegree links and receives about as many.
+  EXPECT_GT(f.overlay.mean_degree(), static_cast<double>(kTargetDegree));
+  EXPECT_LE(f.overlay.max_degree_seen(), kMaxDegree);
 }
 
 TEST(DynamicOverlay, PopulationConstantAndConnectedThroughChurn) {
@@ -69,7 +69,7 @@ TEST(DynamicOverlay, ResponseTimeIsHopBounded) {
   ASSERT_GT(results.response_time.count(), 0u);
   DynamicParams params = small_params();
   EXPECT_LE(results.response_time.max(),
-            static_cast<double>(params.ttl) * params.hop_delay + 1e-9);
+            static_cast<double>(params.ttl) * kHopDelay + 1e-9);
 }
 
 TEST(DynamicOverlay, SmallTtlReachesFewerPeers) {
@@ -101,16 +101,16 @@ TEST(DynamicOverlay, DegreeCapRespectedUnderChurn) {
   params.lifespan_multiplier = 0.05;
   Fixture f(params);
   f.simulator.run_until(1200.0);
-  EXPECT_LE(f.overlay.max_degree_seen(), params.max_degree);
+  EXPECT_LE(f.overlay.max_degree_seen(), kMaxDegree);
 }
 
 TEST(DynamicOverlay, ParameterValidation) {
   sim::Simulator simulator;
   DynamicParams params = small_params();
-  params.network_size = 4;  // <= target_degree + 1
+  params.network_size = 1;
   EXPECT_THROW(DynamicOverlay(params, simulator, Rng(1)), CheckError);
   params = small_params();
-  params.max_degree = 2;  // < target_degree
+  params.loss = 1.5;
   EXPECT_THROW(DynamicOverlay(params, simulator, Rng(1)), CheckError);
 }
 

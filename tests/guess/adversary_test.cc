@@ -681,7 +681,7 @@ TEST_P(PoisonGoldenTest, ColludersBesideEclipseAndPongFloodCohorts) {
   ProtocolParams protocol =
       experiments::PolicyCombo::from_name("MR").apply(ProtocolParams{});
   protocol.detection = DetectionParams::hardened();
-  protocol.bootstrap.pong_server_reseed = true;
+  protocol.pong_server_reseed = true;
   expect_golden(
       poisoned(10.0, BadPongBehavior::kBad, "MR", 9, GetParam())
           .protocol(protocol)

@@ -5,6 +5,8 @@
 // every extension together.
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "common/check.h"
 #include "experiments/harness.h"
 #include "faults/scenario.h"
@@ -70,47 +72,56 @@ TEST(Credit, ReservationsGateAffordabilityUntilResolved) {
 TEST(AdaptivePing, HighDeadFractionShrinksInterval) {
   Peer peer(1, 0.0, content::Library{}, 10, false);
   peer.set_ping_interval(60.0);
-  AdaptivePingParams params;
-  params.enabled = true;
-  params.window = 4;
-  for (int i = 0; i < 4; ++i) peer.note_ping_result(true, params);
-  EXPECT_DOUBLE_EQ(peer.ping_interval(), 30.0);
-  // Again, clamped at min_interval eventually.
-  for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < 4; ++i) peer.note_ping_result(true, params);
+  for (std::size_t i = 0; i < kPingAdaptWindow; ++i) {
+    peer.note_ping_result(true, /*adaptive=*/true);
   }
-  EXPECT_DOUBLE_EQ(peer.ping_interval(), params.min_interval);
+  EXPECT_DOUBLE_EQ(peer.ping_interval(), 30.0);
+  // Again, clamped at kMinPingInterval eventually.
+  for (int round = 0; round < 10; ++round) {
+    for (std::size_t i = 0; i < kPingAdaptWindow; ++i) {
+      peer.note_ping_result(true, true);
+    }
+  }
+  EXPECT_DOUBLE_EQ(peer.ping_interval(), kMinPingInterval);
 }
 
 TEST(AdaptivePing, AllLiveGrowsIntervalToCap) {
   Peer peer(1, 0.0, content::Library{}, 10, false);
   peer.set_ping_interval(60.0);
-  AdaptivePingParams params;
-  params.enabled = true;
-  params.window = 4;
   for (int round = 0; round < 20; ++round) {
-    for (int i = 0; i < 4; ++i) peer.note_ping_result(false, params);
+    for (std::size_t i = 0; i < kPingAdaptWindow; ++i) {
+      peer.note_ping_result(false, /*adaptive=*/true);
+    }
   }
-  EXPECT_DOUBLE_EQ(peer.ping_interval(), params.max_interval);
+  EXPECT_DOUBLE_EQ(peer.ping_interval(), kMaxPingInterval);
 }
 
-TEST(AdaptivePing, ModerateDeadFractionHoldsSteady) {
+// With a window of five the dead fraction moves in steps of 0.2, so the
+// hold band between kPingDeadLow and kPingDeadHigh is empty: one dead ping
+// in a window grows the interval, two shrink it.
+TEST(AdaptivePing, OneDeadInFiveGrowsTwoShrink) {
+  auto window_with_dead = [](Peer& peer, std::size_t dead) {
+    for (std::size_t i = 0; i < kPingAdaptWindow; ++i) {
+      peer.note_ping_result(i < dead, /*adaptive=*/true);
+    }
+  };
   Peer peer(1, 0.0, content::Library{}, 10, false);
   peer.set_ping_interval(60.0);
-  AdaptivePingParams params;
-  params.enabled = true;
-  params.window = 10;
-  // 20% dead: between dead_low (5%) and dead_high (30%).
-  for (int i = 0; i < 8; ++i) peer.note_ping_result(false, params);
-  for (int i = 0; i < 2; ++i) peer.note_ping_result(true, params);
-  EXPECT_DOUBLE_EQ(peer.ping_interval(), 60.0);
+  window_with_dead(peer, 1);
+  EXPECT_DOUBLE_EQ(peer.ping_interval(), 90.0);
+  window_with_dead(peer, 2);
+  EXPECT_DOUBLE_EQ(peer.ping_interval(), 45.0);
+  // A window is judged only once complete.
+  for (std::size_t i = 0; i + 1 < kPingAdaptWindow; ++i) {
+    peer.note_ping_result(true, true);
+  }
+  EXPECT_DOUBLE_EQ(peer.ping_interval(), 45.0);
 }
 
 TEST(AdaptivePing, DisabledIsInert) {
   Peer peer(1, 0.0, content::Library{}, 10, false);
   peer.set_ping_interval(60.0);
-  AdaptivePingParams params;  // enabled = false
-  for (int i = 0; i < 100; ++i) peer.note_ping_result(true, params);
+  for (int i = 0; i < 100; ++i) peer.note_ping_result(true, /*adaptive=*/false);
   EXPECT_DOUBLE_EQ(peer.ping_interval(), 60.0);
 }
 
@@ -162,30 +173,37 @@ TEST(Detection, UnknownSourceIgnored) {
 
 TEST(AdaptiveParallelUnit, DoublesAfterTriggerAndCaps) {
   QueryExecution query(1, 7, 1, Policy::kRandom, 0.0, /*parallel=*/1);
+  auto dry_slots = [&](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) query.note_slot(false, true);
+  };
   EXPECT_EQ(query.slot_parallel(), 1u);
-  for (int i = 0; i < 3; ++i) query.note_slot(false, true, 3, 8);
+  dry_slots(kAdaptiveParallelTrigger - 1);
+  EXPECT_EQ(query.slot_parallel(), 1u);
+  dry_slots(1);
   EXPECT_EQ(query.slot_parallel(), 2u);
-  for (int i = 0; i < 3; ++i) query.note_slot(false, true, 3, 8);
+  dry_slots(kAdaptiveParallelTrigger);
   EXPECT_EQ(query.slot_parallel(), 4u);
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 3; ++i) query.note_slot(false, true, 3, 8);
-  }
-  EXPECT_EQ(query.slot_parallel(), 8u);  // capped
+  dry_slots(10 * kAdaptiveParallelTrigger);
+  EXPECT_EQ(query.slot_parallel(), kAdaptiveParallelMax);  // capped
 }
 
 TEST(AdaptiveParallelUnit, ResultsResetTheCounter) {
   QueryExecution query(1, 7, 1, Policy::kRandom, 0.0, 1);
-  query.note_slot(false, true, 3, 8);
-  query.note_slot(false, true, 3, 8);
-  query.note_slot(true, true, 3, 8);  // progress resets
-  query.note_slot(false, true, 3, 8);
-  query.note_slot(false, true, 3, 8);
+  for (std::size_t i = 0; i + 1 < kAdaptiveParallelTrigger; ++i) {
+    query.note_slot(false, true);
+  }
+  query.note_slot(true, true);  // progress resets
+  for (std::size_t i = 0; i + 1 < kAdaptiveParallelTrigger; ++i) {
+    query.note_slot(false, true);
+  }
   EXPECT_EQ(query.slot_parallel(), 1u);
 }
 
 TEST(AdaptiveParallelUnit, NeverShrinksBelowStartingWidth) {
   QueryExecution query(1, 7, 1, Policy::kRandom, 0.0, /*parallel=*/100);
-  for (int i = 0; i < 10; ++i) query.note_slot(false, true, 1, 32);
+  for (std::size_t i = 0; i < 2 * kAdaptiveParallelTrigger; ++i) {
+    query.note_slot(false, true);
+  }
   EXPECT_GE(query.slot_parallel(), 100u);
 }
 
@@ -208,7 +226,6 @@ TEST(QueryExecutionSource, ProvenanceCarriedThroughHeap) {
 TEST(Selfish, SelfishPeersGetFasterAnswersAndLoadTheNetwork) {
   SystemParams system = base_system(300);
   system.percent_selfish_peers = 20.0;
-  system.selfish_parallel_probes = 50;
   auto results = testsupport::guess_results(search::run_search(
       SimulationConfig().system(system).options(quick())));
   ASSERT_GT(results.selfish.queries_completed, 0u);
@@ -224,9 +241,8 @@ TEST(Selfish, SelfishPeersGetFasterAnswersAndLoadTheNetwork) {
 TEST(Selfish, PaymentsContainSelfishBlasting) {
   SystemParams system = base_system(300);
   system.percent_selfish_peers = 20.0;
-  system.selfish_parallel_probes = 50;
   ProtocolParams with_payments;
-  with_payments.payments.enabled = true;
+  with_payments.payments = true;
   auto free_ride = testsupport::guess_results(search::run_search(
       SimulationConfig().system(system).options(quick())));
   auto economy = testsupport::guess_results(search::run_search(
@@ -264,9 +280,7 @@ TEST(Selfish, RolesPreservedThroughChurn) {
 TEST(Payments, CreditConservedPlusEndowments) {
   SystemParams system = base_system(150);
   ProtocolParams protocol;
-  protocol.payments.enabled = true;
-  protocol.payments.credit_cap = 1e18;   // no burning at the cap
-  protocol.payments.serve_reward = 1.0;  // zero-sum transfers
+  protocol.payments = true;
   SimulationOptions options = quick();
   sim::Simulator simulator;
   GuessNetwork network(
@@ -274,26 +288,43 @@ TEST(Payments, CreditConservedPlusEndowments) {
       simulator, Rng(options.seed));
   network.initialize();
   simulator.run_until(options.warmup + options.measure);
-  // Every transfer is zero-sum; credit leaves the system only when peers
-  // die. Alive peers' total can therefore never exceed endowments issued.
+  // Each served probe moves kProbeCost from prober to server and mints the
+  // surplus kServeReward - kProbeCost (less whatever kCreditCap burns);
+  // credit leaves only when peers die. Every probe a peer received is
+  // counted in its lifetime load, served or refused, and without
+  // begin_measurement() the loads include every peer that ever died.
   double total = 0.0;
   for (PeerId id : network.alive_ids()) {
     total += network.find(id)->credit();
   }
-  double issued = protocol.payments.initial_credit *
-                  static_cast<double>(150 + network.deaths());
-  EXPECT_LE(total, issued + 1e-6);
+  SimulationResults results = network.collect_results();
+  const std::vector<double>& loads = results.peer_loads.values();
+  double received = std::accumulate(loads.begin(), loads.end(), 0.0);
+  double issued = kInitialCredit * static_cast<double>(150 + network.deaths());
+  EXPECT_GT(received, 0.0);
+  EXPECT_LE(total, issued + (kServeReward - kProbeCost) * received + 1e-6);
   EXPECT_GT(total, 0.0);
 }
 
 TEST(Payments, StalledQueriesAreAbandonedNotStuck) {
   SystemParams system = base_system(200);
+  system.lifespan_multiplier = 1e6;  // no births: nobody gets an endowment
   ProtocolParams protocol;
-  protocol.payments.enabled = true;
-  protocol.payments.initial_credit = 0.0;  // nobody can ever probe
-  protocol.payments.max_stalled_slots = 10;
-  auto results = testsupport::guess_results(search::run_search(
-      SimulationConfig().system(system).protocol(protocol).options(quick())));
+  protocol.payments = true;
+  SimulationOptions options = quick();
+  sim::Simulator simulator;
+  GuessNetwork network(
+      SimulationConfig().system(system).protocol(protocol).options(options),
+      simulator, Rng(options.seed));
+  network.initialize();
+  for (PeerId id : network.alive_ids()) network.find(id)->set_credit(0.0);
+  simulator.run_until(options.warmup);
+  network.begin_measurement();
+  simulator.run_until(options.warmup + options.measure);
+  SimulationResults results = network.collect_results();
+  ASSERT_EQ(network.deaths(), 0u);
+  // Nobody can ever probe, so every query stalls kMaxStalledSlots slots
+  // and is abandoned.
   EXPECT_GT(results.queries_stalled_out, 0u);
   EXPECT_EQ(results.queries_satisfied, 0u);
   EXPECT_EQ(results.probes.total(), 0u);
@@ -303,7 +334,6 @@ TEST(AdaptiveParallel, ImprovesWorstCaseResponseTime) {
   auto run = [](bool adaptive) {
     ProtocolParams protocol;
     protocol.adaptive_parallel = adaptive;
-    protocol.adaptive_parallel_trigger = 5;
     return testsupport::guess_results(search::run_search(
         SimulationConfig().system(base_system(300)).protocol(protocol).options(
             quick())));
@@ -321,9 +351,7 @@ TEST(AdaptivePingE2E, MatchesMaintenanceToChurn) {
     SystemParams system = base_system(200);
     system.lifespan_multiplier = multiplier;
     ProtocolParams protocol;
-    protocol.adaptive_ping.enabled = adaptive;
-    protocol.adaptive_ping.window = 5;   // adapt fast enough for the test
-    protocol.adaptive_ping.dead_low = 0.25;  // back off below 25% dead pings
+    protocol.adaptive_ping = adaptive;
     SimulationOptions options = quick();
     options.enable_queries = false;
     options.warmup = 300.0;
@@ -356,7 +384,7 @@ TEST(DetectionE2E, DetectionPlusBootstrapSaveMrFromCollusion) {
   ProtocolParams detect_only = mr;
   detect_only.detection.enabled = true;
   ProtocolParams full_defense = detect_only;
-  full_defense.bootstrap.pong_server_reseed = true;
+  full_defense.pong_server_reseed = true;
 
   SimulationOptions options = quick();
   options.warmup = 1200.0;  // let the attack and the defense reach steady state
@@ -434,10 +462,9 @@ TEST_P(ExtensionGoldenTest, SelfishBlastersUnderPaymentsBackoffAndRamp) {
   system.max_probes_per_second = 4;
   ProtocolParams protocol;
   protocol.query_pong = Policy::kMFS;
-  protocol.payments.enabled = true;
+  protocol.payments = true;
   protocol.do_backoff = true;
   protocol.adaptive_parallel = true;
-  protocol.adaptive_parallel_trigger = 5;
   SimulationResults results = testsupport::guess_results(
       search::run_search(config.system(system).protocol(protocol)));
   EXPECT_EQ(results.queries_completed, 526u);
@@ -460,10 +487,8 @@ TEST_P(ExtensionGoldenTest, AdaptivePingAndReseedOnLossyPoisonedNetwork) {
   ProtocolParams protocol =
       experiments::PolicyCombo::from_name("MR").apply(ProtocolParams{});
   protocol.detection.enabled = true;
-  protocol.bootstrap.pong_server_reseed = true;
-  protocol.adaptive_ping.enabled = true;
-  protocol.adaptive_ping.window = 5;
-  protocol.adaptive_ping.dead_low = 0.25;
+  protocol.pong_server_reseed = true;
+  protocol.adaptive_ping = true;
   TransportParams transport = TransportParams::lossy(0.05);
   transport.max_retries = 2;
   SimulationResults results = testsupport::guess_results(

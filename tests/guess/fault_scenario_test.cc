@@ -300,11 +300,7 @@ TEST(FaultPoison, DisablingPoisonImprovesCacheHealth) {
 TEST(FaultMassKill, InFlightLossyExchangesResolveWithoutTrippingPayments) {
   SystemParams system = small_system(150);
   ProtocolParams protocol;
-  protocol.payments.enabled = true;
-  protocol.payments.probe_cost = 1.0;
-  protocol.payments.initial_credit = 1.0;
-  protocol.payments.serve_reward = 1.0;
-  protocol.payments.max_stalled_slots = 20;
+  protocol.payments = true;
   protocol.parallel_probes = 3;
   TransportParams transport = TransportParams::lossy(0.2);
   transport.max_retries = 1;
@@ -318,6 +314,10 @@ TEST(FaultMassKill, InFlightLossyExchangesResolveWithoutTrippingPayments) {
                     .warmup(100.0)
                     .measure(500.0);
   Fixture f(config, config.seed());
+  // Every initial peer can afford exactly one probe.
+  for (PeerId id : f.network.alive_ids()) {
+    f.network.find(id)->set_credit(kProbeCost);
+  }
   faults::FaultEngine engine(config.scenario(), f.simulator, f.network);
   engine.schedule();
   f.simulator.run_until(100.0);
@@ -328,8 +328,7 @@ TEST(FaultMassKill, InFlightLossyExchangesResolveWithoutTrippingPayments) {
     const Peer* peer = f.network.find(id);
     EXPECT_GE(peer->credit(), 0.0);
     EXPECT_GE(peer->credit(),
-              static_cast<double>(peer->reserved_probes()) *
-                  protocol.payments.probe_cost);
+              static_cast<double>(peer->reserved_probes()) * kProbeCost);
   }
 }
 
@@ -416,7 +415,7 @@ TEST(ScenarioConfig, NonFiniteFieldsRejectedByValidate) {
   EXPECT_THROW(SimulationConfig().system(bad_system).validate(), CheckError);
 
   TransportParams bad_transport = TransportParams::lossy(0.1);
-  bad_transport.max_backoff = nan;
+  bad_transport.link_latency = nan;
   EXPECT_THROW(SimulationConfig().transport(bad_transport).validate(),
                CheckError);
 

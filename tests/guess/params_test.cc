@@ -43,12 +43,6 @@ TEST(Params, CacheSeedDefaultsToNetworkFraction) {
   EXPECT_EQ(system.resolved_cache_seed(20), 20u);  // clamped to cache size
 }
 
-TEST(Params, ExplicitCacheSeedWins) {
-  SystemParams system;
-  system.cache_seed_size = 17;
-  EXPECT_EQ(system.resolved_cache_seed(100), 17u);
-}
-
 TEST(Params, BadFractionFromPercent) {
   SystemParams system;
   system.percent_bad_peers = 15.0;

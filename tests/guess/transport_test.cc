@@ -57,15 +57,14 @@ TEST(LossyTransport, DeliversAtRoundTripLatency) {
   EXPECT_EQ(transport.counters().timeouts, 0u);
 }
 
-// The ordering contract of the retry chain: with loss=1.0 and fixed backoff
-// every attempt times out on schedule —
-//   send@0, timeout@2, resend@3, timeout@5, resend@6, timeout@8 -> failed.
+// The ordering contract of the retry chain: with loss=1.0 every attempt
+// times out on schedule and is re-sent the instant it does —
+//   send@0, timeout+resend@2, timeout+resend@4, timeout@6 -> failed.
 TEST(LossyTransport, TimeoutThenRetryOrderingIsExact) {
   sim::Simulator simulator;
   TransportParams params = TransportParams::lossy(1.0);
   params.probe_timeout = 2.0;
   params.max_retries = 2;
-  params.retry_backoff = 1.0;
   LossyTransport transport(params, simulator, Rng(7));
 
   Resolution res;
@@ -75,7 +74,7 @@ TEST(LossyTransport, TimeoutThenRetryOrderingIsExact) {
                      });
   simulator.run_until(100.0);
   EXPECT_EQ(res.status, DeliveryStatus::kTimedOut);
-  EXPECT_DOUBLE_EQ(res.at, 8.0);
+  EXPECT_DOUBLE_EQ(res.at, 6.0);
   EXPECT_EQ(transport.counters().messages_sent, 3u);
   EXPECT_EQ(transport.counters().messages_lost, 3u);
   EXPECT_EQ(transport.counters().timeouts, 3u);
@@ -84,88 +83,23 @@ TEST(LossyTransport, TimeoutThenRetryOrderingIsExact) {
   EXPECT_EQ(transport.in_flight(), 0u);
 }
 
-// Exponential backoff doubles the wait per retransmit:
-//   send@0, timeout@2, resend@3 (+1), timeout@5, resend@7 (+2), timeout@9.
-TEST(LossyTransport, ExponentialBackoffDoubles) {
-  sim::Simulator simulator;
-  TransportParams params = TransportParams::lossy(1.0);
-  params.probe_timeout = 2.0;
-  params.max_retries = 2;
-  params.backoff = TransportParams::Backoff::kExponential;
-  params.retry_backoff = 1.0;
-  LossyTransport transport(params, simulator, Rng(7));
-
-  Resolution res;
-  transport.exchange(MessageKind::kPing, 1, 2, [&](DeliveryStatus status) {
-    res = {simulator.now(), status};
-  });
-  simulator.run_until(100.0);
-  EXPECT_EQ(res.status, DeliveryStatus::kTimedOut);
-  EXPECT_DOUBLE_EQ(res.at, 9.0);
-}
-
-// Regression: the exponential schedule doubles unbounded, so a long retry
-// chain used to push retransmits absurdly far into simulated time (attempt
-// 40 waited ~2^39 s). max_backoff caps every delay:
-//   send@0, timeout@2, +1 -> 3, timeout@5, +2 -> 7, timeout@9, +4 (capped
-//   to 3) -> 12, timeout@14, +3 -> 17, timeout@19 -> failed.
-TEST(LossyTransport, ExponentialBackoffCappedByMaxBackoff) {
-  sim::Simulator simulator;
-  TransportParams params = TransportParams::lossy(1.0);
-  params.probe_timeout = 2.0;
-  params.max_retries = 4;
-  params.backoff = TransportParams::Backoff::kExponential;
-  params.retry_backoff = 1.0;
-  params.max_backoff = 3.0;
-  LossyTransport transport(params, simulator, Rng(7));
-
-  Resolution res;
-  transport.exchange(MessageKind::kPing, 1, 2, [&](DeliveryStatus status) {
-    res = {simulator.now(), status};
-  });
-  simulator.run_until(1000.0);
-  EXPECT_EQ(res.status, DeliveryStatus::kTimedOut);
-  EXPECT_DOUBLE_EQ(res.at, 19.0);
-}
-
-// Even a pathologically long exponential chain resolves within bounded
-// simulated time: retries * (timeout + max_backoff) — not 2^retries.
+// Even a long retry chain resolves within bounded simulated time: every
+// attempt costs exactly one timeout, so 61 attempts fail at 61 * timeout.
 TEST(LossyTransport, LongRetryChainStaysWithinLinearTimeBound) {
   sim::Simulator simulator;
   TransportParams params = TransportParams::lossy(1.0);
   params.probe_timeout = 2.0;
-  params.max_retries = 60;  // would be ~2^60 s unbounded
-  params.backoff = TransportParams::Backoff::kExponential;
-  params.retry_backoff = 1.0;
-  params.max_backoff = 30.0;
+  params.max_retries = 60;
   LossyTransport transport(params, simulator, Rng(7));
 
   Resolution res;
   transport.exchange(MessageKind::kPing, 1, 2, [&](DeliveryStatus status) {
     res = {simulator.now(), status};
   });
-  simulator.run_until(61.0 * 32.0 + 1.0);
+  simulator.run_until(61.0 * 2.0 + 1.0);
   EXPECT_EQ(res.status, DeliveryStatus::kTimedOut);
-  EXPECT_LE(res.at, 61.0 * 32.0);
+  EXPECT_DOUBLE_EQ(res.at, 61.0 * 2.0);
   EXPECT_EQ(transport.counters().retransmits, 60u);
-}
-
-TEST(LossyTransport, MaxBackoffCapsFixedBackoffToo) {
-  sim::Simulator simulator;
-  TransportParams params = TransportParams::lossy(1.0);
-  params.probe_timeout = 2.0;
-  params.max_retries = 1;
-  params.retry_backoff = 10.0;
-  params.max_backoff = 0.5;  // cap below the fixed backoff
-  LossyTransport transport(params, simulator, Rng(7));
-
-  Resolution res;
-  transport.exchange(MessageKind::kPing, 1, 2, [&](DeliveryStatus status) {
-    res = {simulator.now(), status};
-  });
-  simulator.run_until(100.0);
-  // send@0, timeout@2, +0.5 -> resend@2.5, timeout@4.5.
-  EXPECT_DOUBLE_EQ(res.at, 4.5);
 }
 
 /// Scriptable modulation for transport tests.
@@ -205,7 +139,6 @@ TEST(Modulation, SeveredLossyExchangeExhaustsRetriesOnSchedule) {
   TransportParams params = TransportParams::lossy(0.0);
   params.probe_timeout = 2.0;
   params.max_retries = 1;
-  params.retry_backoff = 1.0;
   LossyTransport transport(params, simulator, Rng(7));
   TestModulation modulation;
   modulation.severed_flag = true;
@@ -219,7 +152,7 @@ TEST(Modulation, SeveredLossyExchangeExhaustsRetriesOnSchedule) {
   // Severed attempts keep the normal timeout/retry cadence: they fail by
   // timing out, exactly as a partitioned probe would on a real wire.
   EXPECT_EQ(res.status, DeliveryStatus::kTimedOut);
-  EXPECT_DOUBLE_EQ(res.at, 5.0);  // send@0, timeout@2, resend@3, timeout@5
+  EXPECT_DOUBLE_EQ(res.at, 4.0);  // send@0, timeout+resend@2, timeout@4
   EXPECT_EQ(transport.counters().messages_lost, 2u);
 }
 
@@ -384,11 +317,7 @@ TEST(TransportFaultInjection, PaymentsUnderLossDoNotOverdrawCredit) {
   system.content.catalog_size = 400;
   system.content.query_universe = 500;
   ProtocolParams protocol;
-  protocol.payments.enabled = true;
-  protocol.payments.probe_cost = 1.0;
-  protocol.payments.initial_credit = 1.0;  // covers exactly one probe
-  protocol.payments.serve_reward = 1.0;    // zero-sum transfers
-  protocol.payments.max_stalled_slots = 20;
+  protocol.payments = true;
   protocol.parallel_probes = 3;  // several probes per slot compete for it
   TransportParams transport = TransportParams::lossy(0.2);
   transport.max_retries = 1;
@@ -398,6 +327,10 @@ TEST(TransportFaultInjection, PaymentsUnderLossDoNotOverdrawCredit) {
       simulator, Rng(11));
   ASSERT_NO_THROW({
     network.initialize();
+    // Every peer can afford exactly one probe.
+    for (PeerId id : network.alive_ids()) {
+      network.find(id)->set_credit(kProbeCost);
+    }
     simulator.run_until(100.0);
     network.begin_measurement();
     simulator.run_until(500.0);
@@ -410,8 +343,7 @@ TEST(TransportFaultInjection, PaymentsUnderLossDoNotOverdrawCredit) {
     const Peer* peer = network.find(id);
     EXPECT_GE(peer->credit(), 0.0);
     EXPECT_GE(peer->credit(),
-              static_cast<double>(peer->reserved_probes()) *
-                  protocol.payments.probe_cost);
+              static_cast<double>(peer->reserved_probes()) * kProbeCost);
   }
 }
 
@@ -464,11 +396,6 @@ TEST(SimulationConfigValidate, RejectsNonsense) {
   TransportParams no_timeout = TransportParams::lossy(0.1);
   no_timeout.probe_timeout = 0.0;
   EXPECT_THROW(SimulationConfig().transport(no_timeout).validate(),
-               CheckError);
-
-  TransportParams negative_backoff = TransportParams::lossy(0.1);
-  negative_backoff.retry_backoff = -1.0;
-  EXPECT_THROW(SimulationConfig().transport(negative_backoff).validate(),
                CheckError);
 
   // A negative retry count wrapped through an unsigned cast must not pass

@@ -74,10 +74,10 @@ TEST(Determinism, GuessWithEveryExtensionEnabled) {
     protocol.query_probe = Policy::kMR;
     protocol.query_pong = Policy::kMR;
     protocol.cache_replacement = Replacement::kLR;
-    protocol.payments.enabled = true;
+    protocol.payments = true;
     protocol.detection.enabled = true;
-    protocol.bootstrap.pong_server_reseed = true;
-    protocol.adaptive_ping.enabled = true;
+    protocol.pong_server_reseed = true;
+    protocol.adaptive_ping = true;
     protocol.adaptive_parallel = true;
     protocol.do_backoff = true;
     SimulationOptions options;
@@ -115,7 +115,7 @@ TEST(Determinism, HeapAndCalendarSchedulersBitwiseIdentical) {
     ProtocolParams protocol;
     protocol.query_probe = Policy::kMR;
     protocol.cache_replacement = Replacement::kLR;
-    protocol.adaptive_ping.enabled = true;
+    protocol.adaptive_ping = true;
     protocol.do_backoff = true;
     SimulationOptions options;
     options.seed = 77;
@@ -143,8 +143,6 @@ TEST(Determinism, LossyTransportHeapAndCalendarBitwiseIdentical) {
     system.content.query_universe = 500;
     TransportParams transport = TransportParams::lossy(0.1);
     transport.max_retries = 2;
-    transport.retry_backoff = 0.5;
-    transport.latency_distribution = LatencyDistribution::kExponential;
     auto config = SimulationConfig()
                       .system(system)
                       .transport(transport)
@@ -397,8 +395,7 @@ SimulationResults run_with_slot_order(const SimulationConfig& config,
   simulator.run_until(options.warmup);
   network.begin_measurement();
   network.sample_cache_health();
-  simulator.every(options.health_sample_interval,
-                  options.health_sample_interval,
+  simulator.every(kHealthSampleInterval, kHealthSampleInterval,
                   [&network]() { network.sample_cache_health(); });
   simulator.run_until(options.warmup + options.measure);
   SimulationResults results = network.collect_results();

@@ -78,18 +78,6 @@ TEST(EndToEnd, ParallelProbesCutResponseTime) {
             serial.probes_per_query() * 1.5 + 5.0);
 }
 
-TEST(EndToEnd, ZeroProbeCapPerQueryMeansExhaustiveSearch) {
-  SystemParams system = base_system(100);
-  ProtocolParams protocol;
-  protocol.max_probes_per_query = 0;  // unlimited
-  auto results = simulate(system, protocol);
-  EXPECT_GT(results.queries_completed, 0u);
-  // Unsatisfied queries exhausted every reachable candidate, so the query
-  // cache population can exceed the link cache size.
-  EXPECT_GT(results.query_cache_population.max(),
-            static_cast<double>(protocol.cache_size));
-}
-
 TEST(EndToEnd, ManyDesiredResultsIsHarder) {
   auto run = [](std::size_t desired) {
     SystemParams system = base_system();

@@ -18,6 +18,7 @@
 #include "content/content_model.h"
 #include "gnutella/dynamic_overlay.h"
 #include "onehop/one_hop_dht.h"
+#include "search/adapters.h"
 #include "search/backend.h"
 #include "sim/simulator.h"
 #include "../testsupport/simulation_results_eq.h"
@@ -236,7 +237,6 @@ TEST_P(BackendEquivalenceTest, OneHopMatchesLegacyDriver) {
 
 TEST_P(BackendEquivalenceTest, IterativeMatchesLegacyDriver) {
   SystemParams system = small_system();
-  const std::size_t num_queries = 2000;
 
   // The legacy driver sequence (bench_fig08's): model, population from the
   // run's RNG, then the Monte-Carlo batch from the same RNG.
@@ -245,15 +245,12 @@ TEST_P(BackendEquivalenceTest, IterativeMatchesLegacyDriver) {
   baseline::StaticPopulation population(model, system.network_size, rng);
   baseline::DeepeningResult legacy = baseline::evaluate_iterative_deepening(
       population, model, baseline::default_schedule(system.network_size),
-      num_queries,
+      kIterativeQueries,
       static_cast<std::uint32_t>(system.num_desired_results), rng);
 
-  IterativeBackendParams tuning;
-  tuning.num_queries = num_queries;
   SearchResults unified = run_search(SimulationConfig()
                                          .system(system)
                                          .backend(SearchBackendId::kIterative)
-                                         .iterative(tuning)
                                          .seed(41)
                                          .scheduler(GetParam()));
 
@@ -263,8 +260,8 @@ TEST_P(BackendEquivalenceTest, IterativeMatchesLegacyDriver) {
   EXPECT_EQ(legacy.unsatisfied_rate, extra->unsatisfied_rate);
 
   EXPECT_EQ(unified.backend, "iterative");
-  EXPECT_EQ(unified.queries_completed, num_queries);
-  EXPECT_EQ(unified.probe_samples.size(), num_queries);
+  EXPECT_EQ(unified.queries_completed, kIterativeQueries);
+  EXPECT_EQ(unified.probe_samples.size(), kIterativeQueries);
   EXPECT_GT(unified.probes, 0u);
 }
 
