@@ -1,25 +1,25 @@
-// The ported-silo contract (DESIGN.md §12.2): every legacy protocol driven
-// through run_search() is bitwise-identical to its legacy free-standing
-// driver — same construction order, same RNG consumption, same event
-// schedule. Each test replicates a silo's legacy driver sequence verbatim
-// (the sequences the pre-§12 benches used) and compares the legacy results
-// struct riding in the extension slot field by field, under both event-queue
-// backends. "Bitwise" is literal: doubles compare ==.
+// Golden runs of every backend (DESIGN.md §12.2). Each case pins a
+// run_search() run to values recorded before the code it exercises was
+// last rewritten: the headline counters exactly, plus a 64-bit digest over
+// every field of the results struct riding in the extension slot, under
+// both event-queue backends. "Bitwise" is literal: doubles compare ==.
 //
-// GUESS has no driver besides run_search. Its two cases pin run_search to
-// golden values recorded from the standalone GUESS driver that run_search
-// replaced: the headline counters exactly, plus a 64-bit digest over every
-// field testsupport::expect_identical compares.
+// The *MatchesLegacy* cases were recorded where run_search still matched
+// the free-standing driver it replaced (GUESS's standalone simulation, the
+// flood, one-hop and iterative silo drivers), so they keep holding the
+// protocols to those drivers without keeping the drivers alive. The
+// *Golden* cases add faults, loss and churn on top.
 #include <gtest/gtest.h>
+
+#include <numeric>
 
 #include "baseline/iterative_deepening.h"
 #include "common/check.h"
-#include "baseline/static_population.h"
-#include "content/content_model.h"
 #include "gnutella/dynamic_overlay.h"
 #include "onehop/one_hop_dht.h"
 #include "search/adapters.h"
 #include "search/backend.h"
+#include "search/gossip.h"
 #include "sim/simulator.h"
 #include "../testsupport/simulation_results_eq.h"
 
@@ -34,13 +34,13 @@ SystemParams small_system(std::size_t n = 150) {
   return system;
 }
 
-void expect_identical(const RunningStat& a, const RunningStat& b) {
-  testsupport::expect_identical(a, b);
-}
-
 void expect_identical(const SampleSet& a, const SampleSet& b) {
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(a.values(), b.values());
+}
+
+double total(const SampleSet& s) {
+  return std::accumulate(s.values().begin(), s.values().end(), 0.0);
 }
 
 class BackendEquivalenceTest : public ::testing::TestWithParam<sim::Scheduler> {
@@ -127,92 +127,111 @@ TEST_P(BackendEquivalenceTest, GuessMatchesLegacyUnderFaultsAndLossAndIntervals)
 
 // --- Gnutella flooding ------------------------------------------------------
 
-void expect_identical(const gnutella::DynamicResults& a,
-                      const gnutella::DynamicResults& b) {
-  EXPECT_EQ(a.queries_completed, b.queries_completed);
-  EXPECT_EQ(a.queries_satisfied, b.queries_satisfied);
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.peers_reached, b.peers_reached);
-  expect_identical(a.response_time, b.response_time);
-  expect_identical(a.peer_loads, b.peer_loads);
-  EXPECT_EQ(a.deaths, b.deaths);
-  EXPECT_EQ(a.repairs, b.repairs);
-  expect_identical(a.query_reach, b.query_reach);
-}
-
+// Recorded from bench_gnutella_compare's legacy driver sequence (the
+// workload fields on DynamicParams, everything else at the
+// FloodBackendParams defaults), which run_search reproduced bitwise.
 TEST_P(BackendEquivalenceTest, FloodMatchesLegacyDriver) {
-  SystemParams system = small_system();
-
-  // The legacy driver sequence (bench_gnutella_compare's flood lane): the
-  // workload fields on DynamicParams, everything else at its defaults —
-  // which are exactly the FloodBackendParams defaults.
-  gnutella::DynamicParams params;
-  params.network_size = system.network_size;
-  params.content = system.content;
-  params.query_rate = system.query_rate;
-  params.num_desired_results = system.num_desired_results;
-  params.ttl = FloodBackendParams{}.ttl;
-  sim::Simulator simulator(GetParam());
-  gnutella::DynamicOverlay overlay(params, simulator, Rng(31));
-  overlay.initialize();
-  simulator.run_until(200.0);
-  overlay.begin_measurement();
-  simulator.run_until(600.0);
-  gnutella::DynamicResults legacy = overlay.results();
-
   SearchResults unified = run_search(SimulationConfig()
-                                         .system(system)
+                                         .system(small_system())
                                          .backend(SearchBackendId::kFlood)
                                          .seed(31)
                                          .warmup(200.0)
                                          .measure(400.0)
                                          .scheduler(GetParam()));
-
   const auto* extra = unified.extra_as<gnutella::DynamicResults>();
   ASSERT_NE(extra, nullptr);
-  expect_identical(legacy, *extra);
+
+  EXPECT_EQ(extra->queries_completed, 594u);
+  EXPECT_EQ(extra->queries_satisfied, 552u);
+  EXPECT_EQ(extra->messages, 299060u);
+  EXPECT_EQ(extra->peers_reached, 87226u);
+  EXPECT_EQ(extra->deaths, 26u);
+  EXPECT_EQ(extra->repairs, 30u);
+  EXPECT_EQ(extra->peer_loads.size(), 176u);
+  EXPECT_EQ(total(extra->peer_loads), 425481.0);
+  EXPECT_EQ(testsupport::digest(*extra), 0x5a29b6e34a5fbbedull);
 
   EXPECT_EQ(unified.backend, "flood");
-  EXPECT_EQ(unified.queries_completed, legacy.queries_completed);
-  EXPECT_EQ(unified.probes, legacy.peers_reached);
-  EXPECT_EQ(unified.query_messages, legacy.messages);
-  EXPECT_EQ(unified.maintenance_messages, 2 * legacy.repairs);
-  EXPECT_GT(unified.queries_completed, 0u);
+  EXPECT_EQ(unified.queries_completed, extra->queries_completed);
+  EXPECT_EQ(unified.probes, extra->peers_reached);
+  EXPECT_EQ(unified.query_messages, extra->messages);
+  EXPECT_EQ(unified.maintenance_messages, 2 * extra->repairs);
+}
+
+TEST_P(BackendEquivalenceTest, FloodGoldenUnderFaultsAndLoss) {
+  // Fast churn, lossy transmissions, a mass kill and a flash crowd: overlay
+  // repair, the loss draw and the kill's victim draw all move the digest.
+  SystemParams system = small_system();
+  system.lifespan_multiplier = 0.2;
+  SearchResults unified = run_search(
+      SimulationConfig()
+          .system(system)
+          .backend(SearchBackendId::kFlood)
+          .transport(TransportParams::lossy(0.05))
+          .scenario(faults::Scenario::parse("at 300 kill 0.3\nat 400 join 40"))
+          .seed(33)
+          .warmup(200.0)
+          .measure(400.0)
+          .scheduler(GetParam()));
+  const auto* extra = unified.extra_as<gnutella::DynamicResults>();
+  ASSERT_NE(extra, nullptr);
+
+  EXPECT_EQ(extra->queries_completed, 441u);
+  EXPECT_EQ(extra->queries_satisfied, 405u);
+  EXPECT_EQ(extra->messages, 229445u);
+  EXPECT_EQ(extra->peers_reached, 59872u);
+  EXPECT_EQ(extra->deaths, 120u);
+  EXPECT_EQ(extra->repairs, 185u);
+  EXPECT_EQ(extra->peer_loads.size(), 265u);
+  EXPECT_EQ(total(extra->peer_loads), 336617.0);
+  EXPECT_EQ(testsupport::digest(*extra), 0xa075f9d1abc09e30ull);
+}
+
+// --- Gossip -----------------------------------------------------------------
+
+TEST_P(BackendEquivalenceTest, GossipGoldenUnderFaultsAndLoss) {
+  // Lossy legs, a partition (births during it draw a side), a mass kill, a
+  // flash crowd and the interval series.
+  SearchResults unified = run_search(
+      SimulationConfig()
+          .system(small_system())
+          .backend(SearchBackendId::kGossip)
+          .transport(TransportParams::lossy(0.05))
+          .scenario(faults::Scenario::parse(
+              "at 250 partition 2 for 100\nat 300 kill 0.3\nat 400 join 40"))
+          .metrics_interval(60.0)
+          .seed(43)
+          .warmup(200.0)
+          .measure(400.0)
+          .scheduler(GetParam()));
+  const auto* extra = unified.extra_as<GossipStats>();
+  ASSERT_NE(extra, nullptr);
+
+  EXPECT_EQ(extra->queries_completed, 493u);
+  EXPECT_EQ(extra->queries_satisfied, 463u);
+  EXPECT_EQ(extra->local_hits, 93u);
+  EXPECT_EQ(extra->knowledge_hits, 62u);
+  EXPECT_EQ(extra->fallback_queries, 338u);
+  EXPECT_EQ(extra->probes, 9224u);
+  EXPECT_EQ(extra->stale_ads_expired, 20u);
+  EXPECT_EQ(extra->stale_ads_dead, 1u);
+  EXPECT_EQ(extra->gossip_exchanges, 10908u);
+  EXPECT_EQ(extra->gossip_legs, 20041u);
+  EXPECT_EQ(extra->ads_sent, 41772u);
+  EXPECT_EQ(extra->deaths, 37u);
+  EXPECT_EQ(testsupport::digest(*extra), 0x04dc660785bd6bbfull);
+
+  EXPECT_EQ(unified.backend, "gossip");
+  EXPECT_EQ(unified.queries_completed, extra->queries_completed);
+  EXPECT_EQ(unified.maintenance_messages, extra->gossip_legs);
 }
 
 // --- One-hop DHT ------------------------------------------------------------
 
-void expect_identical(const onehop::OneHopResults& a,
-                      const onehop::OneHopResults& b) {
-  EXPECT_EQ(a.lookups, b.lookups);
-  EXPECT_EQ(a.one_hop, b.one_hop);
-  EXPECT_EQ(a.corrective_hops, b.corrective_hops);
-  EXPECT_EQ(a.timeouts, b.timeouts);
-  expect_identical(a.probes_per_lookup, b.probes_per_lookup);
-  expect_identical(a.lookup_probes, b.lookup_probes);
-  EXPECT_EQ(a.deaths, b.deaths);
-  EXPECT_EQ(a.membership_events, b.membership_events);
-}
-
+// Recorded from bench_onehop's legacy driver sequence (lookup_rate =
+// system.query_rate), which run_search reproduced bitwise.
 TEST_P(BackendEquivalenceTest, OneHopMatchesLegacyDriver) {
   SystemParams system = small_system();
-
-  // The legacy driver sequence (bench_onehop's): the adapter maps
-  // system.query_rate onto lookup_rate, so the legacy run uses the same
-  // value explicitly.
-  onehop::OneHopParams params;
-  params.network_size = system.network_size;
-  params.lifespan_multiplier = system.lifespan_multiplier;
-  params.lookup_rate = system.query_rate;
-  params.dissemination_delay = OneHopBackendParams{}.dissemination_delay;
-  sim::Simulator simulator(GetParam());
-  onehop::OneHopDht dht(params, simulator, Rng(37));
-  dht.initialize();
-  simulator.run_until(200.0);
-  dht.begin_measurement();
-  simulator.run_until(600.0);
-  onehop::OneHopResults legacy = dht.results();
-
   SearchResults unified = run_search(SimulationConfig()
                                          .system(system)
                                          .backend(SearchBackendId::kOneHop)
@@ -220,49 +239,64 @@ TEST_P(BackendEquivalenceTest, OneHopMatchesLegacyDriver) {
                                          .warmup(200.0)
                                          .measure(400.0)
                                          .scheduler(GetParam()));
-
   const auto* extra = unified.extra_as<onehop::OneHopResults>();
   ASSERT_NE(extra, nullptr);
-  expect_identical(legacy, *extra);
+
+  EXPECT_EQ(extra->lookups, 579u);
+  EXPECT_EQ(extra->one_hop, 566u);
+  EXPECT_EQ(extra->corrective_hops, 7u);
+  EXPECT_EQ(extra->timeouts, 6u);
+  EXPECT_EQ(extra->membership_events, 52u);
+  EXPECT_EQ(extra->deaths, 26u);
+  EXPECT_EQ(testsupport::digest(*extra), 0x9b3fa38f7e2d98e0ull);
 
   EXPECT_EQ(unified.backend, "onehop");
-  EXPECT_EQ(unified.queries_completed, legacy.lookups);
-  EXPECT_EQ(unified.queries_satisfied, legacy.lookups);  // exact-match DHT
+  EXPECT_EQ(unified.queries_completed, extra->lookups);
+  EXPECT_EQ(unified.queries_satisfied, extra->lookups);  // exact-match DHT
   EXPECT_EQ(unified.maintenance_messages,
-            legacy.membership_events * system.network_size);
-  EXPECT_GT(unified.queries_completed, 0u);
+            extra->membership_events * system.network_size);
 }
 
 // --- Iterative deepening ----------------------------------------------------
 
+// Recorded from bench_fig08's legacy driver sequence (model, population
+// from the run's RNG, then the Monte-Carlo batch from the same RNG), which
+// run_search reproduced bitwise.
 TEST_P(BackendEquivalenceTest, IterativeMatchesLegacyDriver) {
-  SystemParams system = small_system();
-
-  // The legacy driver sequence (bench_fig08's): model, population from the
-  // run's RNG, then the Monte-Carlo batch from the same RNG.
-  content::ContentModel model(system.content);
-  Rng rng(41);
-  baseline::StaticPopulation population(model, system.network_size, rng);
-  baseline::DeepeningResult legacy = baseline::evaluate_iterative_deepening(
-      population, model, baseline::default_schedule(system.network_size),
-      kIterativeQueries,
-      static_cast<std::uint32_t>(system.num_desired_results), rng);
-
   SearchResults unified = run_search(SimulationConfig()
-                                         .system(system)
+                                         .system(small_system())
                                          .backend(SearchBackendId::kIterative)
                                          .seed(41)
                                          .scheduler(GetParam()));
-
   const auto* extra = unified.extra_as<baseline::DeepeningResult>();
   ASSERT_NE(extra, nullptr);
-  EXPECT_EQ(legacy.avg_cost, extra->avg_cost);
-  EXPECT_EQ(legacy.unsatisfied_rate, extra->unsatisfied_rate);
 
   EXPECT_EQ(unified.backend, "iterative");
   EXPECT_EQ(unified.queries_completed, kIterativeQueries);
+  EXPECT_EQ(unified.queries_satisfied, 9402u);
+  EXPECT_EQ(unified.probes, 397140u);
   EXPECT_EQ(unified.probe_samples.size(), kIterativeQueries);
-  EXPECT_GT(unified.probes, 0u);
+  EXPECT_EQ(testsupport::digest(*extra), 0x5897d538a2b9ebb6ull);
+}
+
+TEST_P(BackendEquivalenceTest, IterativeGoldenUnderFaults) {
+  // The kill and the join reshape the static population the batch samples.
+  SearchResults unified = run_search(
+      SimulationConfig()
+          .system(small_system())
+          .backend(SearchBackendId::kIterative)
+          .scenario(faults::Scenario::parse("at 300 kill 0.3\nat 400 join 30"))
+          .seed(41)
+          .warmup(200.0)
+          .measure(400.0)
+          .scheduler(GetParam()));
+  const auto* extra = unified.extra_as<baseline::DeepeningResult>();
+  ASSERT_NE(extra, nullptr);
+
+  EXPECT_EQ(unified.queries_completed, 10000u);
+  EXPECT_EQ(unified.queries_satisfied, 9406u);
+  EXPECT_EQ(unified.probes, 385530u);
+  EXPECT_EQ(testsupport::digest(*extra), 0x9c167c53ac62efb5ull);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schedulers, BackendEquivalenceTest,

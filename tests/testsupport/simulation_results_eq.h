@@ -1,6 +1,6 @@
 // Bitwise-equality assertions over SimulationResults, shared by the
 // cross-thread determinism tests (tests/experiments/parallel_runner_test.cc),
-// the integration determinism suite and the GUESS golden tests
+// the integration determinism suite and the golden tests of every backend
 // (tests/search/backend_equivalence_test.cc, via digest()).
 //
 // "Bitwise" is meant literally: a replication is the same sequence of
@@ -16,8 +16,12 @@
 #include <string>
 #include <vector>
 
+#include "baseline/iterative_deepening.h"
+#include "gnutella/dynamic_overlay.h"
 #include "guess/metrics.h"
+#include "onehop/one_hop_dht.h"
 #include "search/backend.h"
+#include "search/gossip.h"
 
 namespace guess::testsupport {
 
@@ -211,6 +215,62 @@ inline std::uint64_t digest(const SimulationResults& r) {
   d.add(r.measure_duration);
   d.add(r.network_size);
   d.add(r.interval_series);
+  return d.value();
+}
+
+/// Digests of the other backends' results structs, over every field.
+inline std::uint64_t digest(const gnutella::DynamicResults& r) {
+  Digest d;
+  d.add(r.queries_completed);
+  d.add(r.queries_satisfied);
+  d.add(r.messages);
+  d.add(r.peers_reached);
+  d.add(r.response_time);
+  d.add(r.peer_loads);
+  d.add(r.deaths);
+  d.add(r.repairs);
+  d.add(r.query_reach);
+  return d.value();
+}
+
+inline std::uint64_t digest(const search::GossipStats& r) {
+  Digest d;
+  d.add(r.queries_completed);
+  d.add(r.queries_satisfied);
+  d.add(r.local_hits);
+  d.add(r.knowledge_hits);
+  d.add(r.fallback_queries);
+  d.add(r.probes);
+  d.add(r.probe_replies);
+  d.add(r.stale_ads_expired);
+  d.add(r.stale_ads_dead);
+  d.add(r.gossip_exchanges);
+  d.add(r.gossip_legs);
+  d.add(r.ads_sent);
+  d.add(r.deaths);
+  d.add(r.knowledge_size);
+  d.add(r.response_time);
+  d.add(r.query_probes);
+  return d.value();
+}
+
+inline std::uint64_t digest(const onehop::OneHopResults& r) {
+  Digest d;
+  d.add(r.lookups);
+  d.add(r.one_hop);
+  d.add(r.corrective_hops);
+  d.add(r.timeouts);
+  d.add(r.probes_per_lookup);
+  d.add(r.lookup_probes);
+  d.add(r.deaths);
+  d.add(r.membership_events);
+  return d.value();
+}
+
+inline std::uint64_t digest(const baseline::DeepeningResult& r) {
+  Digest d;
+  d.add(r.avg_cost);
+  d.add(r.unsatisfied_rate);
   return d.value();
 }
 
