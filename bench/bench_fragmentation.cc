@@ -48,6 +48,7 @@ int main(int argc, char** argv) {
 
   TablePrinter amp({"overlay", "TTL", "peers reached", "messages",
                     "amplification (msgs/reached)"});
+  gnutella::FloodScratch scratch;
   for (auto* graph : {&power_law, &random}) {
     const char* name = graph == &power_law ? "power-law" : "random";
     for (std::size_t ttl : {2u, 4u, 6u, 8u}) {
@@ -55,9 +56,13 @@ int main(int argc, char** argv) {
       double reached = 0.0, messages = 0.0;
       const int origins = 50;
       for (int i = 0; i < origins; ++i) {
-        auto result = gnutella::flood_reach(*graph, rng.index(n), ttl);
-        reached += static_cast<double>(result.peers_reached);
-        messages += static_cast<double>(result.messages);
+        std::size_t peers = 0;
+        std::uint64_t sent = gnutella::flood(
+            *graph, rng.index(n), ttl, scratch,
+            [](std::size_t) { return true; },
+            [&peers](std::size_t, std::size_t) { ++peers; });
+        reached += static_cast<double>(peers);
+        messages += static_cast<double>(sent);
       }
       reached /= origins;
       messages /= origins;

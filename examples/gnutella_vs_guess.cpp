@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
 
   // --- Gnutella: flood over a power-law overlay ---
   auto topology = guess::gnutella::power_law_topology(n, 3, rng);
+  guess::gnutella::FloodScratch scratch;
   std::size_t queries = 2000;
   std::uint64_t messages = 0;
   std::size_t satisfied = 0;
@@ -36,11 +37,19 @@ int main(int argc, char** argv) {
   for (std::size_t q = 0; q < queries; ++q) {
     auto origin = rng.index(n);
     auto file = model.draw_query(rng);
-    auto flood =
-        guess::gnutella::flood_query(topology, population, origin, file, ttl);
-    messages += flood.messages;
-    reached += static_cast<double>(flood.peers_reached);
-    if (flood.results >= 1) ++satisfied;
+    std::size_t peers = 0;
+    std::uint32_t results = 0;
+    messages += guess::gnutella::flood(
+        topology, origin, ttl, scratch, [](std::size_t) { return true; },
+        [&](std::size_t peer, std::size_t) {
+          ++peers;
+          if (file != guess::content::kNonexistentFile &&
+              population.library(peer).contains(file)) {
+            ++results;
+          }
+        });
+    reached += static_cast<double>(peers);
+    if (results >= 1) ++satisfied;
   }
 
   // --- GUESS: adaptive probing, QueryPong = MFS (§6.2's efficient choice) ---

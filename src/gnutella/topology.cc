@@ -22,6 +22,24 @@ bool Topology::add_edge(std::size_t a, std::size_t b) {
   return true;
 }
 
+void Topology::remove_edge(std::size_t a, std::size_t b) {
+  GUESS_CHECK(a < nodes() && b < nodes());
+  auto drop = [](std::vector<std::size_t>& list, std::size_t other) {
+    auto it = std::find(list.begin(), list.end(), other);
+    if (it == list.end()) return false;
+    *it = list.back();
+    list.pop_back();
+    return true;
+  };
+  if (!drop(adjacency_[a], b)) return;
+  drop(adjacency_[b], a);
+  --edges_;
+}
+
+void Topology::ensure_nodes(std::size_t n) {
+  if (adjacency_.size() < n) adjacency_.resize(n);
+}
+
 const std::vector<std::size_t>& Topology::neighbors(std::size_t node) const {
   GUESS_CHECK(node < nodes());
   return adjacency_[node];

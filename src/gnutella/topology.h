@@ -1,6 +1,11 @@
 // Gnutella-style overlay topologies (§3 of the paper).
 //
-// Two generators:
+// One adjacency structure serves both the static §3 graphs and the live
+// overlay (DynamicOverlay keeps its connections here, indexed by population
+// slot). Neighbor order is part of the model: a flood visits neighbors in
+// list order, so insertion order and swap-remove order fix BFS order.
+//
+// Two generators for the static graphs:
 //  * random_topology — each peer opens `degree` connections to uniformly
 //    random others (the degree-capped overlay the paper suggests is robust);
 //  * power_law_topology — Barabási–Albert preferential attachment, the
@@ -27,6 +32,13 @@ class Topology {
   /// Insert an undirected edge; no-op (returns false) for self-loops and
   /// duplicates.
   bool add_edge(std::size_t a, std::size_t b);
+
+  /// Remove an undirected edge if present: b is swap-removed from a's list
+  /// (the last neighbor takes its place), then a from b's.
+  void remove_edge(std::size_t a, std::size_t b);
+
+  /// Grow to at least `n` nodes; new nodes have no edges.
+  void ensure_nodes(std::size_t n);
 
   const std::vector<std::size_t>& neighbors(std::size_t node) const;
   std::size_t degree(std::size_t node) const;

@@ -962,16 +962,7 @@ void GuessNetwork::finish_query(Peer& origin, QueryExecution& query,
 // --- fault-scenario hooks (DESIGN.md §9) -----------------------------------
 
 void GuessNetwork::fault_mass_kill(double fraction) {
-  const std::vector<PeerId>& alive = table_.alive_ids();
-  std::size_t victims = static_cast<std::size_t>(
-      fraction * static_cast<double>(alive.size()));
-  victims = std::min(victims, alive.size());
-  // Draw victims from the alive list (deterministic order), then copy out:
-  // each removal swap-mutates the alive list underneath the indices.
-  auto picks = rng_.sample_indices(alive.size(), victims);
-  std::vector<PeerId> chosen;
-  chosen.reserve(picks.size());
-  for (std::size_t idx : picks) chosen.push_back(alive[idx]);
+  std::vector<PeerId> chosen = table_.sample_alive(fraction, rng_);
   trace(TraceCategory::kFault, [&](std::ostream& os) {
     os << "mass-kill fraction=" << fraction << " victims=" << chosen.size()
        << " alive=" << table_.size();

@@ -1,144 +1,11 @@
-// Dense peer identity: PeerId -> slot mapping with generation tags.
-//
-// Peers live in a contiguous slab of slots. A birth claims a slot from the
-// free list (LIFO) or appends one; a death returns the slot and bumps its
-// generation so stale slot references can never resurrect a dead PeerId.
-// PeerIds are allocated monotonically by the network, so the id -> slot map
-// is a plain vector indexed by id — every lookup on the query hot path is
-// two array indexings, no hashing.
-//
-// The table also owns the alive list (push_back on birth, swap-remove on
-// death) and each live peer's position in it, so the network's iteration
-// and sampling orders are exactly the pre-table orders: they depend only on
-// the birth/death sequence, never on which slot a peer happens to occupy
-// (the slot-shuffle determinism test pins this).
+// GuessNetwork's population: the shared dense slot table over Peer.
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <utility>
-#include <vector>
-
-#include "common/check.h"
+#include "common/slot_table.h"
 #include "guess/peer.h"
 
 namespace guess {
 
-class PeerTable {
- public:
-  /// Sentinel slot index: "this id has no live peer".
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-
-  /// Construct a peer for `id` in a free slot. `id` must be fresh (never
-  /// used before) — ids are monotonic, so the id map only grows.
-  /// The returned reference is valid until the next create() (slab growth
-  /// may move peers; nothing outside an event keeps Peer pointers).
-  template <typename... Args>
-  Peer& create(PeerId id, Args&&... args) {
-    // Reject tombstoned / live ids before touching any slot state, so a
-    // rejected re-create (a recycled sybil identity, say) cannot leak a
-    // free-list slot.
-    if (id >= id_to_slot_.size()) {
-      id_to_slot_.resize(static_cast<std::size_t>(id) + 1,
-                         IdRef{kNoSlot, 0});
-    }
-    GUESS_CHECK_MSG(id_to_slot_[id].slot == kNoSlot &&
-                        id_to_slot_[id].generation == 0,
-                    "PeerId reused");
-    std::uint32_t slot;
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-    } else {
-      slot = static_cast<std::uint32_t>(slots_.size());
-      slots_.emplace_back();
-    }
-    Slot& s = slots_[slot];
-    GUESS_CHECK(!s.peer.has_value());
-    s.peer.emplace(id, std::forward<Args>(args)...);
-    s.alive_pos = static_cast<std::uint32_t>(alive_ids_.size());
-    id_to_slot_[id] = IdRef{slot, s.generation};
-    alive_ids_.push_back(id);
-    return *s.peer;
-  }
-
-  /// Destroy the peer for `id` (checked): swap-removes it from the alive
-  /// list, frees its slot, and bumps the slot's generation.
-  void destroy(PeerId id);
-
-  Peer* find(PeerId id) {
-    std::uint32_t slot = slot_of(id);
-    return slot == kNoSlot ? nullptr : &*slots_[slot].peer;
-  }
-  const Peer* find(PeerId id) const {
-    std::uint32_t slot = slot_of(id);
-    return slot == kNoSlot ? nullptr : &*slots_[slot].peer;
-  }
-  bool alive(PeerId id) const { return slot_of(id) != kNoSlot; }
-
-  /// Slot of a live peer, or kNoSlot.
-  std::uint32_t slot_of(PeerId id) const {
-    if (id >= id_to_slot_.size()) return kNoSlot;
-    return id_to_slot_[id].slot;
-  }
-
-  /// Position of a live peer in alive_ids() (checked).
-  std::uint32_t alive_pos(PeerId id) const {
-    std::uint32_t slot = slot_of(id);
-    GUESS_CHECK(slot != kNoSlot);
-    return slots_[slot].alive_pos;
-  }
-
-  /// Live peer ids in birth order with swap-remove holes — the same order
-  /// the pre-table network maintained.
-  const std::vector<PeerId>& alive_ids() const { return alive_ids_; }
-  std::size_t size() const { return alive_ids_.size(); }
-
-  /// Total slots ever allocated (live + free); per-slot side arrays in the
-  /// network are sized against this.
-  std::size_t slot_count() const { return slots_.size(); }
-
-  /// Current generation of a slot (bumped on each death in the slot).
-  std::uint32_t generation(std::uint32_t slot) const {
-    GUESS_CHECK(slot < slots_.size());
-    return slots_[slot].generation;
-  }
-
-  /// Resolve a (slot, generation) reference: the peer if the slot is
-  /// occupied by the same incarnation the reference was taken against,
-  /// nullptr otherwise. A reference taken before a death never resolves to
-  /// the slot's next tenant.
-  Peer* peer_in_slot(std::uint32_t slot, std::uint32_t gen) {
-    if (slot >= slots_.size()) return nullptr;
-    Slot& s = slots_[slot];
-    if (!s.peer.has_value() || s.generation != gen) return nullptr;
-    return &*s.peer;
-  }
-
-  void reserve(std::size_t n);
-
-  /// Test hook: pre-allocate `order.size()` empty slots and arrange the
-  /// free list so births claim slots in exactly `order` — lets the
-  /// determinism suite prove results do not depend on slot assignment.
-  /// Must be called on an empty table; `order` must be a permutation of
-  /// [0, order.size()).
-  void debug_seed_free_slots(std::vector<std::uint32_t> order);
-
- private:
-  struct Slot {
-    std::uint32_t generation = 0;
-    std::uint32_t alive_pos = 0;  // valid while occupied
-    std::optional<Peer> peer;
-  };
-  struct IdRef {
-    std::uint32_t slot;
-    std::uint32_t generation;
-  };
-
-  std::vector<Slot> slots_;
-  std::vector<IdRef> id_to_slot_;          // indexed by PeerId
-  std::vector<std::uint32_t> free_slots_;  // LIFO
-  std::vector<PeerId> alive_ids_;
-};
+using PeerTable = SlotTable<Peer>;
 
 }  // namespace guess

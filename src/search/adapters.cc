@@ -1,13 +1,12 @@
 // The four legacy silos as SearchBackend adapters (DESIGN.md §12.2).
 //
-// Each adapter's contract is bitwise equivalence: construction order, RNG
-// consumption, event scheduling and collection replicate the legacy
-// free-standing driver exactly, so the legacy results struct in the
-// extension slot is identical to what the silo's own entry point produces
-// (tests/search/backend_equivalence_test.cc asserts this field by field).
-// GUESS has no other driver; the same test pins its runs to golden values.
-// The unified SearchResults mapping on top is pure arithmetic over those
-// structs — it can never perturb a run.
+// Each adapter keeps the construction order, RNG consumption, event
+// scheduling and collection of the silo's former free-standing driver, so
+// the legacy results struct in the extension slot is what that driver
+// produced; tests/search/backend_equivalence_test.cc pins every backend's
+// runs to golden values recorded from those drivers. The unified
+// SearchResults mapping on top is pure arithmetic over those structs — it
+// can never perturb a run.
 #include "search/adapters.h"
 
 #include <algorithm>
@@ -282,22 +281,16 @@ class IterativeBackend final : public SearchBackend {
   void start_query(Rng& rng, sim::Time issued) override {
     // One extra Monte-Carlo query, outside the batch (extra accumulators so
     // the legacy batch result in the extension slot stays untouched).
-    // Schedule rings are clamped to the current population: a mass kill can
-    // shrink it below the deepest ring (no-op clamps when it hasn't).
-    std::vector<std::size_t> schedule =
-        baseline::default_schedule(config_.system().network_size);
+    std::vector<std::size_t> rings = schedule();
     content::FileId file = model_->draw_query(rng);
-    std::size_t deepest = std::min(schedule.back(), population_->size());
     std::vector<std::size_t> order =
-        rng.sample_indices(population_->size(), deepest);
+        rng.sample_indices(population_->size(), rings.back());
     std::uint32_t found = 0;
     std::size_t probed = 0;
     bool satisfied = false;
     auto desired =
         static_cast<std::uint32_t>(config_.system().num_desired_results);
-    for (std::size_t ring : schedule) {
-      ring = std::min(ring, order.size());
-      if (ring <= probed) continue;
+    for (std::size_t ring : rings) {
       found += population_->results_in_prefix(file, order, probed, ring);
       probed = ring;
       if (found >= desired) {
@@ -352,14 +345,9 @@ class IterativeBackend final : public SearchBackend {
       out.probe_samples = std::move(samples);
       return out;
     }
-    std::vector<std::size_t> schedule =
-        baseline::default_schedule(config_.system().network_size);
-    for (std::size_t& ring : schedule) {
-      ring = std::min(ring, population_->size());
-    }
     SampleSet samples;
     baseline::DeepeningResult legacy = baseline::evaluate_iterative_deepening(
-        *population_, *model_, schedule, kIterativeQueries,
+        *population_, *model_, schedule(), kIterativeQueries,
         static_cast<std::uint32_t>(config_.system().num_desired_results),
         rng_, &samples);
 
@@ -392,6 +380,19 @@ class IterativeBackend final : public SearchBackend {
   }
 
  private:
+  /// The default rings clamped to the current population and deduplicated:
+  /// a mass kill can shrink it below the deeper rings, and the rings must
+  /// stay strictly increasing.
+  std::vector<std::size_t> schedule() const {
+    std::vector<std::size_t> rings =
+        baseline::default_schedule(config_.system().network_size);
+    for (std::size_t& ring : rings) {
+      ring = std::min(ring, population_->size());
+    }
+    rings.erase(std::unique(rings.begin(), rings.end()), rings.end());
+    return rings;
+  }
+
   SimulationConfig config_;
   sim::Simulator& simulator_;
   Rng rng_;

@@ -8,10 +8,6 @@
 
 namespace guess::search {
 
-namespace {
-constexpr std::uint32_t kFreeSlot = 0xffffffffu;
-}  // namespace
-
 GossipBackend::GossipBackend(const SimulationConfig& config,
                              sim::Simulator& simulator, Rng rng)
     : config_(config),
@@ -32,54 +28,36 @@ GossipBackend::~GossipBackend() = default;
 
 void GossipBackend::bootstrap() {
   std::size_t n = config_.system().network_size;
-  slots_.reserve(n + n / 4);
-  alive_slots_.reserve(n + n / 4);
-  alive_ids_.reserve(n + n / 4);
+  table_.reserve(n + n / 4);
   // Fallback probing permutations; +1 leaves room to skip the origin.
   probe_order_.reserve(
       std::max(n, config_.backends().gossip.max_probes + 1));
   for (std::size_t i = 0; i < n; ++i) spawn_peer(/*initial=*/true);
 }
 
-bool GossipBackend::alive(std::uint64_t id) const {
-  return id_to_slot_.find(id) != id_to_slot_.end();
+GossipBackend::PeerSlot& GossipBackend::live(std::uint64_t id) {
+  PeerSlot* peer = table_.find(id);
+  GUESS_CHECK_MSG(peer != nullptr, "peer " << id << " is not alive");
+  return *peer;
 }
 
-std::uint32_t GossipBackend::slot_of(std::uint64_t id) const {
-  auto it = id_to_slot_.find(id);
-  GUESS_CHECK_MSG(it != id_to_slot_.end(), "peer " << id << " is not alive");
-  return it->second;
+const GossipBackend::PeerSlot& GossipBackend::live(std::uint64_t id) const {
+  const PeerSlot* peer = table_.find(id);
+  GUESS_CHECK_MSG(peer != nullptr, "peer " << id << " is not alive");
+  return *peer;
 }
 
 std::uint64_t GossipBackend::spawn_peer(bool initial) {
   std::uint64_t id = next_id_++;
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-    slots_.back().knowledge.reserve(
-        config_.backends().gossip.knowledge_capacity);
-  }
-  PeerSlot& peer = slots_[slot];
-  peer.id = id;
-  peer.library = content_.sample_peer_library(rng_);
-  peer.knowledge.clear();
-  peer.rumor_cursor = 0;
-  peer.partition_group =
+  // Draw into locals first: the library, then the partition side (argument
+  // evaluation order is unspecified).
+  content::Library library = content_.sample_peer_library(rng_);
+  int partition_group =
       partition_ways_ > 0 ? static_cast<int>(rng_.index(
                                 static_cast<std::size_t>(partition_ways_)))
                           : -1;
-
-  if (alive_index_of_slot_.size() <= slot) {
-    alive_index_of_slot_.resize(slots_.size(), 0);
-  }
-  alive_index_of_slot_[slot] = alive_slots_.size();
-  alive_slots_.push_back(slot);
-  alive_ids_.push_back(id);
-  id_to_slot_.emplace(id, slot);
+  PeerSlot& peer = table_.create(id, std::move(library), partition_group);
+  peer.knowledge.reserve(config_.backends().gossip.knowledge_capacity);
 
   if (initial) {
     // Start mid-session so deaths do not arrive in a synchronized wave.
@@ -93,22 +71,8 @@ std::uint64_t GossipBackend::spawn_peer(bool initial) {
   return id;
 }
 
-void GossipBackend::remove_peer(std::uint64_t id) {
-  std::uint32_t slot = slot_of(id);
-  id_to_slot_.erase(id);
-  std::size_t index = alive_index_of_slot_[slot];
-  std::uint32_t last_slot = alive_slots_.back();
-  alive_slots_[index] = last_slot;
-  alive_ids_[index] = alive_ids_.back();
-  alive_index_of_slot_[last_slot] = index;
-  alive_slots_.pop_back();
-  alive_ids_.pop_back();
-  slots_[slot].id = kFreeSlot;
-  free_slots_.push_back(slot);
-}
-
 void GossipBackend::on_peer_death(std::uint64_t id) {
-  remove_peer(id);
+  table_.destroy(id);
   // Constant population: the paper's model, shared by every backend.
   spawn_peer(/*initial=*/false);
 }
@@ -116,7 +80,7 @@ void GossipBackend::on_peer_death(std::uint64_t id) {
 void GossipBackend::schedule_next_gossip(std::uint64_t id,
                                          sim::Duration delay) {
   simulator_.after(delay, [this, id]() {
-    if (!alive(id)) return;
+    if (!table_.alive(id)) return;
     gossip_round(id);
     schedule_next_gossip(id, config_.backends().gossip.gossip_interval);
   });
@@ -127,13 +91,13 @@ void GossipBackend::schedule_next_burst(std::uint64_t id) {
   // through start_query.
   if (config_.open_loop()) return;
   simulator_.after(query_stream_.next_burst_gap(rng_), [this, id]() {
-    if (!alive(id)) return;
+    if (!table_.alive(id)) return;
     std::size_t burst = query_stream_.next_burst_size(rng_);
     for (std::size_t i = 0; i < burst; ++i) {
-      if (!alive(id)) break;  // a mid-burst fault could have removed us
+      if (!table_.alive(id)) break;  // a mid-burst fault could have removed us
       run_query(id, content_.draw_query(rng_));
     }
-    if (alive(id)) schedule_next_burst(id);
+    if (table_.alive(id)) schedule_next_burst(id);
   });
 }
 
@@ -215,18 +179,17 @@ std::size_t GossipBackend::send_ads(PeerSlot& from, PeerSlot& to,
 }
 
 void GossipBackend::gossip_round(std::uint64_t id) {
-  if (alive_slots_.size() < 2) return;
-  std::uint32_t slot = slot_of(id);
+  if (table_.size() < 2) return;
+  PeerSlot& self = live(id);
   const GossipBackendParams& tuning = config_.backends().gossip;
   double loss = leg_loss();
+  std::size_t my_index = table_.alive_pos(id);
   for (std::size_t f = 0; f < tuning.fanout; ++f) {
     // One draw over the others: index < mine maps directly, >= mine shifts
     // past self.
-    std::size_t my_index = alive_index_of_slot_[slot];
-    std::size_t pick = rng_.index(alive_slots_.size() - 1);
+    std::size_t pick = rng_.index(table_.size() - 1);
     if (pick >= my_index) ++pick;
-    PeerSlot& self = slots_[slot];
-    PeerSlot& partner = slots_[alive_slots_[pick]];
+    PeerSlot& partner = *table_.find(table_.alive_ids()[pick]);
     if (measuring_) ++stats_.gossip_exchanges;
     if (severed(self, partner)) {
       // The push leg is spent on a dead link; no pull comes back.
@@ -250,8 +213,7 @@ void GossipBackend::submit_query(std::uint64_t origin, content::FileId file) {
 GossipBackend::QueryOutcome GossipBackend::run_query(std::uint64_t origin,
                                                      content::FileId file) {
   const GossipBackendParams& tuning = config_.backends().gossip;
-  std::uint32_t slot = slot_of(origin);
-  PeerSlot& o = slots_[slot];
+  PeerSlot& o = live(origin);
   sim::Time now = simulator_.now();
   auto desired =
       static_cast<std::uint32_t>(config_.system().num_desired_results);
@@ -286,8 +248,8 @@ GossipBackend::QueryOutcome GossipBackend::run_query(std::uint64_t origin,
         o.knowledge.pop_back();
         continue;
       }
-      auto provider_it = id_to_slot_.find(ad.provider);
-      if (provider_it == id_to_slot_.end()) {
+      const PeerSlot* provider = table_.find(ad.provider);
+      if (provider == nullptr) {
         if (measuring_) ++stats_.stale_ads_dead;
         ad = o.knowledge.back();
         o.knowledge.pop_back();
@@ -295,8 +257,7 @@ GossipBackend::QueryOutcome GossipBackend::run_query(std::uint64_t origin,
       }
       // Fetch from the advertised provider: one direct probe.
       ++probes;
-      PeerSlot& provider = slots_[provider_it->second];
-      bool ok = !severed(o, provider) &&
+      bool ok = !severed(o, *provider) &&
                 (loss <= 0.0 || !rng_.bernoulli(loss));
       if (ok) {
         ++replies;
@@ -308,20 +269,18 @@ GossipBackend::QueryOutcome GossipBackend::run_query(std::uint64_t origin,
   bool knowledge_hit = found >= desired && !local_hit;
 
   // Tier 3: fall back to probing random live peers, GUESS-style.
-  if (found < desired && probes < tuning.max_probes &&
-      alive_slots_.size() > 1) {
+  if (found < desired && probes < tuning.max_probes && table_.size() > 1) {
     entered_fallback = true;
     std::size_t budget =
-        std::min<std::size_t>(tuning.max_probes - probes + 1,
-                              alive_slots_.size());
-    rng_.sample_indices_into(alive_slots_.size(), budget, probe_order_,
+        std::min<std::size_t>(tuning.max_probes - probes + 1, table_.size());
+    rng_.sample_indices_into(table_.size(), budget, probe_order_,
                              sample_scratch_);
     for (std::size_t pick : probe_order_) {
       if (found >= desired || probes >= tuning.max_probes) break;
-      std::uint32_t target_slot = alive_slots_[pick];
-      if (target_slot == slot) continue;
+      std::uint64_t target_id = table_.alive_ids()[pick];
+      if (target_id == origin) continue;
       ++probes;
-      PeerSlot& target = slots_[target_slot];
+      const PeerSlot& target = *table_.find(target_id);
       bool ok = !severed(o, target) &&
                 (loss <= 0.0 || !rng_.bernoulli(loss));
       if (!ok) continue;
@@ -361,8 +320,9 @@ void GossipBackend::begin_measurement() {
 }
 
 void GossipBackend::start_query(Rng& rng, sim::Time issued) {
-  GUESS_CHECK(!alive_ids_.empty());
-  std::uint64_t origin = alive_ids_[rng.index(alive_ids_.size())];
+  const std::vector<std::uint64_t>& alive = table_.alive_ids();
+  GUESS_CHECK(!alive.empty());
+  std::uint64_t origin = alive[rng.index(alive.size())];
   QueryOutcome outcome = run_query(origin, content_.draw_query(rng));
   if (observer_ != nullptr) {
     // Queries resolve synchronously; latency is the controller queueing
@@ -390,7 +350,7 @@ void GossipBackend::sample_interval() {
   sample.queries_completed = interval_completed_;
   sample.queries_satisfied = interval_satisfied_;
   sample.probes = interval_probes_;
-  sample.live_peers = alive_slots_.size();
+  sample.live_peers = table_.size();
   interval_series_.push_back(sample);
   interval_start_ = sample.end;
   interval_completed_ = 0;
@@ -400,9 +360,9 @@ void GossipBackend::sample_interval() {
 
 SearchResults GossipBackend::collect() {
   stats_.deaths = churn_->deaths() - deaths_baseline_;
-  for (std::uint32_t slot : alive_slots_) {
+  for (std::uint64_t id : table_.alive_ids()) {
     stats_.knowledge_size.add(
-        static_cast<double>(slots_[slot].knowledge.size()));
+        static_cast<double>(table_.find(id)->knowledge.size()));
   }
 
   SearchResults out;
@@ -427,32 +387,20 @@ SearchResults GossipBackend::collect() {
 }
 
 std::size_t GossipBackend::knowledge_entries(std::uint64_t id) const {
-  return slots_[slot_of(id)].knowledge.size();
+  return live(id).knowledge.size();
 }
 
 bool GossipBackend::knows(std::uint64_t id, content::FileId file) const {
-  const PeerSlot& peer = slots_[slot_of(id)];
-  for (const Ad& ad : peer.knowledge) {
+  for (const Ad& ad : live(id).knowledge) {
     if (ad.file == file) return true;
   }
   return false;
 }
 
 void GossipBackend::fault_mass_kill(double fraction) {
-  GUESS_CHECK(fraction >= 0.0 && fraction <= 1.0);
-  auto victims = static_cast<std::size_t>(
-      fraction * static_cast<double>(alive_slots_.size()));
-  if (victims == 0) return;
-  GUESS_CHECK_MSG(victims < alive_slots_.size(),
-                  "mass kill would empty the network");
-  rng_.sample_indices_into(alive_slots_.size(), victims, probe_order_,
-                           sample_scratch_);
-  std::vector<std::uint64_t> ids;
-  ids.reserve(victims);
-  for (std::size_t index : probe_order_) ids.push_back(alive_ids_[index]);
-  for (std::uint64_t id : ids) {
+  for (std::uint64_t id : table_.sample_alive(fraction, rng_)) {
     churn_->deschedule(id);
-    remove_peer(id);  // no replacement birth: the population stays reduced
+    table_.destroy(id);  // no replacement birth: the population stays reduced
   }
 }
 
@@ -463,8 +411,8 @@ void GossipBackend::fault_mass_join(std::size_t count) {
 void GossipBackend::fault_set_partition(int ways) {
   GUESS_CHECK(ways >= 2);
   partition_ways_ = ways;
-  for (std::uint32_t slot : alive_slots_) {
-    slots_[slot].partition_group = static_cast<int>(
+  for (std::uint64_t id : table_.alive_ids()) {
+    table_.find(id)->partition_group = static_cast<int>(
         rng_.index(static_cast<std::size_t>(ways)));
   }
 }

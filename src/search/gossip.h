@@ -19,11 +19,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "churn/churn_manager.h"
 #include "common/rng.h"
+#include "common/slot_table.h"
 #include "common/stats.h"
 #include "content/content_model.h"
 #include "content/query_stream.h"
@@ -76,7 +76,7 @@ class GossipBackend final : public SearchBackend {
     observer_ = observer;
   }
   SearchResults collect() override;
-  std::size_t live_peers() const override { return alive_slots_.size(); }
+  std::size_t live_peers() const override { return table_.size(); }
 
   void begin_intervals(sim::Duration width) override;
   void sample_interval() override;
@@ -92,7 +92,9 @@ class GossipBackend final : public SearchBackend {
   void fault_clear_degradation() override;
 
   // --- introspection (tests) ---
-  const std::vector<std::uint64_t>& alive_ids() const { return alive_ids_; }
+  const std::vector<std::uint64_t>& alive_ids() const {
+    return table_.alive_ids();
+  }
   const content::ContentModel& content() const { return content_; }
   /// Knowledge-cache occupancy of a live peer (CHECKs liveness).
   std::size_t knowledge_entries(std::uint64_t id) const;
@@ -112,18 +114,18 @@ class GossipBackend final : public SearchBackend {
   };
 
   struct PeerSlot {
-    std::uint64_t id = 0;  ///< incarnation id; meaningless when free
+    std::uint64_t id = 0;
     content::Library library;
-    std::vector<Ad> knowledge;  ///< capacity reserved once, never grows
-    std::size_t rumor_cursor = 0;  ///< rotating relay scan position
     int partition_group = -1;
+    std::vector<Ad> knowledge;  ///< capacity reserved at birth, never grows
+    std::size_t rumor_cursor = 0;  ///< rotating relay scan position
   };
 
   std::uint64_t spawn_peer(bool initial);
   void on_peer_death(std::uint64_t id);
-  void remove_peer(std::uint64_t id);
-  std::uint32_t slot_of(std::uint64_t id) const;  ///< CHECKs liveness
-  bool alive(std::uint64_t id) const;
+  /// The live peer `id` (CHECKs liveness).
+  PeerSlot& live(std::uint64_t id);
+  const PeerSlot& live(std::uint64_t id) const;
 
   void schedule_next_gossip(std::uint64_t id, sim::Duration delay);
   void schedule_next_burst(std::uint64_t id);
@@ -149,15 +151,7 @@ class GossipBackend final : public SearchBackend {
   std::unique_ptr<churn::ChurnManager> churn_;
 
   std::uint64_t next_id_ = 0;
-  std::vector<PeerSlot> slots_;
-  std::vector<std::uint32_t> free_slots_;
-  /// Dense live set: alive_slots_[i] <-> alive_ids_[i]; swap-pop removal.
-  std::vector<std::uint32_t> alive_slots_;
-  std::vector<std::uint64_t> alive_ids_;
-  std::vector<std::size_t> alive_index_of_slot_;
-  /// id -> slot for the O(1) liveness checks queries and timers make
-  /// (lookups allocate nothing; inserts/erases happen only on churn).
-  std::unordered_map<std::uint64_t, std::uint32_t> id_to_slot_;
+  SlotTable<PeerSlot> table_;
 
   bool measuring_ = false;
   GossipStats stats_;

@@ -82,6 +82,13 @@ void OpenLoopDriver::pump() {
 
 void OpenLoopDriver::launch(sim::Time issued) {
   if (measuring_) ++stats_.admitted;
+  if (backend_.live_peers() == 0) {
+    // A mass kill emptied the network: no origin can issue the query, so it
+    // is abandoned at once and its slot freed.
+    controller_.on_release();
+    if (measuring_) ++stats_.abandoned;
+    return;
+  }
   // Synchronous backends complete the query inside this call; pump's
   // re-entrancy guard keeps the resulting on_query_complete -> pump cascade
   // from recursing.

@@ -25,6 +25,44 @@ TEST(Topology, NeighborsAreSymmetric) {
   EXPECT_EQ(graph.neighbors(2), (std::vector<std::size_t>{0}));
 }
 
+TEST(Topology, RemoveEdgeSwapRemovesOnBothSides) {
+  Topology graph(5);
+  graph.add_edge(0, 1);
+  graph.add_edge(0, 2);
+  graph.add_edge(0, 3);
+  graph.add_edge(2, 4);
+  graph.add_edge(2, 3);
+  ASSERT_EQ(graph.edges(), 5u);
+
+  // The last neighbor takes the removed one's place, on each side.
+  graph.remove_edge(0, 1);
+  EXPECT_EQ(graph.neighbors(0), (std::vector<std::size_t>{3, 2}));
+  EXPECT_TRUE(graph.neighbors(1).empty());
+  EXPECT_EQ(graph.edges(), 4u);
+
+  graph.remove_edge(2, 0);
+  EXPECT_EQ(graph.neighbors(2), (std::vector<std::size_t>{3, 4}));
+  EXPECT_EQ(graph.neighbors(0), (std::vector<std::size_t>{3}));
+  EXPECT_EQ(graph.edges(), 3u);
+
+  graph.remove_edge(1, 4);  // no such edge: a no-op
+  EXPECT_EQ(graph.edges(), 3u);
+  EXPECT_THROW(graph.remove_edge(0, 5), CheckError);
+}
+
+TEST(Topology, EnsureNodesOnlyGrows) {
+  Topology graph(2);
+  graph.add_edge(0, 1);
+  graph.ensure_nodes(5);
+  EXPECT_EQ(graph.nodes(), 5u);
+  EXPECT_EQ(graph.degree(4), 0u);
+  EXPECT_EQ(graph.neighbors(0), (std::vector<std::size_t>{1}));
+  EXPECT_TRUE(graph.add_edge(0, 4));
+  graph.ensure_nodes(3);
+  EXPECT_EQ(graph.nodes(), 5u);
+  EXPECT_EQ(graph.edges(), 2u);
+}
+
 TEST(Topology, LargestComponentOnCraftedGraph) {
   Topology graph(6);
   graph.add_edge(0, 1);

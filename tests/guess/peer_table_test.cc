@@ -1,21 +1,15 @@
-// PeerTable: the dense PeerId -> slot identity layer under GuessNetwork.
-// Unit tests pin the slot-allocation discipline (LIFO reuse, generation
-// bumps, birth-order alive list) and a model-based fuzz drives churn-burst
-// op sequences against a reference map to prove the free list never loses
-// or duplicates a slot and a (slot, generation) reference can never
-// resurrect a stale PeerId.
+// PeerTable (SlotTable over Peer, DESIGN.md §10) under GuessNetwork's
+// sybil flash crowds. The payload-independent slot discipline is tested in
+// tests/common/slot_table_test.cc.
 #include "guess/peer_table.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/rng.h"
 #include "content/content_model.h"
 
 namespace guess {
@@ -25,89 +19,6 @@ Peer& birth(PeerTable& table, PeerId id) {
   return table.create(id, /*birth=*/0.0, content::Library{},
                       /*cache_capacity=*/8, /*malicious=*/false,
                       /*selfish=*/false);
-}
-
-TEST(PeerTable, CreateFindDestroy) {
-  PeerTable table;
-  Peer& a = birth(table, 0);
-  EXPECT_EQ(a.id(), 0u);
-  EXPECT_EQ(table.size(), 1u);
-  EXPECT_TRUE(table.alive(0));
-  EXPECT_EQ(table.find(0), &a);
-  EXPECT_EQ(table.find(1), nullptr);
-  EXPECT_FALSE(table.alive(1));
-
-  table.destroy(0);
-  EXPECT_EQ(table.size(), 0u);
-  EXPECT_FALSE(table.alive(0));
-  EXPECT_EQ(table.find(0), nullptr);
-  EXPECT_EQ(table.slot_of(0), PeerTable::kNoSlot);
-}
-
-TEST(PeerTable, PeerIdReuseIsRejected) {
-  PeerTable table;
-  birth(table, 5);
-  table.destroy(5);
-  // Ids are monotonic in the network; the table enforces it.
-  EXPECT_THROW(birth(table, 5), CheckError);
-}
-
-TEST(PeerTable, FreedSlotsAreReusedLifo) {
-  PeerTable table;
-  for (PeerId id = 0; id < 4; ++id) birth(table, id);
-  EXPECT_EQ(table.slot_count(), 4u);
-  std::uint32_t slot1 = table.slot_of(1);
-  std::uint32_t slot3 = table.slot_of(3);
-  table.destroy(1);
-  table.destroy(3);
-  // LIFO: the most recently freed slot is claimed first.
-  EXPECT_EQ(table.slot_of(birth(table, 4).id()), slot3);
-  EXPECT_EQ(table.slot_of(birth(table, 5).id()), slot1);
-  EXPECT_EQ(table.slot_count(), 4u);  // no growth while holes exist
-  birth(table, 6);
-  EXPECT_EQ(table.slot_count(), 5u);
-}
-
-TEST(PeerTable, AliveIdsFollowsBirthOrderWithSwapRemove) {
-  PeerTable table;
-  for (PeerId id = 0; id < 5; ++id) birth(table, id);
-  EXPECT_EQ(table.alive_ids(), (std::vector<PeerId>{0, 1, 2, 3, 4}));
-  table.destroy(1);  // back (4) fills the hole
-  EXPECT_EQ(table.alive_ids(), (std::vector<PeerId>{0, 4, 2, 3}));
-  EXPECT_EQ(table.alive_pos(4), 1u);
-  birth(table, 5);
-  EXPECT_EQ(table.alive_ids(), (std::vector<PeerId>{0, 4, 2, 3, 5}));
-}
-
-TEST(PeerTable, GenerationTagNeverResurrectsStalePeer) {
-  PeerTable table;
-  Peer& a = birth(table, 0);
-  std::uint32_t slot = table.slot_of(0);
-  std::uint32_t gen = table.generation(slot);
-  EXPECT_EQ(table.peer_in_slot(slot, gen), &a);
-
-  table.destroy(0);
-  EXPECT_EQ(table.peer_in_slot(slot, gen), nullptr);
-
-  // The next birth reclaims the same slot (LIFO) under a fresh generation;
-  // the stale reference still resolves to nothing.
-  Peer& b = birth(table, 1);
-  ASSERT_EQ(table.slot_of(1), slot);
-  EXPECT_EQ(table.peer_in_slot(slot, gen), nullptr);
-  EXPECT_EQ(table.peer_in_slot(slot, table.generation(slot)), &b);
-  EXPECT_NE(table.generation(slot), gen);
-}
-
-TEST(PeerTable, DebugSeedFreeSlotsControlsBirthOrder) {
-  PeerTable table;
-  table.debug_seed_free_slots({2, 0, 3, 1});
-  EXPECT_EQ(table.slot_count(), 4u);
-  EXPECT_EQ(table.slot_of(birth(table, 0).id()), 2u);
-  EXPECT_EQ(table.slot_of(birth(table, 1).id()), 0u);
-  EXPECT_EQ(table.slot_of(birth(table, 2).id()), 3u);
-  EXPECT_EQ(table.slot_of(birth(table, 3).id()), 1u);
-  // Seeded or not, the alive list is pure birth order.
-  EXPECT_EQ(table.alive_ids(), (std::vector<PeerId>{0, 1, 2, 3}));
 }
 
 // Sybil flash crowds (DESIGN.md §11) stress exactly this machinery: a small
@@ -164,94 +75,6 @@ TEST(PeerTable, SybilRecyclingTombstonesExpiredIdentities) {
       EXPECT_EQ(table.peer_in_slot(ref_slot, gen), nullptr);
     }
   }
-}
-
-// Model-based fuzz: correlated churn bursts (the fault engine's workload)
-// against a reference model. The table must agree with the model on
-// liveness, order, and positions after every operation, slots must be
-// conserved (live + free == allocated, no duplicates), and stale
-// (slot, generation) references taken before a death must never resolve.
-TEST(PeerTableFuzz, ChurnBurstsAgainstReferenceModel) {
-  Rng rng(20260806);
-  PeerTable table;
-  // Reference: alive list maintained by push_back/swap-remove, a liveness
-  // map, and every (slot, generation) reference retired by a death.
-  std::vector<PeerId> model_alive;
-  std::unordered_map<PeerId, std::size_t> model_pos;
-  struct StaleRef {
-    std::uint32_t slot;
-    std::uint32_t generation;
-  };
-  std::vector<StaleRef> stale;
-  PeerId next_id = 0;
-
-  auto model_birth = [&](PeerId id) {
-    model_pos.emplace(id, model_alive.size());
-    model_alive.push_back(id);
-  };
-  auto model_death = [&](PeerId id) {
-    std::size_t pos = model_pos.at(id);
-    model_pos.erase(id);
-    if (pos != model_alive.size() - 1) {
-      model_alive[pos] = model_alive.back();
-      model_pos[model_alive[pos]] = pos;
-    }
-    model_alive.pop_back();
-  };
-
-  for (int round = 0; round < 400; ++round) {
-    // A churn burst: a batch of births or a batch of correlated deaths.
-    if (model_alive.empty() || rng.bernoulli(0.55)) {
-      std::size_t count = 1 + rng.index(12);
-      for (std::size_t i = 0; i < count; ++i) {
-        PeerId id = next_id++;
-        birth(table, id);
-        model_birth(id);
-      }
-    } else {
-      std::size_t count = std::min<std::size_t>(1 + rng.index(12),
-                                                model_alive.size());
-      for (std::size_t i = 0; i < count; ++i) {
-        PeerId id = model_alive[rng.index(model_alive.size())];
-        std::uint32_t slot = table.slot_of(id);
-        stale.push_back({slot, table.generation(slot)});
-        table.destroy(id);
-        model_death(id);
-      }
-    }
-
-    // Table == model, entry for entry.
-    ASSERT_EQ(table.size(), model_alive.size());
-    ASSERT_EQ(table.alive_ids(), model_alive);
-    for (PeerId id : model_alive) {
-      ASSERT_TRUE(table.alive(id));
-      ASSERT_EQ(table.alive_pos(id), model_pos.at(id));
-      const Peer* peer = table.find(id);
-      ASSERT_NE(peer, nullptr);
-      ASSERT_EQ(peer->id(), id);
-    }
-    for (PeerId id = 0; id < next_id; ++id) {
-      ASSERT_EQ(table.alive(id), model_pos.count(id) == 1);
-    }
-
-    // Slot conservation: each live peer occupies a distinct slot and the
-    // slab never grows past the churn high-water mark.
-    std::unordered_set<std::uint32_t> occupied;
-    for (PeerId id : model_alive) {
-      ASSERT_TRUE(occupied.insert(table.slot_of(id)).second)
-          << "two live peers share a slot";
-    }
-    ASSERT_GE(table.slot_count(), model_alive.size());
-    ASSERT_LE(table.slot_count(), static_cast<std::size_t>(next_id));
-
-    // No stale reference resolves — even after its slot was re-occupied.
-    for (const StaleRef& ref : stale) {
-      ASSERT_EQ(table.peer_in_slot(ref.slot, ref.generation), nullptr)
-          << "stale (slot, generation) reference resurrected a dead peer";
-    }
-  }
-  EXPECT_GT(stale.size(), 100u);          // deaths actually happened
-  EXPECT_LT(table.slot_count(), next_id); // slots actually got reused
 }
 
 }  // namespace

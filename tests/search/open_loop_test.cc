@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
+#include <string>
 
 #include "common/check.h"
+#include "faults/scenario.h"
 #include "guess/config.h"
 #include "search/backend.h"
 
@@ -225,6 +228,62 @@ TEST(OpenLoop, GoodputAndViolationRateAreConsistent) {
   EXPECT_GE(rate, 0.0);
   EXPECT_LE(rate, 1.0);
 }
+
+// Every mass kill validate() accepts runs to completion, closed and open
+// loop (DESIGN.md §9). `kill 1.0` empties GUESS, flood and gossip (one-hop
+// keeps two peers, iterative one): open-loop arrivals meanwhile find no
+// origin and are abandoned, and the join refills the network. `kill 0.6`
+// leaves iterative fewer peers than its middle ring, which must collapse
+// into the last.
+struct MassKillCase {
+  SearchBackendId backend;
+  const char* scenario;
+  bool empties;  ///< the kill leaves no peer alive
+  const char* name;
+};
+
+void PrintTo(const MassKillCase& c, std::ostream* os) { *os << c.name; }
+
+class ValidatedMassKill : public ::testing::TestWithParam<MassKillCase> {};
+
+TEST_P(ValidatedMassKill, RunsClosedAndOpenLoop) {
+  const MassKillCase& c = GetParam();
+  auto scenario = faults::Scenario::parse(c.scenario);
+
+  SearchResults closed = run_search(SimulationConfig()
+                                        .system(small_system())
+                                        .backend(c.backend)
+                                        .scenario(scenario)
+                                        .seed(9)
+                                        .warmup(0.0)
+                                        .measure(150.0));
+  EXPECT_GT(closed.queries_completed, 0u);
+
+  SearchResults open = run_search(
+      open_config(OverloadPolicy::kAdmit, 5.0, 9).backend(c.backend).scenario(
+          scenario));
+  EXPECT_GT(open.overload.completed, 0u);
+  expect_conserved(open.overload);
+  // ~30 s of arrivals at 5 q/s find an empty network.
+  if (c.empties) EXPECT_GT(open.overload.abandoned, 100u);
+}
+
+constexpr const char* kKillAll = "at 50 kill 1.0; at 80 join 30";
+
+INSTANTIATE_TEST_SUITE_P(
+    Kills, ValidatedMassKill,
+    ::testing::Values(
+        MassKillCase{SearchBackendId::kGuess, kKillAll, true, "guess_kill_all"},
+        MassKillCase{SearchBackendId::kFlood, kKillAll, true, "flood_kill_all"},
+        MassKillCase{SearchBackendId::kIterative, kKillAll, false,
+                     "iterative_kill_all"},
+        MassKillCase{SearchBackendId::kOneHop, kKillAll, false,
+                     "onehop_kill_all"},
+        MassKillCase{SearchBackendId::kGossip, kKillAll, true,
+                     "gossip_kill_all"},
+        MassKillCase{SearchBackendId::kIterative, "at 50 kill 0.6", false,
+                     "iterative_kill_most"}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace guess::search
