@@ -107,22 +107,35 @@ void BM_ZipfSample(benchmark::State& state) {
 }
 BENCHMARK(BM_ZipfSample)->Arg(1000)->Arg(10000)->Arg(100000);
 
+// paper-5k's query-cache shape: one pooled execution re-armed per query,
+// 3000 distinct candidates among a run's ~6380 ids (an unsatisfiable
+// query's scale: up to 1000 probes, each Pong offering up to five),
+// arriving in Pong-sized groups with one probe popped per group.
+// range(0) selects the probe policy (0 = Random, 1 = MR).
 void BM_QueryCandidateChurn(benchmark::State& state) {
+  constexpr PeerId kIds = 6380;
+  const Policy policy = state.range(0) == 0 ? Policy::kRandom : Policy::kMR;
   Rng rng(1);
+  std::vector<std::size_t> ids = rng.sample_indices(kIds - 1, 3000);
+  std::vector<CacheEntry> entries;
+  for (std::size_t id : ids) {
+    entries.push_back(CacheEntry{
+        id + 1, 0.0, 0, static_cast<std::uint32_t>(rng.uniform_int(0, 5))});
+  }
+  QueryExecution query(0, 1, 1, policy, 0.0);
   for (auto _ : state) {
-    QueryExecution query(0, 1, 1, Policy::kMR, 0.0);
-    for (PeerId id = 1; id <= 200; ++id) {
-      query.add_candidate(
-          CacheEntry{id, 0.0, 0,
-                     static_cast<std::uint32_t>(rng.uniform_int(0, 5))},
-          rng);
-    }
-    while (query.next_candidate()) {
+    query.reset(0, 1, 1, policy, 0.0);
+    query.reserve_candidates(120, kIds);
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      query.add_candidate(entries[i], rng);
+      if (i % 5 == 4) benchmark::DoNotOptimize(query.next_candidate());
     }
     benchmark::DoNotOptimize(query.seen());
   }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(entries.size()));
 }
-BENCHMARK(BM_QueryCandidateChurn);
+BENCHMARK(BM_QueryCandidateChurn)->Arg(0)->Arg(1)->ArgName("policy");
 
 // Event-queue benchmarks run under both backends: range(0) selects the
 // scheduler (0 = heap, 1 = calendar).

@@ -65,6 +65,15 @@ const SimulationConfig& SimulationConfig::validate() const {
                   "overload multiplicative_decrease must be finite");
   GUESS_CHECK_MSG(std::isfinite(options_.overload.control_interval),
                   "overload control_interval must be finite");
+  const content::ContentParams& content = system_.content;
+  GUESS_CHECK_MSG(std::isfinite(content.file_alpha),
+                  "content file_alpha must be finite");
+  GUESS_CHECK_MSG(std::isfinite(content.query_alpha),
+                  "content query_alpha must be finite");
+  GUESS_CHECK_MSG(std::isfinite(content.free_rider_fraction),
+                  "content free_rider_fraction must be finite");
+  GUESS_CHECK_MSG(std::isfinite(content.max_library_fraction),
+                  "content max_library_fraction must be finite");
   // System (Table 1).
   GUESS_CHECK_MSG(system_.network_size >= 2,
                   "network_size must be >= 2, got " << system_.network_size);
@@ -88,6 +97,37 @@ const SimulationConfig& SimulationConfig::validate() const {
   GUESS_CHECK_MSG(
       system_.percent_bad_peers + system_.percent_selfish_peers <= 100.0,
       "bad + selfish percentages exceed the population");
+
+  // Content model (§3). ContentModel checks these too, but only after its
+  // member initializers have used them (a negative library fraction is
+  // cast to size_t first), and a library cap past the catalog would leave
+  // distinct-file sampling looping forever.
+  GUESS_CHECK_MSG(content.catalog_size >= 1,
+                  "content catalog_size must be >= 1");
+  GUESS_CHECK_MSG(content.query_universe >= content.catalog_size,
+                  "content query_universe must be >= catalog_size, got "
+                      << content.query_universe << " < "
+                      << content.catalog_size);
+  GUESS_CHECK_MSG(content.file_alpha >= 0.0,
+                  "content file_alpha must be >= 0, got "
+                      << content.file_alpha);
+  GUESS_CHECK_MSG(content.query_alpha >= 0.0,
+                  "content query_alpha must be >= 0, got "
+                      << content.query_alpha);
+  GUESS_CHECK_MSG(content.free_rider_fraction >= 0.0 &&
+                      content.free_rider_fraction < 1.0,
+                  "content free_rider_fraction must be in [0, 1), got "
+                      << content.free_rider_fraction);
+  GUESS_CHECK_MSG(content.max_library_fraction > 0.0 &&
+                      content.max_library_fraction <= 1.0,
+                  "content max_library_fraction must be in (0, 1], got "
+                      << content.max_library_fraction);
+  GUESS_CHECK_MSG(
+      std::floor(content.max_library_fraction *
+                 static_cast<double>(content.catalog_size)) >= 1.0,
+      "content max_library_fraction x catalog_size must allow one file, "
+      "got " << content.max_library_fraction << " x "
+             << content.catalog_size);
 
   // Protocol (Table 2).
   GUESS_CHECK_MSG(protocol_.ping_interval > 0.0,

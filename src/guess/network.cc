@@ -654,8 +654,10 @@ void GuessNetwork::start_next_query(Peer& origin) {
   query->set_issue_time(pending.issued);
   // Expected candidate volume: the initial link-cache sweep plus a few
   // slots' worth of Pong fan-in; arrivals beyond this grow the heap once
-  // and the capacity then survives in the pool.
-  query->reserve_candidates(origin.cache().size() + protocol_.pong_size * 4);
+  // and the capacity then survives in the pool. Every id minted so far is
+  // below next_id_, which sizes the dedup bitmap.
+  query->reserve_candidates(origin.cache().size() + protocol_.pong_size * 4,
+                            next_id_);
   // Initial candidates: the origin's link cache (§2.3).
   for (const CacheEntry& entry : origin.cache().entries()) {
     query->add_candidate(entry, rng_);
@@ -693,9 +695,9 @@ void GuessNetwork::query_step(PeerId origin_id) {
     // under backoff.
     std::optional<QueryExecution::Candidate> candidate;
     while ((candidate = query.next_candidate())) {
-      if (origin->blacklisted(candidate->entry.id)) continue;
+      if (origin->blacklisted(candidate->id)) continue;
       if (!protocol_.do_backoff ||
-          !origin->backed_off(candidate->entry.id, simulator_.now()))
+          !origin->backed_off(candidate->id, simulator_.now()))
         break;
     }
     if (!candidate) break;
@@ -715,7 +717,7 @@ void GuessNetwork::query_step(PeerId origin_id) {
     // churn events.
     static_assert(Transport::Completion::stores_inline<QueryProbeResolved>());
     transport_->exchange(
-        MessageKind::kQueryProbe, origin_id, candidate->entry.id,
+        MessageKind::kQueryProbe, origin_id, candidate->id,
         QueryProbeResolved{this, origin_id, query.token(), *candidate});
   }
   if (query.end_issuing()) finish_slot(origin_id);
@@ -743,7 +745,7 @@ void GuessNetwork::probe_resolved(PeerId origin_id, std::uint64_t token,
   Peer* origin = find(origin_id);
   GUESS_CHECK(origin != nullptr);  // death releases the active query
   QueryExecution& query = *active;
-  PeerId target_id = candidate.entry.id;
+  PeerId target_id = candidate.id;
   PeerId referrer = candidate.source;
 
   // The transport reports silence (kTimedOut) without judging liveness; a
@@ -814,7 +816,7 @@ void GuessNetwork::probe_resolved(PeerId origin_id, std::uint64_t token,
   // entries claim 0/1 results, so false positives are rare.
   bool lied =
       results == 0 &&
-      candidate.entry.num_res >= protocol_.detection.lie_claim_threshold;
+      candidate.num_res >= protocol_.detection.lie_claim_threshold;
   if (origin->note_referral(target_id, lied, protocol_.detection)) {
     origin->cache().evict(target_id);
     trace(TraceCategory::kAttack, [&](std::ostream& os) {

@@ -51,10 +51,14 @@ void QueryExecution::reset(PeerId origin, content::FileId file,
   start_ = start;
   issue_ = start;
   first_hand_only_ = first_hand_only;
+  // Every set bit is an id this query accepted, and the payload pool is
+  // append-only (popped candidates stay in it), so zeroing the words of its
+  // ids clears the bitmap.
+  for (const Payload& candidate : candidates_) {
+    seen_bits_[candidate.id / 64] = 0;
+  }
   heap_.clear();
   candidates_.clear();
-  seen_.clear();
-  next_seq_ = 0;
   results_ = 0;
   counters_ = ProbeCounters{};
   parallel_ = parallel;
@@ -86,12 +90,26 @@ void QueryExecution::note_slot(bool any_results, bool adaptive) {
 bool QueryExecution::add_candidate(const CacheEntry& entry, PeerId source,
                                    Rng& rng) {
   if (entry.id == origin_) return false;
-  if (!seen_.insert(entry.id)) return false;
+  GUESS_CHECK_MSG(entry.id < kNoPeer &&
+                      (source < kNoPeer || source == kInvalidPeer),
+                  "query cache stores 32-bit peer ids; got id "
+                      << entry.id << " source " << source);
+  std::size_t word = entry.id / 64;
+  std::uint64_t bit = std::uint64_t{1} << (entry.id % 64);
+  if (word >= seen_bits_.size()) {
+    // A peer born after reserve_candidates: resize (not assign) keeps the
+    // bits already set this query.
+    seen_bits_.resize(std::max(word + 1, seen_bits_.size() * 2));
+  }
+  if ((seen_bits_[word] & bit) != 0) return false;
+  seen_bits_[word] |= bit;
   auto idx = static_cast<std::uint32_t>(candidates_.size());
-  candidates_.push_back(Candidate{entry, source});
+  candidates_.push_back(Payload{
+      static_cast<std::uint32_t>(entry.id),
+      source == kInvalidPeer ? kNoPeer : static_cast<std::uint32_t>(source),
+      entry.num_res});
   heap_.push_back(Scored{
-      selection_score(probe_policy_, entry, rng, first_hand_only_),
-      next_seq_++, idx});
+      selection_score(probe_policy_, entry, rng, first_hand_only_), idx});
   std::push_heap(heap_.begin(), heap_.end());
   return true;
 }
@@ -99,9 +117,11 @@ bool QueryExecution::add_candidate(const CacheEntry& entry, PeerId source,
 std::optional<QueryExecution::Candidate> QueryExecution::next_candidate() {
   if (heap_.empty()) return std::nullopt;
   std::pop_heap(heap_.begin(), heap_.end());
-  std::uint32_t idx = heap_.back().idx;
+  const Payload& payload = candidates_[heap_.back().idx];
   heap_.pop_back();
-  return candidates_[idx];
+  return Candidate{payload.id,
+                   payload.source == kNoPeer ? kInvalidPeer : payload.source,
+                   payload.num_res};
 }
 
 }  // namespace guess

@@ -7,9 +7,9 @@
 // candidate set far past the link cache's bounds.
 //
 // This class holds the candidate ordering (a max-heap keyed by the
-// QueryProbe policy score), the de-duplication set (a peer is probed at most
-// once per query), and the per-query probe accounting. Message exchange is
-// driven by GuessNetwork.
+// QueryProbe policy score), the de-duplication bitmap (a peer is probed at
+// most once per query), and the per-query probe accounting. Message exchange
+// is driven by GuessNetwork.
 #pragma once
 
 #include <algorithm>
@@ -17,7 +17,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/epoch_set.h"
 #include "common/rng.h"
 #include "content/types.h"
 #include "guess/cache_entry.h"
@@ -59,20 +58,25 @@ class QueryExecution {
                  std::size_t parallel = 1, bool first_hand_only = false);
 
   /// Re-arm a pooled execution for a new query: every per-query field is
-  /// reinitialized; the heap's and dedup set's storage is retained, so a
-  /// recycled execution performs zero heap allocations (the dedup clear is
-  /// an O(1) epoch bump). Equivalent to constructing afresh.
+  /// reinitialized; the heap's, pool's and bitmap's storage is retained, so
+  /// a recycled execution performs zero heap allocations. The bitmap is
+  /// cleared by walking the payload pool (O(candidates), which the inserts
+  /// already paid). Equivalent to constructing afresh.
   void reset(PeerId origin, content::FileId file, std::uint32_t desired,
              Policy probe_policy, sim::Time start, std::size_t parallel = 1,
              bool first_hand_only = false);
 
-  /// Pre-size the candidate heap and dedup set (start_query reserves the
-  /// link-cache size plus the expected Pong fan-in up front, so candidate
-  /// arrivals do not grow the heap one doubling at a time).
-  void reserve_candidates(std::size_t n) {
+  /// Pre-size the candidate heap and pool for `n` candidates and the dedup
+  /// bitmap for ids below `id_bound` (start_next_query passes the
+  /// link-cache size plus the expected Pong fan-in, and the network's next
+  /// unminted id, so arrivals do not grow either one doubling at a time).
+  /// A larger id arriving later still works: the bitmap grows, keeping its
+  /// bits.
+  void reserve_candidates(std::size_t n, PeerId id_bound) {
     if (heap_.capacity() < n) heap_.reserve(n);
     if (candidates_.capacity() < n) candidates_.reserve(n);
-    seen_.reserve(n);
+    auto words = static_cast<std::size_t>((id_bound + 63) / 64);
+    if (seen_bits_.size() < words) seen_bits_.resize(words);
   }
 
   PeerId origin() const { return origin_; }
@@ -85,32 +89,38 @@ class QueryExecution {
   sim::Time issue_time() const { return issue_; }
   void set_issue_time(sim::Time issued) { issue_ = issued; }
 
-  /// A queued candidate and the peer whose Pong referred it (kInvalidPeer
-  /// for entries taken from the origin's own link cache) — the provenance
-  /// the §6.4 detection heuristic scores.
+  /// A dequeued candidate: the peer to probe, the peer whose Pong referred
+  /// it (kInvalidPeer for entries taken from the origin's own link cache —
+  /// the provenance the §6.4 detection heuristic scores), and the NumRes
+  /// its entry claimed (the §6.4 liar check). The entry's other fields only
+  /// rank it, so they are not kept past insertion.
   struct Candidate {
-    CacheEntry entry;
-    PeerId source = kInvalidPeer;
+    PeerId id;
+    PeerId source;
+    std::uint32_t num_res;
   };
 
   /// Offer a candidate (link-cache entry at start, or Pong entry during the
   /// query). Ignored if it is the origin or was already offered — the query
   /// cache only accepts addresses "not already seen before" (§5.1).
+  /// Ids (and sources other than kInvalidPeer) must be below 2^32 - 1: the
+  /// cache stores them in 32 bits (checked before anything is recorded).
   /// @returns true if the candidate joined the queue.
   bool add_candidate(const CacheEntry& entry, Rng& rng) {
     return add_candidate(entry, kInvalidPeer, rng);
   }
   bool add_candidate(const CacheEntry& entry, PeerId source, Rng& rng);
 
-  /// Next peer to probe, by descending QueryProbe score. nullopt when
-  /// exhausted.
+  /// Next peer to probe, by descending QueryProbe score (ties in insertion
+  /// order). nullopt when exhausted.
   std::optional<Candidate> next_candidate();
 
   /// Candidates still queued (not yet probed).
   std::size_t queued() const { return heap_.size(); }
 
-  /// Total distinct peers ever offered (the query-cache population).
-  std::size_t seen() const { return seen_.size(); }
+  /// Total distinct peers ever offered (the query-cache population): the
+  /// pool is append-only, one payload per accepted offer.
+  std::size_t seen() const { return candidates_.size(); }
 
   void record_outcome(ProbeOutcome outcome) { counters_.count(outcome); }
   void add_results(std::uint32_t n) { results_ += n; }
@@ -190,21 +200,32 @@ class QueryExecution {
   std::uint64_t token() const { return token_; }
 
  private:
-  // The heap orders 16-byte (score, seq, idx) keys; the 40-byte Candidate
-  // payloads sit in a side pool indexed by `idx`. Queries ingest far more
-  // candidates than they probe (a satisfied query abandons most of its
-  // queue), so cheap push/sift moves dominate — and since (score, seq) is a
-  // total order (seq is unique), pop order is identical to a heap that
-  // carried the payloads inline.
+  // 32-bit id storage; the all-ones value stands for kInvalidPeer.
+  static constexpr std::uint32_t kNoPeer = ~std::uint32_t{0};
+
+  // What probing reads back after insertion: 12 bytes per candidate.
+  struct Payload {
+    std::uint32_t id;
+    std::uint32_t source;  // kNoPeer: the origin's own link cache
+    std::uint32_t num_res;
+  };
+  static_assert(sizeof(Payload) == 12);
+
+  // The heap orders 16-byte (score, idx) keys over the payload pool. idx
+  // counts accepted inserts from 0 within a query, so it is also the FIFO
+  // tie-break: (score desc, idx asc) is a total order, and pop order is
+  // independent of heap layout. Queries ingest far more candidates than
+  // they probe (a satisfied query abandons most of its queue), so cheap
+  // push/sift moves dominate.
   struct Scored {
     double score;
-    std::uint32_t seq;  // FIFO tie-break keeps runs deterministic
     std::uint32_t idx;  // payload slot in candidates_
     bool operator<(const Scored& other) const {
       if (score != other.score) return score < other.score;
-      return seq > other.seq;
+      return idx > other.idx;
     }
   };
+  static_assert(sizeof(Scored) == 16);
 
   PeerId origin_;
   content::FileId file_;
@@ -216,13 +237,14 @@ class QueryExecution {
 
   // Max-heap via push_heap/pop_heap over a plain vector (what
   // priority_queue does under the hood, per the standard) so a pooled
-  // execution can clear it while keeping the storage. (score, seq) pairs
-  // are a total order — seq is unique — so pop order is independent of
-  // heap layout.
+  // execution can clear it while keeping the storage.
   std::vector<Scored> heap_;
-  std::vector<Candidate> candidates_;  // append-only per query; idx-stable
-  EpochSet seen_;
-  std::uint32_t next_seq_ = 0;
+  std::vector<Payload> candidates_;  // append-only per query; idx-stable
+  // One bit per PeerId accepted this query. Ids are dense from 0 and never
+  // reused (guess/types.h), so a bit cannot be inherited by a newborn —
+  // unlike a bit per PeerTable slot, which a birth may reuse mid-query —
+  // and dead or fabricated ids need no slot.
+  std::vector<std::uint64_t> seen_bits_;
 
   std::uint32_t results_ = 0;
   ProbeCounters counters_;

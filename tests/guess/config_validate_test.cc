@@ -3,7 +3,9 @@
 // range check, so each field needs an explicit isfinite guard).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <string>
 
 #include "common/check.h"
 #include "faults/scenario.h"
@@ -57,6 +59,120 @@ TEST(ConfigValidate, SystemBounds) {
                  s.percent_selfish_peers = 60.0;  // together > 100
                }).validate(),
                CheckError);
+}
+
+// --- ContentParams (§3) ---
+
+// A short n = 50 run with `mutate`d content params, the rest at defaults.
+template <typename Mutate>
+SimulationConfig with_content(Mutate mutate) {
+  SystemParams system;
+  system.network_size = 50;
+  mutate(system.content);
+  return SimulationConfig().system(system).seed(3).warmup(50.0).measure(
+      100.0);
+}
+
+// Success iff `fn` throws a CheckError whose message names content `field`.
+template <typename Fn>
+testing::AssertionResult rejects_naming(const std::string& field, Fn fn) {
+  try {
+    fn();
+  } catch (const CheckError& e) {
+    if (std::string(e.what()).find("content " + field) != std::string::npos) {
+      return testing::AssertionSuccess();
+    }
+    return testing::AssertionFailure()
+           << "rejected without naming " << field << ": " << e.what();
+  }
+  return testing::AssertionFailure() << "accepted; expected " << field
+                                      << " to be rejected";
+}
+
+template <typename Mutate>
+testing::AssertionResult validate_rejects(const std::string& field,
+                                          Mutate mutate) {
+  return rejects_naming(field, [&] { with_content(mutate).validate(); });
+}
+
+// Each bound both ways: the bound itself is accepted, one step past it is
+// rejected by name.
+TEST(ConfigValidate, ContentBounds) {
+  using content::ContentParams;
+  const double below_zero = std::nextafter(0.0, -1.0);
+  EXPECT_NO_THROW(with_content([](ContentParams& c) {
+                    c.catalog_size = 1;
+                    c.max_library_fraction = 1.0;
+                  }).validate());
+  EXPECT_TRUE(validate_rejects(
+      "catalog_size", [](ContentParams& c) { c.catalog_size = 0; }));
+  EXPECT_NO_THROW(with_content([](ContentParams& c) {
+                    c.catalog_size = 400;
+                    c.query_universe = 400;
+                  }).validate());
+  EXPECT_TRUE(validate_rejects("query_universe", [](ContentParams& c) {
+    c.catalog_size = 400;
+    c.query_universe = 399;
+  }));
+  EXPECT_NO_THROW(
+      with_content([](ContentParams& c) { c.file_alpha = 0.0; }).validate());
+  EXPECT_TRUE(validate_rejects(
+      "file_alpha", [&](ContentParams& c) { c.file_alpha = below_zero; }));
+  EXPECT_NO_THROW(
+      with_content([](ContentParams& c) { c.query_alpha = 0.0; }).validate());
+  EXPECT_TRUE(validate_rejects(
+      "query_alpha", [&](ContentParams& c) { c.query_alpha = below_zero; }));
+  EXPECT_NO_THROW(
+      with_content([](ContentParams& c) { c.free_rider_fraction = 0.0; })
+          .validate());
+  EXPECT_TRUE(validate_rejects("free_rider_fraction", [&](ContentParams& c) {
+    c.free_rider_fraction = below_zero;
+  }));
+  EXPECT_NO_THROW(with_content([](ContentParams& c) {
+                    c.free_rider_fraction = std::nextafter(1.0, 0.0);
+                  }).validate());
+  EXPECT_TRUE(validate_rejects(
+      "free_rider_fraction",
+      [](ContentParams& c) { c.free_rider_fraction = 1.0; }));
+  EXPECT_NO_THROW(
+      with_content([](ContentParams& c) { c.max_library_fraction = 1.0; })
+          .validate());
+  EXPECT_TRUE(validate_rejects("max_library_fraction", [](ContentParams& c) {
+    c.max_library_fraction = std::nextafter(1.0, 2.0);
+  }));
+  EXPECT_TRUE(validate_rejects(
+      "max_library_fraction",
+      [](ContentParams& c) { c.max_library_fraction = 0.0; }));
+  // The library cap floor(fraction x catalog) must hold one file.
+  EXPECT_NO_THROW(with_content([](ContentParams& c) {
+                    c.catalog_size = 5;
+                    c.max_library_fraction = 0.2;
+                  }).validate());
+  EXPECT_TRUE(validate_rejects("max_library_fraction", [](ContentParams& c) {
+    c.catalog_size = 5;
+    c.max_library_fraction = 0.19;
+  }));
+  EXPECT_TRUE(validate_rejects("max_library_fraction", [](ContentParams& c) {
+    c.catalog_size = 5;
+    c.max_library_fraction = std::nextafter(0.2, 0.0);
+  }));
+}
+
+TEST(ConfigValidate, ContentRejectsNonFinite) {
+  using content::ContentParams;
+  for (double bad : {kNaN, kInf, -kInf}) {
+    EXPECT_TRUE(validate_rejects(
+        "file_alpha", [&](ContentParams& c) { c.file_alpha = bad; }));
+    EXPECT_TRUE(validate_rejects(
+        "query_alpha", [&](ContentParams& c) { c.query_alpha = bad; }));
+    EXPECT_TRUE(validate_rejects("free_rider_fraction", [&](ContentParams& c) {
+      c.free_rider_fraction = bad;
+    }));
+    EXPECT_TRUE(validate_rejects("max_library_fraction",
+                                 [&](ContentParams& c) {
+                                   c.max_library_fraction = bad;
+                                 }));
+  }
 }
 
 // --- ProtocolParams (Table 2) ---
@@ -271,6 +387,55 @@ TEST(ValidatedConfigsRun, GossipFanoutMustLeaveAPartner) {
   // The bound is the gossip backend's alone.
   EXPECT_NO_THROW(small_run(2, SearchBackendId::kGuess).validate());
   EXPECT_NO_THROW(search::run_search(small_run(3, SearchBackendId::kGossip)));
+}
+
+// Three ContentParams that validate() used to accept, each run through the
+// API at n = 50 with the other content fields at their defaults: the first
+// threw in the Zipf constructor without naming a field, the second cast
+// -4000.0 to size_t (undefined behaviour) and ran, the third capped
+// libraries at 20 files of a 10-file catalog and hung in distinct-file
+// sampling.
+TEST(ValidatedConfigsRun, EmptyCatalogRejectedByName) {
+  EXPECT_TRUE(rejects_naming("catalog_size", [] {
+    search::run_search(
+        with_content([](content::ContentParams& c) { c.catalog_size = 0; }));
+  }));
+}
+
+TEST(ValidatedConfigsRun, NegativeLibraryFractionRejectedByName) {
+  EXPECT_TRUE(rejects_naming("max_library_fraction", [] {
+    search::run_search(with_content(
+        [](content::ContentParams& c) { c.max_library_fraction = -0.5; }));
+  }));
+}
+
+TEST(ValidatedConfigsRun, LibraryCapPastCatalogRejectedByName) {
+  EXPECT_TRUE(rejects_naming("max_library_fraction", [] {
+    search::run_search(with_content([](content::ContentParams& c) {
+      c.catalog_size = 10;
+      c.query_universe = 20;
+      c.max_library_fraction = 2.0;
+    }));
+  }));
+}
+
+// The accepted side of those bounds runs: a one-file cap on a five-file
+// catalog, and whole-catalog libraries under uniform popularity.
+TEST(ValidatedConfigsRun, ContentAtItsBounds) {
+  EXPECT_NO_THROW(
+      search::run_search(with_content([](content::ContentParams& c) {
+        c.catalog_size = 5;
+        c.query_universe = 5;
+        c.max_library_fraction = 0.2;
+      })));
+  EXPECT_NO_THROW(
+      search::run_search(with_content([](content::ContentParams& c) {
+        c.catalog_size = 10;
+        c.query_universe = 10;
+        c.file_alpha = 0.0;
+        c.query_alpha = 0.0;
+        c.max_library_fraction = 1.0;
+      })));
 }
 
 TEST(ValidatedConfigsRun, FloodUnderTotalLoss) {

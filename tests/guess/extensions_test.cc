@@ -214,10 +214,10 @@ TEST(QueryExecutionSource, ProvenanceCarriedThroughHeap) {
   query.add_candidate(CacheEntry{3, 0.0, 99, 0}, rng);  // own link cache
   auto first = query.next_candidate();
   ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->entry.id, 3u);
+  EXPECT_EQ(first->id, 3u);
   EXPECT_EQ(first->source, kInvalidPeer);
   auto second = query.next_candidate();
-  EXPECT_EQ(second->entry.id, 2u);
+  EXPECT_EQ(second->id, 2u);
   EXPECT_EQ(second->source, 9u);
 }
 

@@ -1,8 +1,8 @@
-// Proves the PR's headline claim for the query hot path: once the network
-// has warmed up — peer slab built, query pool at its concurrency high-water
-// mark, candidate heaps / dedup sets / pong scratch at capacity — steady-
-// state operation (pings, pongs, query submission, probing, completion)
-// performs zero heap allocations.
+// Proves the query hot path's allocation claim: once the network has warmed
+// up — peer slab built, query pool at its concurrency high-water mark,
+// candidate heaps / payload pools / dedup bitmaps / pong scratch at
+// capacity — steady-state operation (pings, pongs, query submission,
+// probing, completion) performs zero heap allocations.
 //
 // Built as its own test binary because it replaces global operator new /
 // delete with counting versions (see tests/sim/event_alloc_test.cc, whose
