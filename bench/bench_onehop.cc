@@ -11,7 +11,7 @@
 #include "common/table.h"
 #include "experiments/harness.h"
 #include "search/backend.h"
-#include "onehop/one_hop_dht.h"
+#include "search/onehop.h"
 
 int main(int argc, char** argv) {
   using namespace guess;
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
             .system(s)
             .onehop({.dissemination_delay = delay})
             .options(scale.options()));
-    const auto& results = *run.extra_as<onehop::OneHopResults>();
+    const auto& results = *run.extra_as<search::OneHopResults>();
     table.add_row(
         {std::string("one-hop DHT (D=") + std::to_string(int(delay)) + "s)",
          multiplier, results.mean_probes(),

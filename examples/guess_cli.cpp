@@ -11,6 +11,7 @@
 #include "analysis/load_analysis.h"
 #include "common/check.h"
 #include "common/flags.h"
+#include "experiments/harness.h"
 #include "faults/scenario.h"
 #include "search/backend.h"
 #include "search/gossip.h"
@@ -153,27 +154,9 @@ int main(int argc, char** argv) {
   protocol.adaptive_parallel = flags.get_bool("adaptive-parallel", false);
   protocol.use_query_cache = !flags.get_bool("no-query-cache", false);
 
-  guess::TransportParams transport;
-  if (flags.has_transport_flags()) {
-    transport.kind = guess::TransportParams::Kind::kLossy;
-    transport.loss = flags.loss();
-    transport.link_latency = flags.link_latency();
-    transport.probe_timeout = flags.probe_timeout();
-    transport.max_retries = flags.max_retries();
-  }
-
-  GUESS_CHECK_MSG(!(flags.has("scenario") && flags.has("scenario-file")),
-                  "--scenario and --scenario-file are mutually exclusive");
-  guess::faults::Scenario scenario;
-  if (!flags.scenario().empty()) {
-    scenario = guess::faults::Scenario::parse(flags.scenario());
-  } else if (!flags.scenario_file().empty()) {
-    scenario = guess::faults::Scenario::load_file(flags.scenario_file());
-  }
-  double interval = flags.metrics_interval();
-  if (!scenario.empty() && interval == 0.0 && !flags.has("interval")) {
-    interval = 60.0;
-  }
+  auto injection = guess::experiments::FaultInjection::from_flags(flags);
+  const guess::TransportParams& transport = injection.transport;
+  const guess::faults::Scenario& scenario = injection.scenario;
 
   guess::SearchBackendId backend = guess::parse_backend(flags.backend());
   auto config = guess::SimulationConfig()
@@ -182,7 +165,7 @@ int main(int argc, char** argv) {
                     .protocol(protocol)
                     .transport(transport)
                     .scenario(scenario)
-                    .metrics_interval(interval)
+                    .metrics_interval(injection.metrics_interval)
                     .seed(flags.seed())
                     .warmup(flags.get_double("warmup", 600.0))
                     .measure(flags.get_double("measure", 2400.0))

@@ -57,20 +57,10 @@ class Flags {
   /// Report sweep progress (replications completed / total) to stderr.
   bool progress() const { return get_bool("progress", false); }
 
-  // --- transport fault injection (DESIGN.md §8) ---
-  // Defaults mirror guess::TransportParams; the presence of any of these
-  // flags switches a harness from the synchronous default to the lossy
-  // transport (see has_transport_flags()).
-
-  /// I.i.d. per-message loss probability (--loss=0.05).
-  double loss() const { return get_double("loss", 0.0); }
-  /// One-way link latency in seconds (--link-latency=0.05).
-  double link_latency() const { return get_double("link-latency", 0.05); }
-  /// Per-attempt round-trip timeout in seconds (--probe-timeout=2).
-  double probe_timeout() const { return get_double("probe-timeout", 2.0); }
-  /// Retransmit attempts after the first timeout (--max-retries=2).
-  std::size_t max_retries() const { return get_size("max-retries", 0); }
-  /// True when any fault-injection flag was given.
+  /// True when any transport fault-injection flag (--loss, --link-latency,
+  /// --probe-timeout, --max-retries; DESIGN.md §8) was given. The flags
+  /// themselves, with the scenario and interval flags, are read by
+  /// experiments::FaultInjection::from_flags.
   bool has_transport_flags() const {
     return has("loss") || has("link-latency") || has("probe-timeout") ||
            has("max-retries");
@@ -79,19 +69,6 @@ class Flags {
   /// Search backend name (--backend=gossip): one of guess, flood,
   /// iterative, onehop, gossip. Parsed by guess::parse_backend.
   std::string backend() const { return get_string("backend", "guess"); }
-
-  // --- fault scenarios (DESIGN.md §9) ---
-
-  /// Inline fault-scenario spec (--scenario="at 600 kill 0.3"); empty when
-  /// absent. Parsed by faults::Scenario::parse.
-  std::string scenario() const { return get_string("scenario", ""); }
-  /// Path to a fault-scenario spec file (--scenario-file=faults.txt).
-  std::string scenario_file() const {
-    return get_string("scenario-file", "");
-  }
-  /// Width of the time-resolved metrics intervals in seconds
-  /// (--interval=60); 0 disables the interval series.
-  double metrics_interval() const { return get_double("interval", 0.0); }
 
   // --- open-loop arrivals + overload control (DESIGN.md §13) ---
 

@@ -4,12 +4,50 @@
 #include <iostream>
 #include <ostream>
 #include <span>
+#include <utility>
 
 #include "common/check.h"
 #include "experiments/parallel_runner.h"
 #include "search/backend.h"
 
 namespace guess::experiments {
+
+FaultInjection FaultInjection::from_flags(const Flags& flags) {
+  FaultInjection out;
+  if (flags.has_transport_flags()) {
+    TransportParams& transport = out.transport;
+    transport.kind = TransportParams::Kind::kLossy;
+    transport.loss = flags.get_double("loss", 0.0);
+    transport.link_latency = flags.get_double("link-latency", 0.05);
+    transport.probe_timeout = flags.get_double("probe-timeout", 2.0);
+    transport.max_retries = flags.get_size("max-retries", 0);
+    // Non-finite values pass every downstream range check (NaN compares
+    // false); reject them here where the flag name is known.
+    GUESS_CHECK_MSG(std::isfinite(transport.loss), "--loss must be finite");
+    GUESS_CHECK_MSG(std::isfinite(transport.link_latency),
+                    "--link-latency must be finite");
+    GUESS_CHECK_MSG(std::isfinite(transport.probe_timeout),
+                    "--probe-timeout must be finite");
+  }
+  GUESS_CHECK_MSG(!(flags.has("scenario") && flags.has("scenario-file")),
+                  "--scenario and --scenario-file are mutually exclusive");
+  std::string spec = flags.get_string("scenario", "");
+  std::string path = flags.get_string("scenario-file", "");
+  if (!spec.empty()) {
+    out.scenario = faults::Scenario::parse(spec);
+  } else if (!path.empty()) {
+    out.scenario = faults::Scenario::load_file(path);
+  }
+  out.metrics_interval = flags.get_double("interval", 0.0);
+  GUESS_CHECK_MSG(std::isfinite(out.metrics_interval) &&
+                      out.metrics_interval >= 0.0,
+                  "--interval must be finite and >= 0, got "
+                      << out.metrics_interval);
+  if (!out.scenario.empty() && !flags.has("interval")) {
+    out.metrics_interval = 60.0;
+  }
+  return out;
+}
 
 Scale Scale::from_flags(const Flags& flags) {
   Scale scale;
@@ -25,40 +63,10 @@ Scale Scale::from_flags(const Flags& flags) {
   scale.threads = flags.threads();
   scale.progress = flags.progress();
   scale.scheduler = sim::parse_scheduler(flags.scheduler());
-  if (flags.has_transport_flags()) {
-    scale.transport.kind = TransportParams::Kind::kLossy;
-    scale.transport.loss = flags.loss();
-    scale.transport.link_latency = flags.link_latency();
-    scale.transport.probe_timeout = flags.probe_timeout();
-    scale.transport.max_retries = flags.max_retries();
-    // Non-finite values pass every downstream range check (NaN compares
-    // false); reject them here where the flag name is known.
-    GUESS_CHECK_MSG(std::isfinite(scale.transport.loss),
-                    "--loss must be finite");
-    GUESS_CHECK_MSG(std::isfinite(scale.transport.link_latency),
-                    "--link-latency must be finite");
-    GUESS_CHECK_MSG(std::isfinite(scale.transport.probe_timeout),
-                    "--probe-timeout must be finite");
-  }
-  GUESS_CHECK_MSG(!(flags.has("scenario") && flags.has("scenario-file")),
-                  "--scenario and --scenario-file are mutually exclusive");
-  if (!flags.scenario().empty()) {
-    scale.scenario = faults::Scenario::parse(flags.scenario());
-  } else if (!flags.scenario_file().empty()) {
-    scale.scenario = faults::Scenario::load_file(flags.scenario_file());
-  }
-  scale.metrics_interval = flags.metrics_interval();
-  GUESS_CHECK_MSG(std::isfinite(scale.metrics_interval) &&
-                      scale.metrics_interval >= 0.0,
-                  "--interval must be finite and >= 0, got "
-                      << scale.metrics_interval);
-  // A scenario without an interval series still runs, but the recovery
-  // metrics need the series; default to 60 s buckets when a scenario is
-  // present and no --interval was given.
-  if (!scale.scenario.empty() && scale.metrics_interval == 0.0 &&
-      !flags.has("interval")) {
-    scale.metrics_interval = 60.0;
-  }
+  FaultInjection faults = FaultInjection::from_flags(flags);
+  scale.transport = faults.transport;
+  scale.scenario = std::move(faults.scenario);
+  scale.metrics_interval = faults.metrics_interval;
   return scale;
 }
 

@@ -28,6 +28,25 @@
 
 namespace guess::experiments {
 
+/// The fault-injection flags every front end reads the same way (the
+/// harness through Scale::from_flags, and guess_cli): the transport, the
+/// fault scenario and the interval series that measures recovery from it.
+struct FaultInjection {
+  /// --loss / --link-latency / --probe-timeout / --max-retries; any of them
+  /// switches on LossyTransport (default synchronous).
+  TransportParams transport;
+  /// --scenario or --scenario-file (DESIGN.md §9), never both; empty by
+  /// default.
+  faults::Scenario scenario;
+  /// --interval, seconds; 0 disables the series. Defaults to 60 when a
+  /// scenario is given, since the recovery metrics need the series.
+  sim::Duration metrics_interval = 0.0;
+
+  /// Throws CheckError naming the flag for a non-finite transport value or
+  /// a negative or non-finite interval.
+  static FaultInjection from_flags(const Flags& flags);
+};
+
 /// Scale knobs derived from the command line.
 struct Scale {
   sim::Duration warmup = 400.0;

@@ -1,5 +1,5 @@
 // TTL-limited flooding over a Gnutella topology (§3): the one BFS kernel
-// behind the live overlay (DynamicOverlay) and the static §3 graphs
+// behind the live overlay (search::FloodBackend) and the static §3 graphs
 // (bench_fragmentation, the gnutella_vs_guess example).
 //
 // A query is broadcast to all neighbors, which forward it to all their

@@ -1,9 +1,10 @@
 // Gnutella-style overlay topologies (§3 of the paper).
 //
 // One adjacency structure serves both the static §3 graphs and the live
-// overlay (DynamicOverlay keeps its connections here, indexed by population
-// slot). Neighbor order is part of the model: a flood visits neighbors in
-// list order, so insertion order and swap-remove order fix BFS order.
+// overlay (search::FloodBackend keeps its connections here, indexed by
+// population slot). Neighbor order is part of the model: a flood visits
+// neighbors in list order, so insertion order and swap-remove order fix BFS
+// order.
 //
 // Two generators for the static graphs:
 //  * random_topology — each peer opens `degree` connections to uniformly

@@ -43,9 +43,9 @@ namespace guess {
 /// in BackendParams.
 enum class SearchBackendId {
   kGuess,      ///< non-forwarding GUESS (src/guess, the paper's subject)
-  kFlood,      ///< live Gnutella-style TTL flooding (src/gnutella)
-  kIterative,  ///< iterative deepening over a static population (src/baseline)
-  kOneHop,     ///< one-hop DHT lookups (src/onehop)
+  kFlood,      ///< live Gnutella-style TTL flooding (search/flood.h)
+  kIterative,  ///< iterative deepening over a static population
+  kOneHop,     ///< one-hop DHT lookups (search/onehop.h)
   kGossip,     ///< push/pull gossip of content ads + local knowledge (§12.4)
 };
 

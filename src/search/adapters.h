@@ -1,8 +1,11 @@
-// Factories for the four ported protocol silos (DESIGN.md §12.2). Each
-// adapter wraps its legacy engine unchanged — construction, scheduling and
-// collection replicate the legacy free-standing driver exactly, so outputs
-// are bitwise-identical (tests/search/backend_equivalence_test.cc). The
-// gossip backend (the first interface-native protocol) lives in gossip.h.
+// The factories of the five built-in backends, the registry's starting set
+// (DESIGN.md §12.2). Every backend is a SearchBackend built straight from
+// SimulationConfig: flood (flood.h), one-hop (onehop.h), iterative
+// deepening (iterative.cc) and gossip (gossip.h) are written against the
+// interface. GUESS alone is an adapter (adapters.cc) over
+// guess::GuessNetwork, the engine that tests, benches and examples also
+// drive directly. Golden runs in tests/search/backend_equivalence_test.cc
+// pin every backend's behaviour.
 #pragma once
 
 #include <memory>
@@ -22,6 +25,8 @@ std::unique_ptr<SearchBackend> make_flood_backend(
 std::unique_ptr<SearchBackend> make_iterative_backend(
     const SimulationConfig& config, sim::Simulator& simulator, Rng rng);
 std::unique_ptr<SearchBackend> make_onehop_backend(
+    const SimulationConfig& config, sim::Simulator& simulator, Rng rng);
+std::unique_ptr<SearchBackend> make_gossip_backend(
     const SimulationConfig& config, sim::Simulator& simulator, Rng rng);
 
 }  // namespace guess::search

@@ -10,7 +10,6 @@
 #include "experiments/parallel_runner.h"
 #include "faults/fault_engine.h"
 #include "search/adapters.h"
-#include "search/gossip.h"
 #include "search/open_loop.h"
 
 namespace guess::search {

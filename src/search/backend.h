@@ -1,25 +1,24 @@
 // SearchBackend — one API over every search protocol (DESIGN.md §12).
 //
 // The paper's central move is comparing GUESS against forwarding search
-// under one methodology. The repo grew four protocol silos (src/guess,
-// src/gnutella, src/baseline, src/onehop), each with its own params,
-// results and driver; SearchBackend unifies them behind a single interface
-// driven by SimulationConfig, so the harness, guess_cli --backend=...,
-// examples and benches all run protocols through one code path — and the
-// churn, lossy-transport and fault-scenario machinery becomes available to
-// every backend, not just GUESS.
+// under one methodology. Every protocol is a SearchBackend built straight
+// from SimulationConfig, so the harness, guess_cli --backend=..., examples
+// and benches all run protocols through one code path — and the churn,
+// lossy-transport and fault-scenario machinery is available to every
+// backend, not just GUESS.
 //
 //   auto config = guess::SimulationConfig()
 //                     .backend(guess::SearchBackendId::kGossip)
 //                     .seed(7);
 //   guess::search::SearchResults r = guess::search::run_search(config);
 //
-// run_search is the only simulation driver: GUESS and the ported protocols
-// run through it alike. Ported protocols run as thin adapters over their
-// legacy engines and are bitwise-identical to the legacy free-standing
-// drivers (asserted by tests/search/backend_equivalence_test.cc, which also
-// pins GUESS runs to golden values); the per-backend results struct rides
-// along in the typed extension slot (`extra_as<T>()`).
+// run_search is the only simulation driver. Flood, one-hop, iterative
+// deepening and gossip are written against this interface; GUESS is an
+// adapter over guess::GuessNetwork, the engine tests and benches also drive
+// directly (adapters.h lists the five factories).
+// tests/search/backend_equivalence_test.cc pins every backend's runs to
+// golden values; the per-backend results struct rides along in the typed
+// extension slot (`extra_as<T>()`).
 #pragma once
 
 #include <any>
@@ -54,9 +53,10 @@ struct WireModel {
 /// The wire model every in-tree mapping uses.
 inline constexpr WireModel kWire{};
 
-/// Unified results superset. Naming normalization (the silo drift this
-/// fixes; all rates are fractions in [0, 1], never percents):
-///   * queries_completed/satisfied — "lookups" in OneHopResults.
+/// Unified results superset. Naming normalization (all rates are fractions
+/// in [0, 1], never percents):
+///   * queries_completed/satisfied — "lookups" in OneHopResults; a lookup
+///     is satisfied when some probe got an answer.
 ///   * probes — peers contacted per query, summed over completed queries:
 ///     GUESS probes.total(), flooding peers_reached, DHT probes incl.
 ///     timeouts, iterative peers probed, gossip probes.
@@ -66,12 +66,15 @@ inline constexpr WireModel kWire{};
 ///   * maintenance_messages — protocol upkeep: GUESS ping+pong legs,
 ///     flooding repair handshakes, DHT membership dissemination (events ×
 ///     N), gossip push/pull legs.
-/// Per-backend extras (the full legacy results struct) travel in the typed
-/// extension slot: `extra_as<SimulationResults>()` for GUESS,
-/// `extra_as<gnutella::DynamicResults>()`, `extra_as<onehop::OneHopResults>()`,
-/// `extra_as<baseline::DeepeningResult>()`, `extra_as<GossipStats>()`.
+/// Per-backend extras (the backend's own results struct) travel in the
+/// typed extension slot: `extra_as<SimulationResults>()` for GUESS,
+/// `extra_as<gnutella::DynamicResults>()`, `extra_as<OneHopResults>()`,
+/// `extra_as<baseline::DeepeningResult>()` (closed-loop batch only),
+/// `extra_as<GossipStats>()`.
 struct SearchResults {
   std::string backend;
+  /// The configured population, SystemParams::network_size, on every
+  /// backend — not the peers churn and faults left alive at collect.
   std::size_t network_size = 0;
   double measure_duration = 0.0;  ///< seconds of measurement window
 
@@ -104,7 +107,7 @@ struct SearchResults {
   /// (sim::Simulator::events_fired(); stamped by run_search).
   std::uint64_t events_fired = 0;
 
-  /// Typed extension slot: the backend's legacy results struct.
+  /// Typed extension slot: the backend's own results struct.
   std::any extra;
 
   template <typename T>
@@ -149,8 +152,8 @@ class SearchBackend : public faults::FaultHost {
 
   /// Inject one query from a uniformly random live peer for a
   /// workload-drawn target, through the normal protocol machinery. `rng`
-  /// supplies the origin/target draws where the legacy engine does not
-  /// (backends with an internal lookup generator may ignore it). `issued`
+  /// supplies the origin/target draws (one-hop draws its keys from its own
+  /// generator, as its closed-loop lookups do, and ignores it). `issued`
   /// is the query's external issue time (its open-loop arrival instant —
   /// latency is billed from here, including any controller queueing delay);
   /// direct callers pass the current simulated time.

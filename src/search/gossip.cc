@@ -5,6 +5,7 @@
 
 #include "churn/lifetime.h"
 #include "common/check.h"
+#include "search/adapters.h"
 
 namespace guess::search {
 

@@ -1,5 +1,5 @@
 // Gossip search — push/pull rumor-mongering of content advertisements
-// (DESIGN.md §12.4), the first SearchBackend-native protocol.
+// (DESIGN.md §12.4), a SearchBackend built from SimulationConfig.
 //
 // Each peer keeps a bounded local knowledge cache of content ads
 // (file, provider, expiry, residual push budget). Every gossip_interval it
@@ -53,9 +53,6 @@ struct GossipStats {
   RunningStat response_time;   ///< satisfied queries, seconds
   SampleSet query_probes;      ///< per-query probes, one sample per query
 };
-
-std::unique_ptr<SearchBackend> make_gossip_backend(
-    const SimulationConfig& config, sim::Simulator& simulator, Rng rng);
 
 /// The concrete backend, public for the focused tests
 /// (tests/search/gossip_test.cc drives TTL expiry and fan-out directly).

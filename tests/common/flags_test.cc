@@ -70,7 +70,8 @@ TEST(Flags, GetSizeRejectsNegativeValues) {
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("--cache-size"), std::string::npos);
   }
-  EXPECT_THROW(make({"--max-retries=-2"}).max_retries(), CheckError);
+  EXPECT_THROW(make({"--max-retries=-2"}).get_size("max-retries", 0),
+               CheckError);
   EXPECT_THROW(make({"--seeds=-3"}).seeds(), CheckError);
   EXPECT_THROW(make({"--threads=-1"}).threads(), CheckError);
 }

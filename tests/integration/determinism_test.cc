@@ -4,10 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "faults/fault_engine.h"
-#include "gnutella/dynamic_overlay.h"
 #include "guess/network.h"
-#include "onehop/one_hop_dht.h"
 #include "search/backend.h"
+#include "search/flood.h"
+#include "search/onehop.h"
 #include "sim/simulator.h"
 #include "../testsupport/simulation_results_eq.h"
 
@@ -16,14 +16,15 @@ namespace {
 
 TEST(Determinism, DynamicGnutellaOverlay) {
   auto run = [](std::uint64_t seed) {
-    gnutella::DynamicParams params;
-    params.network_size = 150;
-    params.lifespan_multiplier = 0.2;
-    params.content.catalog_size = 400;
-    params.content.query_universe = 500;
+    SystemParams system;
+    system.network_size = 150;
+    system.lifespan_multiplier = 0.2;
+    system.content.catalog_size = 400;
+    system.content.query_universe = 500;
     sim::Simulator simulator;
-    gnutella::DynamicOverlay overlay(params, simulator, Rng(seed));
-    overlay.initialize();
+    search::FloodBackend overlay(SimulationConfig().system(system), simulator,
+                                 Rng(seed));
+    overlay.bootstrap();
     simulator.run_until(200.0);
     overlay.begin_measurement();
     simulator.run_until(900.0);
@@ -42,12 +43,13 @@ TEST(Determinism, DynamicGnutellaOverlay) {
 
 TEST(Determinism, OneHopDht) {
   auto run = [](std::uint64_t seed) {
-    onehop::OneHopParams params;
-    params.network_size = 150;
-    params.lifespan_multiplier = 0.1;
+    SystemParams system;
+    system.network_size = 150;
+    system.lifespan_multiplier = 0.1;
     sim::Simulator simulator;
-    onehop::OneHopDht dht(params, simulator, Rng(seed));
-    dht.initialize();
+    search::OneHopBackend dht(SimulationConfig().system(system), simulator,
+                              Rng(seed));
+    dht.bootstrap();
     simulator.run_until(300.0);
     dht.begin_measurement();
     simulator.run_until(2000.0);

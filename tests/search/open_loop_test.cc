@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "faults/scenario.h"
@@ -92,14 +93,25 @@ TEST(OpenLoop, ConservationHoldsForEveryPolicy) {
   }
 }
 
+// Every query the controller saw complete is one the backend reports:
+// overload.completed == queries_completed, the identity bench/e2e checks.
+// A one-hop run under total loss has no answered lookup at all.
 TEST(OpenLoop, ConservationHoldsOnEveryBackend) {
+  std::vector<SimulationConfig> configs;
   for (SearchBackendId id : registered_backends()) {
-    SCOPED_TRACE(backend_name(id));
-    SearchResults r =
-        run_search(open_config(OverloadPolicy::kNone, 5.0).backend(id));
+    configs.push_back(open_config(OverloadPolicy::kNone, 5.0).backend(id));
+  }
+  configs.push_back(open_config(OverloadPolicy::kNone, 5.0)
+                        .backend(SearchBackendId::kOneHop)
+                        .transport(TransportParams::lossy(1.0)));
+  for (const SimulationConfig& config : configs) {
+    SCOPED_TRACE(std::string(backend_name(config.backend())) + " loss " +
+                 std::to_string(config.transport().loss));
+    SearchResults r = run_search(config);
     EXPECT_TRUE(r.overload.open_loop);
     EXPECT_GT(r.overload.arrivals, 0u);
     EXPECT_GT(r.overload.completed, 0u);
+    EXPECT_EQ(r.overload.completed, r.queries_completed);
     expect_conserved(r.overload);
   }
 }
