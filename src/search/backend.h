@@ -152,11 +152,10 @@ class SearchBackend : public faults::FaultHost {
 
   /// Inject one query from a uniformly random live peer for a
   /// workload-drawn target, through the normal protocol machinery. `rng`
-  /// supplies the origin/target draws (one-hop draws its keys from its own
-  /// generator, as its closed-loop lookups do, and ignores it). `issued`
-  /// is the query's external issue time (its open-loop arrival instant —
-  /// latency is billed from here, including any controller queueing delay);
-  /// direct callers pass the current simulated time.
+  /// supplies the origin/target draws. `issued` is the query's external
+  /// issue time (its open-loop arrival instant — latency is billed from
+  /// here, including any controller queueing delay); direct callers pass
+  /// the current simulated time.
   virtual void start_query(Rng& rng, sim::Time issued) = 0;
 
   /// Attach the open-loop query-lifecycle observer and silence the

@@ -131,18 +131,18 @@ void OneHopBackend::schedule_next_lookup() {
   double rate = config_.system().query_rate *
                 static_cast<double>(config_.system().network_size);
   simulator_.after(rng_.exponential(rate), [this]() {
-    lookup_random_key();
+    lookup_random_key(rng_);
     schedule_next_lookup();
   });
 }
 
-bool OneHopBackend::lookup_random_key() {
+bool OneHopBackend::lookup_random_key(Rng& key_rng) {
   std::uint64_t timeouts = 0;
   bool answered = false;
   bool direct = false;
   if (!view_.empty() && !ring_.empty()) {
     auto key = static_cast<Position>(
-        rng_.uniform_int(0, std::numeric_limits<std::int64_t>::max()));
+        key_rng.uniform_int(0, std::numeric_limits<std::int64_t>::max()));
     Position true_owner = owner_of(ring_, key);
     Position believed = owner_of(view_, key);
     // Walk the believed successor list past departed peers — and, under
@@ -179,8 +179,7 @@ bool OneHopBackend::lookup_random_key() {
 }
 
 void OneHopBackend::start_query(Rng& rng, sim::Time issued) {
-  (void)rng;
-  bool answered = lookup_random_key();
+  bool answered = lookup_random_key(rng);
   if (observer_ != nullptr) {
     // Lookups resolve synchronously (probe latency is a probe count here,
     // not simulated time): the query's latency is its controller queueing

@@ -71,9 +71,8 @@ class OneHopBackend final : public SearchBackend {
   /// Create the initial population (views start synchronized). Call once.
   void bootstrap() override;
   void begin_measurement() override { measuring_ = true; }
-  /// One lookup for a uniformly random key. The key comes from the
-  /// backend's own generator, as the closed-loop lookups' do; `rng` is
-  /// unused.
+  /// One lookup for a uniformly random key drawn from `rng`, so open-loop
+  /// arrivals leave the backend's own stream (births, kills, loss) alone.
   void start_query(Rng& rng, sim::Time issued) override;
   void configure_open_loop(QueryObserver* observer) override {
     observer_ = observer;
@@ -97,8 +96,9 @@ class OneHopBackend final : public SearchBackend {
   void spawn_peer(bool initial);
   void remove_peer(Position position, bool respawn);
   void schedule_next_lookup();
-  /// One lookup; true iff some probe got an answer.
-  bool lookup_random_key();
+  /// One lookup for a key drawn from `key_rng`; true iff some probe got an
+  /// answer. Loss draws stay on rng_.
+  bool lookup_random_key(Rng& key_rng);
   /// Owner of `key` in a ring map (clockwise successor, wrapping).
   static Position owner_of(const std::map<Position, std::uint64_t>& ring,
                            Position key);

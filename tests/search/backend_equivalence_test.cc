@@ -324,15 +324,15 @@ TEST_P(BackendEquivalenceTest, OneHopGoldenOpenLoop) {
   ASSERT_NE(extra, nullptr);
 
   EXPECT_EQ(extra->lookups, 2033u);
-  EXPECT_EQ(extra->one_hop, 1979u);
-  EXPECT_EQ(extra->corrective_hops, 36u);
-  EXPECT_EQ(extra->timeouts, 19u);
+  EXPECT_EQ(extra->one_hop, 1985u);
+  EXPECT_EQ(extra->corrective_hops, 23u);
+  EXPECT_EQ(extra->timeouts, 27u);
   EXPECT_EQ(extra->membership_events, 46u);
   EXPECT_EQ(unified.overload.arrivals, 2033u);
   EXPECT_EQ(unified.overload.completed, 2033u);
   EXPECT_EQ(unified.overload.slo_ok, 2033u);
-  EXPECT_EQ(testsupport::digest(*extra), 0x4c9310b8b344851full);
-  EXPECT_EQ(testsupport::digest(unified), 0x92aa6cffe54bc990ull);
+  EXPECT_EQ(testsupport::digest(*extra), 0x4c5869f977e8d0e6ull);
+  EXPECT_EQ(testsupport::digest(unified), 0xbdb6047936cd7f5dull);
 }
 
 // --- Iterative deepening ----------------------------------------------------

@@ -101,6 +101,37 @@ TEST(OneHopDht, ManualLookupCountsOnlyWhenMeasuring) {
   EXPECT_EQ(f.dht.results().lookups, 1u);
 }
 
+// Open-loop keys come from the workload stream handed to start_query, so
+// the number of arrivals cannot move the backend's own draws: a backend
+// that first served 200 lookups places the same joiners, and then answers
+// the same lookups, as one that served none.
+TEST(OneHopDht, OpenLoopKeysComeFromTheWorkloadStream) {
+  Fixture busy;
+  Fixture idle;
+  Rng warm(3);
+  for (int i = 0; i < 200; ++i) busy.dht.start_query(warm, 0.0);
+
+  auto measure = [](Fixture& f) {
+    f.dht.begin_measurement();
+    // Before the join reaches the views, keys the joiners own take a
+    // corrective hop, so the results depend on where the joiners landed.
+    f.dht.fault_mass_join(50);
+    Rng workload(11);
+    for (int i = 0; i < 500; ++i) f.dht.start_query(workload, 0.0);
+    return f.dht.results();
+  };
+  OneHopResults a = measure(busy);
+  OneHopResults b = measure(idle);
+  EXPECT_EQ(a.lookups, 500u);
+  EXPECT_GT(a.corrective_hops, 0u);
+  EXPECT_EQ(a.lookups, b.lookups);
+  EXPECT_EQ(a.unanswered, b.unanswered);
+  EXPECT_EQ(a.one_hop, b.one_hop);
+  EXPECT_EQ(a.corrective_hops, b.corrective_hops);
+  EXPECT_EQ(a.timeouts, b.timeouts);
+  EXPECT_EQ(a.membership_events, b.membership_events);
+}
+
 TEST(OneHopDht, ParameterValidation) {
   sim::Simulator simulator;
   SystemParams lone;
