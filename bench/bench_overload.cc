@@ -1,15 +1,18 @@
 // Open-loop overload matrix (DESIGN.md §13): offered load swept past
 // saturation — 0.5×/1×/2×/5×/10× of a calibrated capacity — for each
-// overload policy (none / admit / shed / backpressure) in each environment
-// (static membership, paper churn, churn + 5% loss), reporting tail latency
+// overload policy (none / admit / shed) in each environment (static
+// membership, paper churn, churn + 5% loss), reporting tail latency
 // (p50/p95/p99/p99.9, censored at window close), goodput and SLO-violation
 // rate.
 //
-// Capacity is measured, not assumed: a calibration cell per environment runs
-// admission control against a deliberately excessive offered rate and takes
-// the completion rate as the sustainable throughput (for GUESS the paper's
-// global probe-rate cap is the bottleneck, so capacity is nearly independent
-// of network size).
+// The calibration cell per environment runs admission control against a
+// deliberately excessive offered rate and takes the completion rate as the
+// "capacity". That figure is admit's own in-flight budget (64 queries by
+// default) divided by query latency, not a limit of the system: at the
+// defaults no probe is refused in any cell, so the paper's per-peer
+// probe-rate cap (§6.3) never binds, and every admit cell at 1× or more
+// closes with 62–64 queries still open. Calibrating a real capacity is open
+// (ROADMAP item 5).
 //
 // Results are printed as one table per environment and written to
 // BENCH_overload.json (override with --out=...). Two gates make the bench a
@@ -65,8 +68,7 @@ const std::vector<double>& load_multiples() {
 
 const std::vector<OverloadPolicy>& policies() {
   static const std::vector<OverloadPolicy> kPolicies = {
-      OverloadPolicy::kNone, OverloadPolicy::kAdmit, OverloadPolicy::kShed,
-      OverloadPolicy::kBackpressure};
+      OverloadPolicy::kNone, OverloadPolicy::kAdmit, OverloadPolicy::kShed};
   return kPolicies;
 }
 
@@ -84,18 +86,15 @@ struct Calibration {
   double service_p50 = 0.0;    ///< median unqueued query latency, seconds
 };
 
-/// The calibration (zeroed during calibration itself) tunes the controller
-/// to the environment:
+/// The calibration (zeroed during calibration itself) tunes shed to the
+/// environment:
 ///   * the queue is sized to the SLO — a full queue must drain in about
 ///     slo/2 at sustainable throughput, else it is pure bufferbloat (every
-///     admitted query blows the SLO waiting, and shedding/backpressure can
-///     only look worse than rejecting at the door);
-///   * the AIMD window floor is Little's-law sized (capacity × median
-///     service time) so that a fully-backed-off window still keeps the
-///     system at its sustainable throughput — a floor below that turns
-///     sustained overload into a self-inflicted throughput collapse, since
-///     queue backlog never clears at 2× offered and the window would pin
-///     at the floor forever.
+///     admitted query blows the SLO waiting, and shedding can only look
+///     worse than rejecting at the door);
+///   * the in-flight budget is twice the Little's-law floor (capacity ×
+///     median service time), the concurrency that just sustains the
+///     calibrated throughput.
 SimulationConfig cell_config(const Environment& env, OverloadPolicy policy,
                              double offered_qps, const BenchParams& params,
                              const Calibration& calibration) {
@@ -105,22 +104,12 @@ SimulationConfig cell_config(const Environment& env, OverloadPolicy policy,
   OverloadParams overload;
   overload.policy = policy;
   double capacity = calibration.capacity_qps;
-  if (capacity > 0.0 && (policy == OverloadPolicy::kShed ||
-                         policy == OverloadPolicy::kBackpressure)) {
-    auto depth = static_cast<std::size_t>(
+  if (capacity > 0.0 && policy == OverloadPolicy::kShed) {
+    overload.shed_watermark = static_cast<std::size_t>(
         std::max(4.0, capacity * params.slo / 2.0));
-    overload.queue_capacity = depth;
-    overload.shed_watermark = depth;
     auto floor = static_cast<std::size_t>(
         std::max(4.0, std::ceil(capacity * calibration.service_p50)));
-    overload.min_window = floor;
-    overload.max_window = std::max<std::size_t>(overload.max_window,
-                                                4 * floor);
-    overload.max_in_flight = 2 * floor;  // the AIMD initial window
-    // Tolerate the loss environment's baseline failure rate and adapt
-    // faster than the default 10 s tick.
-    overload.target_failure_rate = 0.15;
-    overload.control_interval = 5.0;
+    overload.max_in_flight = 2 * floor;
   }
   auto config = SimulationConfig()
                     .system(system)

@@ -85,7 +85,7 @@ Open-loop arrivals + overload control (DESIGN.md §13):
                            process at --offered-qps, any backend)
   --offered-qps=0          offered load in queries/s (required when open)
   --arrival-dist=poisson   poisson | uniform inter-arrival gaps
-  --overload-policy=none   none | admit | shed | backpressure
+  --overload-policy=none   none | admit | shed
   --slo-ms=10000           latency SLO (ms) for goodput accounting
 
 Run control:

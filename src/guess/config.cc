@@ -57,14 +57,6 @@ const SimulationConfig& SimulationConfig::validate() const {
   GUESS_CHECK_MSG(std::isfinite(options_.offered_qps),
                   "offered_qps must be finite");
   GUESS_CHECK_MSG(std::isfinite(options_.slo), "slo must be finite");
-  GUESS_CHECK_MSG(std::isfinite(options_.overload.target_failure_rate),
-                  "overload target_failure_rate must be finite");
-  GUESS_CHECK_MSG(std::isfinite(options_.overload.additive_increase),
-                  "overload additive_increase must be finite");
-  GUESS_CHECK_MSG(std::isfinite(options_.overload.multiplicative_decrease),
-                  "overload multiplicative_decrease must be finite");
-  GUESS_CHECK_MSG(std::isfinite(options_.overload.control_interval),
-                  "overload control_interval must be finite");
   const content::ContentParams& content = system_.content;
   GUESS_CHECK_MSG(std::isfinite(content.file_alpha),
                   "content file_alpha must be finite");
@@ -186,26 +178,8 @@ const SimulationConfig& SimulationConfig::validate() const {
                   "slo must be > 0 seconds, got " << options_.slo);
   const OverloadParams& ol = options_.overload;
   GUESS_CHECK_MSG(ol.max_in_flight >= 1, "overload max_in_flight must be >= 1");
-  GUESS_CHECK_MSG(ol.queue_capacity >= 1, "overload queue_capacity must be >= 1");
-  GUESS_CHECK_MSG(ol.shed_watermark >= 1 &&
-                      ol.shed_watermark <= ol.queue_capacity,
-                  "overload shed_watermark must be in [1, queue_capacity]");
-  GUESS_CHECK_MSG(ol.target_failure_rate >= 0.0 &&
-                      ol.target_failure_rate <= 1.0,
-                  "overload target_failure_rate must be in [0, 1], got "
-                      << ol.target_failure_rate);
-  GUESS_CHECK_MSG(ol.additive_increase > 0.0,
-                  "overload additive_increase must be > 0");
-  GUESS_CHECK_MSG(ol.multiplicative_decrease > 0.0 &&
-                      ol.multiplicative_decrease < 1.0,
-                  "overload multiplicative_decrease must be in (0, 1), got "
-                      << ol.multiplicative_decrease);
-  GUESS_CHECK_MSG(ol.min_window >= 1 && ol.min_window <= ol.max_window,
-                  "overload windows must satisfy 1 <= min_window <= "
-                  "max_window");
-  GUESS_CHECK_MSG(ol.control_interval > 0.0,
-                  "overload control_interval must be > 0, got "
-                      << ol.control_interval);
+  GUESS_CHECK_MSG(ol.shed_watermark >= 1,
+                  "overload shed_watermark must be >= 1");
 
   // Backend tuning blocks (only the selected backend reads its block, but
   // nonsense in any block is rejected up front — a config is one value).

@@ -1,8 +1,5 @@
 #include "guess/overload.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/check.h"
 
 namespace guess {
@@ -12,7 +9,6 @@ const char* overload_policy_name(OverloadPolicy policy) {
     case OverloadPolicy::kNone: return "none";
     case OverloadPolicy::kAdmit: return "admit";
     case OverloadPolicy::kShed: return "shed";
-    case OverloadPolicy::kBackpressure: return "backpressure";
   }
   GUESS_CHECK_MSG(false, "unknown OverloadPolicy");
   return "?";
@@ -22,26 +18,21 @@ OverloadPolicy parse_overload_policy(const std::string& name) {
   if (name == "none") return OverloadPolicy::kNone;
   if (name == "admit") return OverloadPolicy::kAdmit;
   if (name == "shed") return OverloadPolicy::kShed;
-  if (name == "backpressure") return OverloadPolicy::kBackpressure;
-  GUESS_CHECK_MSG(false,
-                  "unknown overload policy '"
-                      << name
-                      << "' (expected none | admit | shed | backpressure)");
+  GUESS_CHECK_MSG(false, "unknown overload policy '"
+                             << name << "' (expected none | admit | shed)");
   return OverloadPolicy::kNone;
 }
 
 OverloadController::OverloadController(const OverloadParams& params)
     : params_(params) {
-  window_ = static_cast<double>(params_.max_in_flight);
-  if (params_.policy == OverloadPolicy::kShed ||
-      params_.policy == OverloadPolicy::kBackpressure) {
-    queue_.resize(params_.queue_capacity);
+  if (params_.policy == OverloadPolicy::kShed) {
+    queue_.resize(params_.shed_watermark);
   }
 }
 
 bool OverloadController::has_slot() const {
   return params_.policy == OverloadPolicy::kNone ||
-         static_cast<double>(in_flight_) < window_;
+         in_flight_ < params_.max_in_flight;
 }
 
 void OverloadController::push_queue(sim::Time issue) {
@@ -58,12 +49,6 @@ sim::Time OverloadController::pop_oldest() {
   return issue;
 }
 
-sim::Time OverloadController::pop_newest() {
-  GUESS_CHECK(queue_size_ > 0);
-  --queue_size_;
-  return queue_[(queue_head_ + queue_size_) % queue_.size()];
-}
-
 AdmitDecision OverloadController::on_arrival(sim::Time now) {
   AdmitDecision decision;
   if (has_slot() && queue_size_ == 0) {
@@ -71,43 +56,20 @@ AdmitDecision OverloadController::on_arrival(sim::Time now) {
     decision.action = AdmitAction::kStart;
     return decision;
   }
-  switch (params_.policy) {
-    case OverloadPolicy::kNone:
-      // has_slot() is unconditionally true for kNone; unreachable.
-      ++in_flight_;
-      decision.action = AdmitAction::kStart;
-      return decision;
-    case OverloadPolicy::kAdmit:
-      decision.action = AdmitAction::kReject;
-      return decision;
-    case OverloadPolicy::kShed:
-      if (queue_size_ >= params_.shed_watermark) {
-        // Past the watermark: make room by dropping, then take the arrival
-        // (oldest-first keeps fresh work; newest-first refuses it instead).
-        decision.shed = 1;
-        if (params_.shed_oldest) {
-          decision.shed_issue = pop_oldest();
-          push_queue(now);
-          decision.action = AdmitAction::kQueue;
-        } else {
-          decision.shed_issue = now;
-          decision.action = AdmitAction::kReject;
-        }
-        return decision;
-      }
-      push_queue(now);
-      decision.action = AdmitAction::kQueue;
-      return decision;
-    case OverloadPolicy::kBackpressure:
-      if (queue_size_ >= queue_.size()) {
-        decision.action = AdmitAction::kReject;
-        return decision;
-      }
-      push_queue(now);
-      decision.action = AdmitAction::kQueue;
-      return decision;
+  // kNone always has a slot and never queues, so only admit and shed get
+  // here.
+  if (params_.policy == OverloadPolicy::kAdmit) {
+    decision.action = AdmitAction::kReject;
+    return decision;
   }
-  GUESS_CHECK_MSG(false, "unknown OverloadPolicy");
+  if (queue_size_ == queue_.size()) {
+    // At the watermark: drop the longest waiter to make room for the
+    // arrival.
+    pop_oldest();
+    decision.shed = 1;
+  }
+  push_queue(now);
+  decision.action = AdmitAction::kQueue;
   return decision;
 }
 
@@ -127,26 +89,6 @@ bool OverloadController::drain_one(sim::Time* issue) {
   if (queue_size_ == 0) return false;
   *issue = pop_oldest();
   return true;
-}
-
-void OverloadController::tick(double failure_rate) {
-  if (params_.policy != OverloadPolicy::kBackpressure) return;
-  // Pressure signals: the transport is failing above target, or the
-  // controller queue is past half capacity (the system is falling seriously
-  // behind the window). Either one shrinks the window multiplicatively; a
-  // healthy tick grows it additively. The backlog threshold is half-full,
-  // not non-empty: under sustained open-loop load the queue is never empty,
-  // and treating any backlog as pressure pins the window at min_window
-  // permanently — all queueing delay, no throughput.
-  bool pressure = failure_rate > params_.target_failure_rate ||
-                  queue_size_ > queue_.size() / 2;
-  if (pressure) {
-    window_ *= params_.multiplicative_decrease;
-  } else {
-    window_ += params_.additive_increase;
-  }
-  window_ = std::clamp(window_, static_cast<double>(params_.min_window),
-                       static_cast<double>(params_.max_window));
 }
 
 }  // namespace guess

@@ -3,31 +3,27 @@
 // Under closed-loop load the population self-limits: a slow system issues
 // its next query later. Under an open-loop arrival process (sim/arrival.h)
 // offered load is whatever the operator configured, so the run needs a
-// policy for the arrivals the system cannot absorb. Four are provided:
+// policy for the arrivals the system cannot absorb. Three are provided:
 //
-//   * none          — every arrival starts immediately. The baseline: past
-//                     saturation, per-origin pending queues grow without
-//                     bound and tail latency diverges.
-//   * admit         — admission control: a fixed budget of in-flight query
-//                     slots; arrivals beyond it are rejected at the door
-//                     (the client sees a fast failure, admitted queries see
-//                     a healthy system).
-//   * shed          — load shedding: arrivals queue in the controller; when
-//                     the queue passes a depth watermark, entries are
-//                     dropped (oldest-first by default — the queries most
-//                     likely to already have blown their SLO).
-//   * backpressure  — adaptive AIMD window on query issue. The window grows
-//                     additively each control tick while the system looks
-//                     healthy and shrinks multiplicatively when the
-//                     observed transport failure rate (timeouts + failed
-//                     exchanges per message, from TransportCounters deltas)
-//                     exceeds its target or the queue passes half capacity;
-//                     arrivals beyond window + bounded queue are rejected.
+//   * none   — every arrival starts immediately. The baseline: past
+//              saturation, per-origin pending queues grow without bound and
+//              tail latency diverges.
+//   * admit  — admission control: a fixed budget of in-flight query slots;
+//              arrivals beyond it are rejected at the door (the client sees
+//              a fast failure, admitted queries see a healthy system).
+//   * shed   — load shedding: arrivals queue in the controller; once the
+//              queue holds its depth watermark, each arrival drops the
+//              oldest queued entry (the query most likely to have already
+//              blown its SLO) and takes its place.
+//
+// An adaptive AIMD window (backpressure) was the fourth policy until it lost
+// every cell of bench_overload under both the transport failure rate and the
+// paper's probe-refusal rate (DESIGN.md §13.3).
 //
 // The controller is deterministic (pure arithmetic, no RNG) and
-// allocation-free after construction (a reserved ring buffer holds queued
-// issue times), so attaching one preserves bitwise reproducibility across
-// schedulers and thread counts.
+// allocation-free after construction (a ring buffer sized to the shed
+// watermark holds queued issue times), so attaching one preserves bitwise
+// reproducibility across schedulers and thread counts.
 #pragma once
 
 #include <cstddef>
@@ -44,10 +40,9 @@ enum class OverloadPolicy {
   kNone,
   kAdmit,
   kShed,
-  kBackpressure,
 };
 
-/// "none" / "admit" / "shed" / "backpressure".
+/// "none" / "admit" / "shed".
 const char* overload_policy_name(OverloadPolicy policy);
 
 /// Parse an --overload-policy= value; throws CheckError on unknown names.
@@ -57,28 +52,12 @@ OverloadPolicy parse_overload_policy(const std::string& name);
 struct OverloadParams {
   OverloadPolicy policy = OverloadPolicy::kNone;
 
-  /// In-flight query budget: admission limit for kAdmit/kShed, and the
-  /// AIMD window's initial value for kBackpressure.
+  /// In-flight query budget for kAdmit and kShed.
   std::size_t max_in_flight = 64;
 
-  /// Hard bound on the controller queue (kShed/kBackpressure); arrivals
-  /// that find the queue full are rejected.
-  std::size_t queue_capacity = 256;
-
-  /// kShed: queue depth beyond which entries are dropped.
+  /// kShed: the controller queue's depth. An arrival that finds it full
+  /// drops the oldest queued entry, so the queue never holds more.
   std::size_t shed_watermark = 64;
-
-  /// kShed: drop the oldest queued entry (true, default — it has waited
-  /// longest and is most likely already past its SLO) or the newest.
-  bool shed_oldest = true;
-
-  // --- kBackpressure (AIMD) ---
-  double target_failure_rate = 0.05;   ///< transport failures per message
-  double additive_increase = 4.0;      ///< window += per healthy tick
-  double multiplicative_decrease = 0.5;  ///< window *= on pressure
-  std::size_t min_window = 4;
-  std::size_t max_window = 1024;
-  sim::Duration control_interval = 10.0;  ///< seconds between AIMD ticks
 };
 
 /// Query-lifecycle callbacks a backend reports to its open-loop driver.
@@ -105,11 +84,9 @@ enum class AdmitAction {
 
 struct AdmitDecision {
   AdmitAction action = AdmitAction::kStart;
-  /// Queued entries dropped to make room (kShed past the watermark). The
-  /// caller reports one abandoned-by-shedding query per dropped issue time
-  /// in `shed_issues` (filled oldest-first; at most 1 per arrival).
+  /// Queued entries dropped to make room (kShed at the watermark; at most
+  /// 1 per arrival). The caller counts each as a shed query.
   std::size_t shed = 0;
-  sim::Time shed_issue = 0.0;
 };
 
 class OverloadController {
@@ -117,8 +94,8 @@ class OverloadController {
   explicit OverloadController(const OverloadParams& params);
 
   /// Decide one arrival at simulated time `now`. kStart already counts the
-  /// query in flight; after a kQueue decision (and after on_release/tick)
-  /// the caller pumps try_start() until it returns false.
+  /// query in flight; after a kQueue decision (and after on_release) the
+  /// caller pumps try_start() until it returns false.
   AdmitDecision on_arrival(sim::Time now);
 
   /// Start the oldest queued arrival if a slot is free: writes its original
@@ -129,29 +106,19 @@ class OverloadController {
   /// An in-flight query finished (completed or abandoned); frees its slot.
   void on_release();
 
-  /// kBackpressure: one AIMD control tick. `failure_rate` is the observed
-  /// transport failure fraction (timeouts + failed exchanges per sent
-  /// message) since the previous tick; ticks with no traffic pass 0.
-  void tick(double failure_rate);
-
   /// Drain the queue (end of run): pops every queued issue time, oldest
   /// first, without touching in-flight accounting.
   bool drain_one(sim::Time* issue);
 
   std::size_t in_flight() const { return in_flight_; }
   std::size_t queue_depth() const { return queue_size_; }
-  /// Current admission window (fixed for kAdmit/kShed; AIMD-adjusted for
-  /// kBackpressure; unbounded for kNone).
-  double window() const { return window_; }
 
  private:
   bool has_slot() const;
   void push_queue(sim::Time issue);
   sim::Time pop_oldest();
-  sim::Time pop_newest();
 
   OverloadParams params_;
-  double window_ = 0.0;
   std::size_t in_flight_ = 0;
   // Ring buffer of queued issue times; reserved once, never reallocated.
   std::vector<sim::Time> queue_;

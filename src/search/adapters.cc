@@ -63,10 +63,6 @@ class GuessBackend final : public SearchBackend {
     network_->set_query_observer(observer);
   }
 
-  TransportCounters transport_counters() const override {
-    return network_->transport().counters();
-  }
-
   void visit_open_queries(
       const std::function<void(sim::Time)>& visit) const override {
     network_->visit_open_queries(visit);

@@ -165,8 +165,10 @@ class SearchBackend : public faults::FaultHost {
   /// completion must not silently drop latency accounting.
   virtual void configure_open_loop(QueryObserver* observer);
 
-  /// Transport-level counters observed so far (AIMD backpressure feedback);
-  /// backends without a transport report zeros.
+  /// Transport-level counters observed so far; the default reports zeros.
+  /// The library no longer calls this (its one reader, the AIMD
+  /// backpressure policy, was deleted) and no in-tree backend overrides it;
+  /// it stays declared because bench/e2e's timing wrapper forwards it.
   virtual TransportCounters transport_counters() const { return {}; }
 
   /// Visit the external issue time of every query currently open (active

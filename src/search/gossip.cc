@@ -344,7 +344,7 @@ void GossipBackend::begin_intervals(sim::Duration width) {
   interval_series_.clear();
 }
 
-void GossipBackend::sample_interval() {
+IntervalSample GossipBackend::open_interval() const {
   IntervalSample sample;
   sample.start = interval_start_;
   sample.end = simulator_.now();
@@ -352,6 +352,11 @@ void GossipBackend::sample_interval() {
   sample.queries_satisfied = interval_satisfied_;
   sample.probes = interval_probes_;
   sample.live_peers = table_.size();
+  return sample;
+}
+
+void GossipBackend::sample_interval() {
+  IntervalSample sample = open_interval();
   interval_series_.push_back(sample);
   interval_start_ = sample.end;
   interval_completed_ = 0;
@@ -383,6 +388,10 @@ SearchResults GossipBackend::collect() {
   out.response_time = stats_.response_time;
   out.probe_samples = stats_.query_probes;
   out.interval_series = interval_series_;
+  // Trailing partial interval (horizon not aligned to the interval width).
+  if (interval_width_ > 0.0 && simulator_.now() > interval_start_) {
+    out.interval_series.push_back(open_interval());
+  }
   out.extra = stats_;
   return out;
 }

@@ -139,6 +139,8 @@ class GossipBackend final : public SearchBackend {
   QueryOutcome run_query(std::uint64_t origin, content::FileId file);
   bool severed(const PeerSlot& a, const PeerSlot& b) const;
   double leg_loss() const;
+  /// The interval row open since interval_start_, closed at now.
+  IntervalSample open_interval() const;
 
   SimulationConfig config_;
   sim::Simulator& simulator_;

@@ -1,7 +1,5 @@
 #include "search/open_loop.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace guess::search {
@@ -25,12 +23,10 @@ OpenLoopDriver::OpenLoopDriver(const SimulationConfig& config,
                 config.options().offered_qps,
                 Rng(config.seed() ^ kArrivalSeedSalt)),
       workload_rng_(config.seed() ^ kWorkloadSeedSalt),
-      policy_(config.options().overload.policy),
       slo_(config.options().slo),
-      control_interval_(config.options().overload.control_interval),
       interval_width_(config.options().metrics_interval) {
   stats_.open_loop = true;
-  stats_.policy = policy_;
+  stats_.policy = config.options().overload.policy;
   stats_.offered_qps = config.options().offered_qps;
   stats_.slo = slo_;
 }
@@ -38,10 +34,6 @@ OpenLoopDriver::OpenLoopDriver(const SimulationConfig& config,
 void OpenLoopDriver::start() {
   backend_.configure_open_loop(this);
   arrivals_.start([this] { on_arrival(); });
-  if (policy_ == OverloadPolicy::kBackpressure) {
-    simulator_.every(control_interval_, control_interval_,
-                     ControlTickFired{this});
-  }
 }
 
 void OpenLoopDriver::begin_measurement() { measuring_ = true; }
@@ -51,9 +43,8 @@ void OpenLoopDriver::on_arrival() {
   ++acc_.arrivals;
   AdmitDecision decision = controller_.on_arrival(simulator_.now());
   if (decision.shed > 0) {
-    // One query left the system via the shedding watermark — either the
-    // oldest queued entry (making room for this arrival) or the arrival
-    // itself (shed_oldest == false, reported as kReject + shed).
+    // The oldest queued entry left the system to make room for this
+    // arrival.
     if (measuring_) ++stats_.shed;
     ++acc_.shed;
   }
@@ -64,10 +55,8 @@ void OpenLoopDriver::on_arrival() {
     case AdmitAction::kQueue:
       break;
     case AdmitAction::kReject:
-      if (decision.shed == 0) {
-        if (measuring_) ++stats_.rejected;
-        ++acc_.rejected;
-      }
+      if (measuring_) ++stats_.rejected;
+      ++acc_.rejected;
       break;
   }
 }
@@ -123,19 +112,6 @@ void OpenLoopDriver::on_query_abandoned(double age) {
   simulator_.after(0.0, PumpFired{this});
 }
 
-void OpenLoopDriver::control_tick() {
-  TransportCounters current = backend_.transport_counters();
-  TransportCounters delta = current - last_transport_;
-  last_transport_ = current;
-  double failure_rate =
-      delta.messages_sent == 0
-          ? 0.0
-          : static_cast<double>(delta.timeouts + delta.exchanges_failed) /
-                static_cast<double>(delta.messages_sent);
-  controller_.tick(failure_rate);
-  pump();
-}
-
 void OpenLoopDriver::sample_interval() {
   if (interval_width_ <= 0.0) return;
   IntervalSample sample;
@@ -172,20 +148,34 @@ void OpenLoopDriver::finalize(SearchResults& out) {
 
   out.overload = stats_;
 
+  if (interval_width_ <= 0.0) return;
+  // The trailing partial interval (horizon not aligned to the width) closes
+  // here, as the backends close theirs at collect.
+  if (end > interval_start_) sample_interval();
   // Merge the overload columns into the backend's interval series; backends
   // without interval hooks get the driver's own rows (query counts come
   // from the observer there, so completed/satisfied are still populated).
-  if (interval_rows_.empty()) return;
   if (out.interval_series.empty()) {
     out.interval_series = interval_rows_;
     return;
   }
-  std::size_t n = std::min(out.interval_series.size(), interval_rows_.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    out.interval_series[i].arrivals = interval_rows_[i].arrivals;
-    out.interval_series[i].rejected = interval_rows_[i].rejected;
-    out.interval_series[i].shed = interval_rows_[i].shed;
-    out.interval_series[i].slo_ok = interval_rows_[i].slo_ok;
+  GUESS_CHECK_MSG(out.interval_series.size() == interval_rows_.size(),
+                  "backend " << out.backend << " closed "
+                             << out.interval_series.size()
+                             << " interval rows, the open-loop driver "
+                             << interval_rows_.size());
+  for (std::size_t i = 0; i < interval_rows_.size(); ++i) {
+    IntervalSample& row = out.interval_series[i];
+    const IntervalSample& mine = interval_rows_[i];
+    GUESS_CHECK_MSG(row.start == mine.start && row.end == mine.end,
+                    "backend " << out.backend << " interval row " << i
+                               << " spans [" << row.start << ", " << row.end
+                               << "), the open-loop driver's [" << mine.start
+                               << ", " << mine.end << ")");
+    row.arrivals = mine.arrivals;
+    row.rejected = mine.rejected;
+    row.shed = mine.shed;
+    row.slo_ok = mine.slo_ok;
   }
 }
 

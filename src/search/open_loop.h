@@ -8,14 +8,14 @@
 //   * runs a sim::ArrivalProcess at offered_qps on dedicated RNG streams
 //     (seed ^ salt), so attaching it never perturbs the backend's draws;
 //   * gates every arrival through an OverloadController (none / admit /
-//     shed / backpressure) and starts admitted queries via
-//     SearchBackend::start_query with their original arrival instant — a
-//     query's measured latency includes any time it spent queued;
+//     shed) and starts admitted queries via SearchBackend::start_query with
+//     their original arrival instant — a query's measured latency includes
+//     any time it spent queued;
 //   * accounts latency (LogHistogram), SLO conformance, goodput, rejects,
 //     sheds and abandons into SearchResults::overload and the per-interval
 //     series; at the end of the window, queries still open are censored at
-//     their current age (the satellite fix: in-flight work is counted, not
-//     silently dropped).
+//     their current age (in-flight work is counted, not silently
+//     dropped).
 //
 // Determinism: the controller is pure arithmetic, the arrival process and
 // origin draws use their own Rng streams, and all event scheduling rides
@@ -43,8 +43,7 @@ class OpenLoopDriver final : public QueryObserver {
                  SearchBackend& backend);
 
   /// Configure the backend for open-loop operation and schedule the arrival
-  /// process (and, for kBackpressure, the AIMD control tick). Call once,
-  /// after bootstrap() and before any events run.
+  /// process. Call once, after bootstrap() and before any events run.
   void start();
 
   /// Start the measurement window (run_search calls this right after the
@@ -56,9 +55,11 @@ class OpenLoopDriver final : public QueryObserver {
   void sample_interval();
 
   /// End-of-run: census still-open queries at their current age, stamp
-  /// SearchResults::overload, and merge the per-interval overload columns
-  /// into the backend's interval series (or install the driver's own series
-  /// for backends without interval hooks).
+  /// SearchResults::overload, close the trailing partial interval, and
+  /// merge the per-interval overload columns into the backend's interval
+  /// series (or install the driver's own series for backends without
+  /// interval hooks). The backend's rows must match the driver's one for
+  /// one, in count and in start and end times.
   void finalize(SearchResults& out);
 
   // --- QueryObserver (called by the backend) ---
@@ -70,10 +71,6 @@ class OpenLoopDriver final : public QueryObserver {
     OpenLoopDriver* driver;
     void operator()() const { driver->pump(); }
   };
-  struct ControlTickFired {
-    OpenLoopDriver* driver;
-    void operator()() const { driver->control_tick(); }
-  };
 
   void on_arrival();
   /// Start queued arrivals while the controller grants slots. Re-entrancy
@@ -81,21 +78,17 @@ class OpenLoopDriver final : public QueryObserver {
   /// which calls back into on_query_complete -> pump.
   void pump();
   void launch(sim::Time issued);
-  void control_tick();
 
   sim::Simulator& simulator_;
   SearchBackend& backend_;
   OverloadController controller_;
   sim::ArrivalProcess arrivals_;
   Rng workload_rng_;
-  OverloadPolicy policy_;
   double slo_;
-  sim::Duration control_interval_;
 
   bool measuring_ = false;
   bool pumping_ = false;
   OverloadStats stats_;
-  TransportCounters last_transport_;
 
   // Per-interval accumulators (run from t=0, like the backend's own
   // interval series — recovery analysis needs pre-fault baselines).

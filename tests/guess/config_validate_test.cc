@@ -285,50 +285,12 @@ TEST(ConfigValidate, OverloadParamBounds) {
   };
   EXPECT_THROW(with([](OverloadParams& o) { o.max_in_flight = 0; }).validate(),
                CheckError);
-  EXPECT_THROW(with([](OverloadParams& o) { o.queue_capacity = 0; }).validate(),
-               CheckError);
   EXPECT_THROW(with([](OverloadParams& o) { o.shed_watermark = 0; }).validate(),
                CheckError);
-  EXPECT_THROW(with([](OverloadParams& o) {
-                 o.queue_capacity = 8;
-                 o.shed_watermark = 9;  // > queue_capacity
-               }).validate(),
-               CheckError);
-  EXPECT_THROW(
-      with([](OverloadParams& o) { o.target_failure_rate = 1.5; }).validate(),
-      CheckError);
-  EXPECT_THROW(
-      with([](OverloadParams& o) { o.target_failure_rate = kNaN; }).validate(),
-      CheckError);
-  EXPECT_THROW(
-      with([](OverloadParams& o) { o.additive_increase = 0.0; }).validate(),
-      CheckError);
-  EXPECT_THROW(
-      with([](OverloadParams& o) { o.additive_increase = kNaN; }).validate(),
-      CheckError);
-  EXPECT_THROW(with([](OverloadParams& o) {
-                 o.multiplicative_decrease = 1.0;  // must shrink
-               }).validate(),
-               CheckError);
-  EXPECT_THROW(with([](OverloadParams& o) {
-                 o.multiplicative_decrease = 0.0;
-               }).validate(),
-               CheckError);
-  EXPECT_THROW(with([](OverloadParams& o) { o.min_window = 0; }).validate(),
-               CheckError);
-  EXPECT_THROW(with([](OverloadParams& o) {
-                 o.min_window = 64;
-                 o.max_window = 32;
-               }).validate(),
-               CheckError);
-  EXPECT_THROW(
-      with([](OverloadParams& o) { o.control_interval = 0.0; }).validate(),
-      CheckError);
-  EXPECT_THROW(
-      with([](OverloadParams& o) { o.control_interval = kNaN; }).validate(),
-      CheckError);
   EXPECT_NO_THROW(with([](OverloadParams& o) {
-                    o.policy = OverloadPolicy::kBackpressure;
+                    o.policy = OverloadPolicy::kShed;
+                    o.max_in_flight = 1;
+                    o.shed_watermark = 1;
                   }).validate());
 }
 

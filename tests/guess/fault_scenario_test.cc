@@ -375,6 +375,13 @@ TEST(IntervalSeries, TrailingPartialIntervalAppended) {
   const IntervalSample& tail = results.interval_series.back();
   EXPECT_DOUBLE_EQ(tail.start, 540.0);
   EXPECT_DOUBLE_EQ(tail.end, 600.0);
+
+  // Gossip closes its own trailing row the same way.
+  search::SearchResults gossip =
+      search::run_search(config.backend(SearchBackendId::kGossip));
+  ASSERT_EQ(gossip.interval_series.size(), 7u);
+  EXPECT_DOUBLE_EQ(gossip.interval_series.back().start, 540.0);
+  EXPECT_DOUBLE_EQ(gossip.interval_series.back().end, 600.0);
 }
 
 TEST(IntervalSeries, DisabledByDefault) {

@@ -1,10 +1,13 @@
 // OverloadController unit tests: admission windows, shedding watermarks,
-// AIMD dynamics, and the pump/drain protocol (DESIGN.md §13.3).
+// and the pump/drain protocol (DESIGN.md §13.3).
 #include "guess/overload.h"
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "common/check.h"
+#include "common/rng.h"
 
 namespace guess {
 namespace {
@@ -13,17 +16,16 @@ OverloadParams params_for(OverloadPolicy policy) {
   OverloadParams p;
   p.policy = policy;
   p.max_in_flight = 2;
-  p.queue_capacity = 4;
   p.shed_watermark = 2;
   return p;
 }
 
 TEST(OverloadPolicyNames, RoundTrip) {
   for (OverloadPolicy policy :
-       {OverloadPolicy::kNone, OverloadPolicy::kAdmit, OverloadPolicy::kShed,
-        OverloadPolicy::kBackpressure}) {
+       {OverloadPolicy::kNone, OverloadPolicy::kAdmit, OverloadPolicy::kShed}) {
     EXPECT_EQ(parse_overload_policy(overload_policy_name(policy)), policy);
   }
+  EXPECT_THROW(parse_overload_policy("backpressure"), CheckError);
   EXPECT_THROW(parse_overload_policy("drop"), CheckError);
   EXPECT_THROW(parse_overload_policy(""), CheckError);
 }
@@ -83,28 +85,77 @@ TEST(OverloadController, ShedOldestDropsTheLongestWaiterAndTakesTheArrival) {
   AdmitDecision d = c.on_arrival(4.0);
   EXPECT_EQ(d.action, AdmitAction::kQueue);
   EXPECT_EQ(d.shed, 1u);
-  EXPECT_DOUBLE_EQ(d.shed_issue, 2.0);  // oldest waiter dropped
-  EXPECT_EQ(c.queue_depth(), 2u);       // 3.0 and 4.0 remain
+  EXPECT_EQ(c.queue_depth(), 2u);  // 3.0 and 4.0 remain
 
+  // The oldest waiter (2.0) was dropped: the next start is 3.0.
   c.on_release();
   sim::Time issue = -1.0;
   EXPECT_TRUE(c.try_start(&issue));
   EXPECT_DOUBLE_EQ(issue, 3.0);
 }
 
-TEST(OverloadController, ShedNewestRefusesTheArrivalInstead) {
+// A seeded mix of arrivals and releases against a FIFO model: the queue
+// never holds more than the watermark (which is why the ring buffer is
+// sized to it), the in-flight budget holds, and queued arrivals start
+// oldest first, the dropped ones being the oldest.
+TEST(OverloadController, ShedQueueNeverExceedsTheWatermark) {
   OverloadParams p = params_for(OverloadPolicy::kShed);
-  p.shed_oldest = false;
+  p.max_in_flight = 3;
+  p.shed_watermark = 5;
   OverloadController c(p);
-  c.on_arrival(0.0);
-  c.on_arrival(1.0);
-  c.on_arrival(2.0);
-  c.on_arrival(3.0);
-  AdmitDecision d = c.on_arrival(4.0);
-  EXPECT_EQ(d.action, AdmitAction::kReject);
-  EXPECT_EQ(d.shed, 1u);                // counted as shed, not rejected
-  EXPECT_DOUBLE_EQ(d.shed_issue, 4.0);  // the arrival itself
-  EXPECT_EQ(c.queue_depth(), 2u);       // 2.0 and 3.0 untouched
+  std::deque<sim::Time> waiting;  // the model queue, oldest first
+  std::size_t running = 0;
+  std::size_t sheds = 0;
+  std::size_t full = 0;
+  std::size_t drained = 0;
+  Rng rng(2024);
+  for (int step = 0; step < 4000; ++step) {
+    auto now = static_cast<sim::Time>(step);
+    // Alternate overload and drain phases of 250 steps each.
+    double arrive = (step / 250) % 2 == 0 ? 0.65 : 0.35;
+    if (running == 0 || rng.bernoulli(arrive)) {
+      AdmitDecision d = c.on_arrival(now);
+      if (d.shed > 0) {
+        ASSERT_EQ(d.shed, 1u);
+        ASSERT_FALSE(waiting.empty());
+        waiting.pop_front();
+        ++sheds;
+      }
+      if (d.action == AdmitAction::kStart) {
+        ASSERT_TRUE(waiting.empty());
+        ++running;
+      } else {
+        ASSERT_EQ(d.action, AdmitAction::kQueue);
+        waiting.push_back(now);
+      }
+    } else {
+      c.on_release();
+      --running;
+      sim::Time issue = -1.0;
+      while (c.try_start(&issue)) {
+        ASSERT_FALSE(waiting.empty());
+        ASSERT_DOUBLE_EQ(issue, waiting.front());
+        waiting.pop_front();
+        ++running;
+      }
+    }
+    ASSERT_LE(c.queue_depth(), p.shed_watermark);
+    ASSERT_LE(c.in_flight(), p.max_in_flight);
+    ASSERT_EQ(c.queue_depth(), waiting.size());
+    ASSERT_EQ(c.in_flight(), running);
+    if (c.queue_depth() == p.shed_watermark) ++full;
+    if (c.queue_depth() == 0) ++drained;
+  }
+  // The mix must reach the watermark, shed past it, and drain again.
+  EXPECT_GT(full, 0u);
+  EXPECT_GT(sheds, 0u);
+  EXPECT_GT(drained, 0u);
+  sim::Time issue = -1.0;
+  while (c.drain_one(&issue)) {
+    ASSERT_DOUBLE_EQ(issue, waiting.front());
+    waiting.pop_front();
+  }
+  EXPECT_TRUE(waiting.empty());
 }
 
 TEST(OverloadController, ArrivalsNeverOvertakeTheQueue) {
@@ -120,94 +171,6 @@ TEST(OverloadController, ArrivalsNeverOvertakeTheQueue) {
   sim::Time issue = -1.0;
   EXPECT_TRUE(c.try_start(&issue));
   EXPECT_DOUBLE_EQ(issue, 2.0);
-}
-
-TEST(OverloadController, BackpressureQueuesThenRejectsAtCapacity) {
-  OverloadParams p = params_for(OverloadPolicy::kBackpressure);
-  OverloadController c(p);
-  c.on_arrival(0.0);
-  c.on_arrival(1.0);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(c.on_arrival(2.0 + i).action, AdmitAction::kQueue);
-  }
-  EXPECT_EQ(c.queue_depth(), 4u);
-  EXPECT_EQ(c.on_arrival(6.0).action, AdmitAction::kReject);
-}
-
-TEST(OverloadController, AimdGrowsOnHealthShrinksOnFailures) {
-  OverloadParams p = params_for(OverloadPolicy::kBackpressure);
-  p.max_in_flight = 8;
-  p.min_window = 2;
-  p.max_window = 16;
-  p.additive_increase = 4.0;
-  p.multiplicative_decrease = 0.5;
-  p.target_failure_rate = 0.05;
-  OverloadController c(p);
-  EXPECT_DOUBLE_EQ(c.window(), 8.0);
-
-  c.tick(0.0);  // healthy: additive increase
-  EXPECT_DOUBLE_EQ(c.window(), 12.0);
-  c.tick(0.01);  // under target: still healthy
-  EXPECT_DOUBLE_EQ(c.window(), 16.0);
-  c.tick(0.0);  // clamped at max_window
-  EXPECT_DOUBLE_EQ(c.window(), 16.0);
-
-  c.tick(0.5);  // failing: multiplicative decrease
-  EXPECT_DOUBLE_EQ(c.window(), 8.0);
-  c.tick(0.5);
-  c.tick(0.5);
-  c.tick(0.5);
-  EXPECT_DOUBLE_EQ(c.window(), 2.0);  // clamped at min_window
-}
-
-TEST(OverloadController, AimdTreatsDeepBacklogAsPressureButNotAShallowOne) {
-  OverloadParams p = params_for(OverloadPolicy::kBackpressure);
-  p.min_window = 1;
-  p.queue_capacity = 4;
-  OverloadController c(p);
-  c.on_arrival(0.0);
-  c.on_arrival(1.0);
-  c.on_arrival(2.0);  // queue depth 1: under open-loop load the queue is
-  c.on_arrival(3.0);  // depth 2 = half capacity: still not pressure
-  double before = c.window();
-  c.tick(0.0);  // rarely empty; a shallow backlog must not shrink the window
-  EXPECT_GT(c.window(), before);
-  c.on_arrival(4.0);  // depth 3 > capacity/2: now it is pressure
-  before = c.window();
-  c.tick(0.0);
-  EXPECT_LT(c.window(), before);
-}
-
-TEST(OverloadController, AimdShrunkWindowStillDrainsWaitersOnRelease) {
-  OverloadParams p = params_for(OverloadPolicy::kBackpressure);
-  p.max_in_flight = 4;
-  p.min_window = 1;
-  OverloadController c(p);
-  c.on_arrival(0.0);
-  c.on_arrival(1.0);
-  c.on_arrival(2.0);
-  c.on_arrival(3.0);
-  c.on_arrival(4.0);  // queued
-  sim::Time issue = -1.0;
-  EXPECT_FALSE(c.try_start(&issue));  // window 4, all slots busy
-  c.tick(0.5);                        // pressure: window 4 -> 2
-  EXPECT_DOUBLE_EQ(c.window(), 2.0);
-  c.on_release();  // in_flight 3 > window 2: still no admission
-  EXPECT_FALSE(c.try_start(&issue));
-  c.on_release();
-  c.on_release();  // in_flight 1 < window 2: waiter admitted
-  EXPECT_TRUE(c.try_start(&issue));
-  EXPECT_DOUBLE_EQ(issue, 4.0);
-}
-
-TEST(OverloadController, TickIsANoOpForNonAimdPolicies) {
-  for (OverloadPolicy policy : {OverloadPolicy::kNone, OverloadPolicy::kAdmit,
-                                OverloadPolicy::kShed}) {
-    OverloadController c(params_for(policy));
-    double before = c.window();
-    c.tick(1.0);
-    EXPECT_DOUBLE_EQ(c.window(), before) << overload_policy_name(policy);
-  }
 }
 
 TEST(OverloadController, DrainPopsOldestFirstWithoutTouchingInFlight) {
@@ -228,7 +191,6 @@ TEST(OverloadController, DrainPopsOldestFirstWithoutTouchingInFlight) {
 
 TEST(OverloadController, RingBufferSurvivesWraparound) {
   OverloadParams p = params_for(OverloadPolicy::kShed);
-  p.queue_capacity = 3;
   p.shed_watermark = 3;
   OverloadController c(p);
   c.on_arrival(0.0);

@@ -81,8 +81,7 @@ TEST(OpenLoop, ClosedLoopRunsCarryZeroOverloadStats) {
 
 TEST(OpenLoop, ConservationHoldsForEveryPolicy) {
   for (OverloadPolicy policy :
-       {OverloadPolicy::kNone, OverloadPolicy::kAdmit, OverloadPolicy::kShed,
-        OverloadPolicy::kBackpressure}) {
+       {OverloadPolicy::kNone, OverloadPolicy::kAdmit, OverloadPolicy::kShed}) {
     SCOPED_TRACE(overload_policy_name(policy));
     SearchResults r = run_search(open_config(policy, 5.0));
     EXPECT_TRUE(r.overload.open_loop);
@@ -144,7 +143,6 @@ TEST(OpenLoop, SheddingDropsQueuedWorkPastTheWatermark) {
   OverloadParams overload;
   overload.policy = OverloadPolicy::kShed;
   overload.max_in_flight = 4;
-  overload.queue_capacity = 16;
   overload.shed_watermark = 4;
   SearchResults r =
       run_search(open_config(OverloadPolicy::kShed, 20.0).overload(overload));
@@ -160,8 +158,7 @@ TEST(OpenLoop, SameSeedIsBitwiseReproducible) {
 }
 
 TEST(OpenLoop, BitwiseIdenticalAcrossSchedulers) {
-  for (OverloadPolicy policy :
-       {OverloadPolicy::kNone, OverloadPolicy::kBackpressure}) {
+  for (OverloadPolicy policy : {OverloadPolicy::kNone, OverloadPolicy::kShed}) {
     SCOPED_TRACE(overload_policy_name(policy));
     SearchResults heap = run_search(
         open_config(policy, 8.0).scheduler(sim::Scheduler::kHeap));
@@ -196,22 +193,30 @@ TEST(OpenLoop, AttachingTheDriverDoesNotPerturbDifferentSeeds) {
   EXPECT_FALSE(a.overload.latency == b.overload.latency);
 }
 
+// 40 s rows over a 150 s run leave a 30 s trailing row, which the driver
+// closes at finalize as every backend with interval hooks closes its own.
+// With no warmup the window is the whole run, so the rows sum exactly to
+// the window's totals.
 TEST(OpenLoop, IntervalSeriesCarriesOverloadColumns) {
-  SearchResults r = run_search(
-      open_config(OverloadPolicy::kNone, 8.0).metrics_interval(30.0));
-  ASSERT_FALSE(r.interval_series.empty());
-  std::uint64_t arrivals = 0;
-  std::uint64_t slo_ok = 0;
-  for (const IntervalSample& row : r.interval_series) {
-    EXPECT_GT(row.end, row.start);
-    arrivals += row.arrivals;
-    slo_ok += row.slo_ok;
+  for (SearchBackendId id : registered_backends()) {
+    SCOPED_TRACE(backend_name(id));
+    SearchResults r = run_search(open_config(OverloadPolicy::kNone, 8.0)
+                                     .backend(id)
+                                     .metrics_interval(40.0));
+    ASSERT_EQ(r.interval_series.size(), 4u);
+    EXPECT_DOUBLE_EQ(r.interval_series.back().start, 120.0);
+    EXPECT_DOUBLE_EQ(r.interval_series.back().end, 150.0);
+    std::uint64_t arrivals = 0;
+    std::uint64_t slo_ok = 0;
+    for (const IntervalSample& row : r.interval_series) {
+      EXPECT_GT(row.end, row.start);
+      arrivals += row.arrivals;
+      slo_ok += row.slo_ok;
+    }
+    EXPECT_GT(arrivals, 0u);
+    EXPECT_EQ(arrivals, r.overload.arrivals);
+    EXPECT_EQ(slo_ok, r.overload.slo_ok);
   }
-  EXPECT_GT(arrivals, 0u);
-  // Interval rows stop at the last sampled boundary; totals cover the whole
-  // window, so the series can only undercount.
-  EXPECT_LE(arrivals, r.overload.arrivals);
-  EXPECT_LE(slo_ok, r.overload.slo_ok);
 }
 
 TEST(OpenLoop, DriverProvidesIntervalRowsForHookFreeBackends) {
