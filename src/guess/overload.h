@@ -16,10 +16,6 @@
 //              oldest queued entry (the query most likely to have already
 //              blown its SLO) and takes its place.
 //
-// An adaptive AIMD window (backpressure) was the fourth policy until it lost
-// every cell of bench_overload under both the transport failure rate and the
-// paper's probe-refusal rate (DESIGN.md §13.3).
-//
 // The controller is deterministic (pure arithmetic, no RNG) and
 // allocation-free after construction (a ring buffer sized to the shed
 // watermark holds queued issue times), so attaching one preserves bitwise

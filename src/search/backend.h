@@ -166,8 +166,7 @@ class SearchBackend : public faults::FaultHost {
   virtual void configure_open_loop(QueryObserver* observer);
 
   /// Transport-level counters observed so far; the default reports zeros.
-  /// The library no longer calls this (its one reader, the AIMD
-  /// backpressure policy, was deleted) and no in-tree backend overrides it;
+  /// The library no longer calls this and no in-tree backend overrides it;
   /// it stays declared because bench/e2e's timing wrapper forwards it.
   virtual TransportCounters transport_counters() const { return {}; }
 
