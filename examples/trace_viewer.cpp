@@ -8,7 +8,7 @@
 
 #include "common/flags.h"
 #include "common/trace.h"
-#include "guess/network.h"
+#include "search/guess.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -62,13 +62,13 @@ int main(int argc, char** argv) {
   }
 
   guess::sim::Simulator simulator;
-  guess::GuessNetwork network(
+  guess::search::GuessBackend network(
       guess::SimulationConfig().system(system).protocol(protocol), simulator,
       guess::Rng(flags.seed()));
   flags.reject_unread();
   guess::Tracer tracer(mask, 1u << 20);
   network.set_tracer(&tracer);
-  network.initialize();
+  network.bootstrap();
   simulator.run_until(seconds);
 
   auto records = tracer.snapshot();

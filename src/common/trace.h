@@ -3,7 +3,7 @@
 // A Tracer is a bounded ring buffer of (time, category, line) records.
 // Tracing is opt-in per category; when a category is off the only cost at a
 // trace point is one branch, so instrumented code can stay instrumented.
-// Intended use: attach to a GuessNetwork, reproduce a puzzling run with the
+// Intended use: attach to the GUESS backend, reproduce a puzzling run with the
 // same seed, and read the event log (see examples/trace_viewer.cpp).
 #pragma once
 

@@ -3,9 +3,9 @@
 // The faults subsystem knows *when* correlated faults happen (scenario.h) and
 // *schedules* them (fault_engine.h), but what a mass kill or a partition
 // means — which peers, which edges, which transport — belongs to the network.
-// FaultHost is that boundary: GuessNetwork implements it, and the engine
-// drives it without depending on guesslib's core, keeping the layering
-// acyclic (guess_core depends on guess_faults, never the reverse).
+// FaultHost is that boundary: every search::SearchBackend implements it,
+// and the engine drives it without depending on guesslib's core, keeping the
+// layering acyclic (guess_core depends on guess_faults, never the reverse).
 #pragma once
 
 #include <cstddef>

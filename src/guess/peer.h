@@ -2,7 +2,7 @@
 // per-peer bookkeeping the experiments measure.
 //
 // Peers hold state and local decisions; message exchange and the churn /
-// workload machinery live in GuessNetwork.
+// workload machinery live in the GUESS backend (search/guess.h).
 #pragma once
 
 #include <cstdint>

@@ -1,4 +1,4 @@
-// GuessNetwork's population: the shared dense slot table over Peer.
+// The GUESS backend's population: the shared dense slot table over Peer.
 #pragma once
 
 #include "common/slot_table.h"

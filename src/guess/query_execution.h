@@ -9,7 +9,7 @@
 // This class holds the candidate ordering (a max-heap keyed by the
 // QueryProbe policy score), the de-duplication bitmap (a peer is probed at
 // most once per query), and the per-query probe accounting. Message exchange
-// is driven by GuessNetwork.
+// is driven by the GUESS backend (search/guess.h).
 #pragma once
 
 #include <algorithm>

@@ -17,7 +17,7 @@
 //    the exchange fails.
 //
 // What the messages *mean* — liveness checks, pong processing, eviction on
-// silence — stays in GuessNetwork; the transport only moves them. In
+// silence — stays in the GUESS backend; the transport only moves them. In
 // particular the transport cannot observe peer liveness: a probe to a dead
 // address is "delivered" into the void and resolves as a timeout only
 // because no reply leg ever fires (SynchronousTransport delegates that
@@ -52,7 +52,7 @@ enum class DeliveryStatus {
   kTimedOut,   ///< every attempt expired unanswered (lost, late, or void)
 };
 
-/// Which transport GuessNetwork instantiates, plus the LossyTransport knobs
+/// Which transport a run instantiates, plus the LossyTransport knobs
 /// (ignored by SynchronousTransport). Part of SimulationConfig; surfaced on
 /// the command line as --loss / --link-latency / --probe-timeout /
 /// --max-retries.
@@ -118,7 +118,7 @@ class Transport {
   /// Exchange completion: invoked exactly once per exchange() call — inline
   /// (SynchronousTransport) or from a scheduled event (LossyTransport). The
   /// buffer is sized for the network's largest completion thunk (a query
-  /// probe resolution carrying its Candidate); network.cc static_asserts
+  /// probe resolution carrying its Candidate); search/guess.cc static_asserts
   /// that binding one never allocates.
   static constexpr std::size_t kCompletionBufferSize = 72;
   using Completion =
@@ -131,7 +131,7 @@ class Transport {
   virtual void exchange(MessageKind kind, PeerId from, PeerId to,
                         Completion on_complete) = 0;
 
-  /// Lifetime message accounting (not windowed; GuessNetwork snapshots at
+  /// Lifetime message accounting (not windowed; the GUESS backend snapshots at
   /// begin_measurement and reports the difference).
   const TransportCounters& counters() const { return counters_; }
 
@@ -145,7 +145,7 @@ class Transport {
   }
 
  protected:
-  /// Lazily-built kTransport trace record, same idiom as GuessNetwork.
+  /// Lazily-built kTransport trace record, same idiom as the GUESS backend.
   template <typename Builder>
   void trace(sim::Time at, Builder&& builder) {
     if (tracer_ != nullptr && tracer_->on(TraceCategory::kTransport)) {

@@ -1,11 +1,9 @@
 // The factories of the five built-in backends, the registry's starting set
 // (DESIGN.md §12.2). Every backend is a SearchBackend built straight from
-// SimulationConfig: flood (flood.h), one-hop (onehop.h), iterative
-// deepening (iterative.cc) and gossip (gossip.h) are written against the
-// interface. GUESS alone is an adapter (adapters.cc) over
-// guess::GuessNetwork, the engine that tests, benches and examples also
-// drive directly. Golden runs in tests/search/backend_equivalence_test.cc
-// pin every backend's behaviour.
+// SimulationConfig and written against the interface: GUESS (guess.h),
+// flood (flood.h), one-hop (onehop.h), iterative deepening (iterative.cc)
+// and gossip (gossip.h). Golden runs in
+// tests/search/backend_equivalence_test.cc pin every backend's behaviour.
 #pragma once
 
 #include <memory>

@@ -204,7 +204,7 @@ void FloodBackend::start_query(Rng& rng, sim::Time issued) {
 }
 
 gnutella::DynamicResults FloodBackend::results() const {
-  // Canonical order, as GuessNetwork's: peers that died during measurement
+  // Canonical order, as GuessBackend's: peers that died during measurement
   // in death order, then live peers in alive-list order.
   gnutella::DynamicResults out = stats_;
   for (std::uint64_t load : dead_loads_) {

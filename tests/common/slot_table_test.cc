@@ -1,4 +1,4 @@
-// SlotTable: the dense id -> slot population layer under GuessNetwork, the
+// SlotTable: the dense id -> slot population layer under GUESS, the
 // flood overlay and the gossip backend, over a minimal payload. Unit tests
 // pin the slot-allocation discipline (LIFO reuse, generation bumps,
 // birth-order alive list, mass-kill sampling) and a model-based fuzz drives

@@ -19,8 +19,8 @@
 #include "common/rng.h"
 #include "experiments/harness.h"
 #include "faults/scenario.h"
-#include "guess/network.h"
 #include "search/backend.h"
+#include "search/guess.h"
 #include "../testsupport/simulation_results_eq.h"
 
 namespace guess {
@@ -39,10 +39,10 @@ SystemParams small_system(std::size_t n = 100) {
 struct Fixture {
   explicit Fixture(SimulationConfig config, std::uint64_t seed = 7)
       : network(config, simulator, Rng(seed)) {
-    network.initialize();
+    network.bootstrap();
   }
   sim::Simulator simulator;
-  GuessNetwork network;
+  search::GuessBackend network;
 };
 
 /// A config whose scenario is non-empty so the transport modulation hook
@@ -377,10 +377,10 @@ TEST(Poison, DoubleAddOrBadRemoveThrows) {
 TEST(NetworkAttack, StartDeploysCohortAndStopRetiresIt) {
   Fixture f(attack_ready(small_system(100)));
   f.simulator.run_until(50.0);
-  ASSERT_EQ(f.network.alive_count(), 100u);
+  ASSERT_EQ(f.network.live_peers(), 100u);
 
   f.network.fault_start_attack(AttackKind::kEclipse, 0.05);
-  EXPECT_EQ(f.network.alive_count(), 105u);  // cohort joins the population
+  EXPECT_EQ(f.network.live_peers(), 105u);  // cohort joins the population
   EXPECT_EQ(f.network.adversary_zoo().size(), 5u);
   EXPECT_EQ(f.network.attack_stats().adversaries_spawned, 5u);
   for (PeerId id : f.network.adversary_zoo().roster(AttackKind::kEclipse)) {
@@ -399,7 +399,7 @@ TEST(NetworkAttack, StartDeploysCohortAndStopRetiresIt) {
   std::vector<PeerId> cohort =
       f.network.adversary_zoo().roster(AttackKind::kEclipse);
   f.network.fault_stop_attack(AttackKind::kEclipse);
-  EXPECT_EQ(f.network.alive_count(), 100u);
+  EXPECT_EQ(f.network.live_peers(), 100u);
   EXPECT_EQ(f.network.adversary_zoo().size(), 0u);
   EXPECT_EQ(f.network.attack_stats().adversaries_retired, 5u);
   for (PeerId id : cohort) {
@@ -495,9 +495,9 @@ TEST(NetworkAttack, MassKillDuringAttackRetiresAdversariesCleanly) {
   Fixture f(attack_ready(small_system(100)));
   f.simulator.run_until(20.0);
   f.network.fault_start_attack(AttackKind::kEclipse, 0.1);
-  ASSERT_EQ(f.network.alive_count(), 110u);
+  ASSERT_EQ(f.network.live_peers(), 110u);
   f.network.fault_mass_kill(1.0);
-  EXPECT_EQ(f.network.alive_count(), 0u);
+  EXPECT_EQ(f.network.live_peers(), 0u);
   EXPECT_EQ(f.network.adversary_zoo().size(), 0u);
   // Stopping the (already dead) cohort is a no-op, and the run continues.
   f.network.fault_stop_attack(AttackKind::kEclipse);

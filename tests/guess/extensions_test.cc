@@ -10,8 +10,8 @@
 #include "common/check.h"
 #include "experiments/harness.h"
 #include "faults/scenario.h"
-#include "guess/network.h"
 #include "search/backend.h"
+#include "search/guess.h"
 #include "sim/simulator.h"
 #include "../testsupport/simulation_results_eq.h"
 
@@ -266,9 +266,10 @@ TEST(Selfish, RolesPreservedThroughChurn) {
   system.lifespan_multiplier = 0.05;
   SimulationOptions options = quick();
   sim::Simulator simulator;
-  GuessNetwork network(SimulationConfig().system(system).options(options),
-                       simulator, Rng(options.seed));
-  network.initialize();
+  search::GuessBackend network(
+      SimulationConfig().system(system).options(options), simulator,
+      Rng(options.seed));
+  network.bootstrap();
   simulator.run_until(options.warmup + options.measure);
   std::size_t selfish = 0;
   for (PeerId id : network.alive_ids()) {
@@ -283,10 +284,10 @@ TEST(Payments, CreditConservedPlusEndowments) {
   protocol.payments = true;
   SimulationOptions options = quick();
   sim::Simulator simulator;
-  GuessNetwork network(
+  search::GuessBackend network(
       SimulationConfig().system(system).protocol(protocol).options(options),
       simulator, Rng(options.seed));
-  network.initialize();
+  network.bootstrap();
   simulator.run_until(options.warmup + options.measure);
   // Each served probe moves kProbeCost from prober to server and mints the
   // surplus kServeReward - kProbeCost (less whatever kCreditCap burns);
@@ -297,7 +298,7 @@ TEST(Payments, CreditConservedPlusEndowments) {
   for (PeerId id : network.alive_ids()) {
     total += network.find(id)->credit();
   }
-  SimulationResults results = network.collect_results();
+  SimulationResults results = testsupport::guess_results(network.collect());
   const std::vector<double>& loads = results.peer_loads.values();
   double received = std::accumulate(loads.begin(), loads.end(), 0.0);
   double issued = kInitialCredit * static_cast<double>(150 + network.deaths());
@@ -313,15 +314,15 @@ TEST(Payments, StalledQueriesAreAbandonedNotStuck) {
   protocol.payments = true;
   SimulationOptions options = quick();
   sim::Simulator simulator;
-  GuessNetwork network(
+  search::GuessBackend network(
       SimulationConfig().system(system).protocol(protocol).options(options),
       simulator, Rng(options.seed));
-  network.initialize();
+  network.bootstrap();
   for (PeerId id : network.alive_ids()) network.find(id)->set_credit(0.0);
   simulator.run_until(options.warmup);
   network.begin_measurement();
   simulator.run_until(options.warmup + options.measure);
-  SimulationResults results = network.collect_results();
+  SimulationResults results = testsupport::guess_results(network.collect());
   ASSERT_EQ(network.deaths(), 0u);
   // Nobody can ever probe, so every query stalls kMaxStalledSlots slots
   // and is abandoned.

@@ -1,5 +1,5 @@
-// Fault-scenario hooks on GuessNetwork (DESIGN.md §9): bulk churn leaves
-// the liveness/edge state consistent, partitions sever exactly the
+// Fault-scenario hooks on the GUESS backend (DESIGN.md §9): bulk churn
+// leaves the liveness/edge state consistent, partitions sever exactly the
 // cross-group pairs, degradation windows modulate the transport, the poison
 // toggle changes attacker behavior, the interval series is well formed, and
 // a mid-flight mass kill cannot trip the payment reservation ledger.
@@ -12,8 +12,8 @@
 #include "common/check.h"
 #include "faults/fault_engine.h"
 #include "faults/scenario.h"
-#include "guess/network.h"
 #include "search/backend.h"
+#include "search/guess.h"
 #include "../testsupport/simulation_results_eq.h"
 
 namespace guess {
@@ -30,10 +30,10 @@ SystemParams small_system(std::size_t n = 100) {
 struct Fixture {
   explicit Fixture(SimulationConfig config, std::uint64_t seed = 7)
       : network(config, simulator, Rng(seed)) {
-    network.initialize();
+    network.bootstrap();
   }
   sim::Simulator simulator;
-  GuessNetwork network;
+  search::GuessBackend network;
 };
 
 // --- bulk churn -----------------------------------------------------------
@@ -44,7 +44,7 @@ TEST(FaultMassKill, RemovesExactFloorFractionWithoutReplacement) {
   const std::uint64_t deaths_before = f.network.deaths();
 
   f.network.fault_mass_kill(0.30);
-  EXPECT_EQ(f.network.alive_count(), 70u);  // floor(0.30 * 100) victims
+  EXPECT_EQ(f.network.live_peers(), 70u);  // floor(0.30 * 100) victims
   // Scenario kills are not churn deaths: no on_death, no replacement birth.
   EXPECT_EQ(f.network.deaths(), deaths_before);
   for (PeerId id : f.network.alive_ids()) {
@@ -69,11 +69,11 @@ TEST(FaultMassKill, DescheduledDeathsAndReducedPopulationStable) {
   Fixture f(SimulationConfig().system(system));
   f.simulator.run_until(100.0);
   f.network.fault_mass_kill(0.30);
-  ASSERT_EQ(f.network.alive_count(), 70u);
+  ASSERT_EQ(f.network.live_peers(), 70u);
 
   // Long enough that every victim's original lifetime has long expired.
   f.simulator.run_until(3600.0);
-  EXPECT_EQ(f.network.alive_count(), 70u);
+  EXPECT_EQ(f.network.live_peers(), 70u);
   EXPECT_GT(f.network.deaths(), 50u);  // natural churn kept going
 }
 
@@ -81,11 +81,11 @@ TEST(FaultMassKill, KillEveryoneLeavesAnEmptyStableNetwork) {
   Fixture f(SimulationConfig().system(small_system(50)));
   f.simulator.run_until(10.0);
   f.network.fault_mass_kill(1.0);
-  EXPECT_EQ(f.network.alive_count(), 0u);
+  EXPECT_EQ(f.network.live_peers(), 0u);
   EXPECT_EQ(f.network.active_queries(), 0u);
   // Nothing left can fire a birth; the run continues without incident.
   f.simulator.run_until(500.0);
-  EXPECT_EQ(f.network.alive_count(), 0u);
+  EXPECT_EQ(f.network.live_peers(), 0u);
 }
 
 TEST(FaultMassJoin, NewbornsAreWiredIntoOverlayAndChurn) {
@@ -97,7 +97,7 @@ TEST(FaultMassJoin, NewbornsAreWiredIntoOverlayAndChurn) {
   std::set<PeerId> before(f.network.alive_ids().begin(),
                           f.network.alive_ids().end());
   f.network.fault_mass_join(50);
-  EXPECT_EQ(f.network.alive_count(), 150u);
+  EXPECT_EQ(f.network.live_peers(), 150u);
   for (PeerId id : f.network.alive_ids()) {
     if (before.contains(id)) continue;
     const Peer* newborn = f.network.find(id);
@@ -108,18 +108,18 @@ TEST(FaultMassJoin, NewbornsAreWiredIntoOverlayAndChurn) {
   }
   // Joins are registered with churn: the GROWN population is maintained 1:1.
   f.simulator.run_until(2000.0);
-  EXPECT_EQ(f.network.alive_count(), 150u);
+  EXPECT_EQ(f.network.live_peers(), 150u);
   EXPECT_GT(f.network.deaths(), 20u);
 }
 
 TEST(FaultMassKill, RepeatedBurstsCompose) {
   Fixture f(SimulationConfig().system(small_system(100)));
   f.network.fault_mass_kill(0.50);
-  EXPECT_EQ(f.network.alive_count(), 50u);
+  EXPECT_EQ(f.network.live_peers(), 50u);
   f.network.fault_mass_kill(0.50);
-  EXPECT_EQ(f.network.alive_count(), 25u);
+  EXPECT_EQ(f.network.live_peers(), 25u);
   f.network.fault_mass_join(75);
-  EXPECT_EQ(f.network.alive_count(), 100u);
+  EXPECT_EQ(f.network.live_peers(), 100u);
 }
 
 // --- partitions -----------------------------------------------------------
@@ -323,7 +323,7 @@ TEST(FaultMassKill, InFlightLossyExchangesResolveWithoutTrippingPayments) {
   f.simulator.run_until(100.0);
   f.network.begin_measurement();
   ASSERT_NO_THROW(f.simulator.run_until(600.0));
-  EXPECT_GT(f.network.collect_results().probes.good, 0u);
+  EXPECT_GT(testsupport::guess_results(f.network.collect()).probes.good, 0u);
   for (PeerId id : f.network.alive_ids()) {
     const Peer* peer = f.network.find(id);
     EXPECT_GE(peer->credit(), 0.0);

@@ -1,8 +1,9 @@
-#include "guess/network.h"
+#include "search/guess.h"
 
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "../testsupport/simulation_results_eq.h"
 
 namespace guess {
 namespace {
@@ -25,15 +26,15 @@ struct Fixture {
                     .protocol(protocol)
                     .enable_queries(enable_queries),
                 simulator, Rng(seed)) {
-    network.initialize();
+    network.bootstrap();
   }
   sim::Simulator simulator;
-  GuessNetwork network;
+  search::GuessBackend network;
 };
 
 TEST(Network, InitializePopulatesExactPopulation) {
   Fixture f;
-  EXPECT_EQ(f.network.alive_count(), 100u);
+  EXPECT_EQ(f.network.live_peers(), 100u);
   for (PeerId id : f.network.alive_ids()) {
     EXPECT_TRUE(f.network.alive(id));
     EXPECT_NE(f.network.find(id), nullptr);
@@ -44,7 +45,7 @@ TEST(Network, InitializePopulatesExactPopulation) {
 
 TEST(Network, InitializeTwiceThrows) {
   Fixture f;
-  EXPECT_THROW(f.network.initialize(), CheckError);
+  EXPECT_THROW(f.network.bootstrap(), CheckError);
 }
 
 TEST(Network, CachesSeededWithLiveDistinctPeers) {
@@ -65,7 +66,7 @@ TEST(Network, PopulationStaysConstantThroughChurn) {
   system.lifespan_multiplier = 0.02;  // aggressive churn
   Fixture f(system);
   f.simulator.run_until(1800.0);
-  EXPECT_EQ(f.network.alive_count(), 100u);
+  EXPECT_EQ(f.network.live_peers(), 100u);
   EXPECT_GT(f.network.deaths(), 50u);
 }
 
@@ -110,7 +111,7 @@ TEST(Network, SubmittedQueryForPopularFileIsSatisfied) {
   f.network.submit_query(origin, 0);  // most popular file
   f.network.begin_measurement();
   f.simulator.run_until(300.0);
-  auto results = f.network.collect_results();
+  auto results = testsupport::guess_results(f.network.collect());
   EXPECT_EQ(results.queries_completed, 1u);
   EXPECT_EQ(results.queries_satisfied, 1u);
   EXPECT_GE(results.probes.total(), 1u);
@@ -122,7 +123,7 @@ TEST(Network, NonexistentFileQueryExhaustsAndFails) {
   PeerId origin = f.network.alive_ids().front();
   f.network.submit_query(origin, content::kNonexistentFile);
   f.simulator.run_until(600.0);
-  auto results = f.network.collect_results();
+  auto results = testsupport::guess_results(f.network.collect());
   EXPECT_EQ(results.queries_completed, 1u);
   EXPECT_EQ(results.queries_satisfied, 0u);
   // It should have probed far past the initial cache before giving up.
@@ -141,7 +142,7 @@ TEST(Network, MeasurementWindowExcludesEarlierQueries) {
   f.network.submit_query(origin, 0);
   f.simulator.run_until(300.0);  // completes before measurement
   f.network.begin_measurement();
-  auto results = f.network.collect_results();
+  auto results = testsupport::guess_results(f.network.collect());
   EXPECT_EQ(results.queries_completed, 0u);
 }
 
@@ -165,13 +166,12 @@ TEST(Network, EdgesOnlyBetweenLivePeers) {
 
 TEST(Network, CacheHealthSamplesAccumulate) {
   Fixture f;
+  // One sample when measurement begins, then one every
+  // kHealthSampleInterval (60 s): at 60 and 120.
   f.network.begin_measurement();
-  f.simulator.run_until(120.0);
-  f.network.sample_cache_health();
-  f.simulator.run_until(240.0);
-  f.network.sample_cache_health();
-  auto results = f.network.collect_results();
-  EXPECT_EQ(results.cache_health.samples, 2u);
+  f.simulator.run_until(150.0);
+  auto results = testsupport::guess_results(f.network.collect());
+  EXPECT_EQ(results.cache_health.samples, 3u);
   EXPECT_GT(results.cache_health.entries, 0.0);
   EXPECT_GT(results.cache_health.fraction_live, 0.0);
   EXPECT_LE(results.cache_health.fraction_live, 1.0);
@@ -184,7 +184,7 @@ TEST(Network, QueriesDisabledMeansNoQueries) {
   Fixture f(system, ProtocolParams{}, /*enable_queries=*/false);
   f.network.begin_measurement();
   f.simulator.run_until(1200.0);
-  auto results = f.network.collect_results();
+  auto results = testsupport::guess_results(f.network.collect());
   EXPECT_EQ(results.queries_completed, 0u);
   EXPECT_GT(results.pings_sent, 0u);  // maintenance still runs
 }
@@ -193,7 +193,7 @@ TEST(Network, PeerLoadsCoverPopulation) {
   Fixture f;
   f.network.begin_measurement();
   f.simulator.run_until(600.0);
-  auto results = f.network.collect_results();
+  auto results = testsupport::guess_results(f.network.collect());
   // All honest peers alive at collection (plus corpses) contribute a sample.
   EXPECT_GE(results.peer_loads.size(), 100u);
 }
@@ -201,7 +201,9 @@ TEST(Network, PeerLoadsCoverPopulation) {
 TEST(Network, TinyNetworkRejected) {
   sim::Simulator simulator;
   SystemParams system = small_system(1);
-  EXPECT_THROW(GuessNetwork(SimulationConfig().system(system).protocol(ProtocolParams{}), simulator, Rng(1)),
+  EXPECT_THROW(search::GuessBackend(
+                   SimulationConfig().system(system).protocol(ProtocolParams{}),
+                   simulator, Rng(1)),
                CheckError);
 }
 

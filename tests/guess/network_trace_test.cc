@@ -1,8 +1,8 @@
-// Integration of the event tracer with GuessNetwork.
+// Integration of the event tracer with the GUESS backend.
 #include <gtest/gtest.h>
 
 #include "common/trace.h"
-#include "guess/network.h"
+#include "search/guess.h"
 #include "sim/simulator.h"
 
 namespace guess {
@@ -19,10 +19,11 @@ SystemParams tiny_system() {
 
 TEST(NetworkTrace, RecordsLifecycleAndQueries) {
   sim::Simulator simulator;
-  GuessNetwork network(SimulationConfig().system(tiny_system()).protocol(ProtocolParams{}), simulator, Rng(5));
+  search::GuessBackend network(SimulationConfig().system(tiny_system()),
+                               simulator, Rng(5));
   Tracer tracer(kTraceAll, 100000);
   network.set_tracer(&tracer);
-  network.initialize();
+  network.bootstrap();
   simulator.run_until(900.0);
 
   bool saw_birth = false, saw_death = false, saw_query_start = false,
@@ -49,10 +50,11 @@ TEST(NetworkTrace, RecordsLifecycleAndQueries) {
 
 TEST(NetworkTrace, MaskLimitsToRequestedCategories) {
   sim::Simulator simulator;
-  GuessNetwork network(SimulationConfig().system(tiny_system()).protocol(ProtocolParams{}), simulator, Rng(5));
+  search::GuessBackend network(SimulationConfig().system(tiny_system()),
+                               simulator, Rng(5));
   Tracer tracer(static_cast<unsigned>(TraceCategory::kChurn), 100000);
   network.set_tracer(&tracer);
-  network.initialize();
+  network.bootstrap();
   simulator.run_until(600.0);
   for (const TraceRecord& record : tracer.snapshot()) {
     EXPECT_EQ(record.category, TraceCategory::kChurn);
@@ -73,10 +75,11 @@ TEST(NetworkTrace, AttackEventsSurfaceWithDetection) {
   protocol.detection.enabled = true;
 
   sim::Simulator simulator;
-  GuessNetwork network(SimulationConfig().system(system).protocol(protocol), simulator, Rng(7));
+  search::GuessBackend network(
+      SimulationConfig().system(system).protocol(protocol), simulator, Rng(7));
   Tracer tracer(static_cast<unsigned>(TraceCategory::kAttack), 100000);
   network.set_tracer(&tracer);
-  network.initialize();
+  network.bootstrap();
   simulator.run_until(1200.0);
   bool saw_blacklist = false;
   for (const TraceRecord& record : tracer.snapshot()) {
@@ -87,8 +90,9 @@ TEST(NetworkTrace, AttackEventsSurfaceWithDetection) {
 
 TEST(NetworkTrace, NoTracerMeansNoCrash) {
   sim::Simulator simulator;
-  GuessNetwork network(SimulationConfig().system(tiny_system()).protocol(ProtocolParams{}), simulator, Rng(5));
-  network.initialize();
+  search::GuessBackend network(SimulationConfig().system(tiny_system()),
+                               simulator, Rng(5));
+  network.bootstrap();
   simulator.run_until(300.0);  // trace points are no-ops
   SUCCEED();
 }

@@ -1,4 +1,4 @@
-// PeerTable (SlotTable over Peer, DESIGN.md §10) under GuessNetwork's
+// PeerTable (SlotTable over Peer, DESIGN.md §10) under the GUESS backend's
 // sybil flash crowds. The payload-independent slot discipline is tested in
 // tests/common/slot_table_test.cc.
 #include "guess/peer_table.h"

@@ -22,8 +22,9 @@
 
 #include "content/content_model.h"
 #include "guess/link_cache.h"
-#include "guess/network.h"
+#include "search/guess.h"
 #include "sim/simulator.h"
+#include "../testsupport/simulation_results_eq.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -81,8 +82,8 @@ TEST_P(QueryAllocTest, SteadyStateQueryWorkloadIsAllocationFree) {
 
   auto config = SimulationConfig().system(system).protocol(protocol);
   sim::Simulator simulator(GetParam());
-  GuessNetwork network(config, simulator, Rng(42));
-  network.initialize();
+  search::GuessBackend network(config, simulator, Rng(42));
+  network.bootstrap();
 
   // Warm up: grows the peer slab, event slab, query pool, candidate heaps,
   // dedup sets, pong scratch and per-peer pending rings to their
@@ -102,7 +103,7 @@ TEST_P(QueryAllocTest, SteadyStateQueryWorkloadIsAllocationFree) {
   EXPECT_EQ(network.deaths(), deaths_before);
   network.begin_measurement();  // after the window: only the final check
   simulator.run_until(800.0);
-  auto results = network.collect_results();
+  auto results = testsupport::guess_results(network.collect());
   EXPECT_GT(results.queries_completed, 100u);
   EXPECT_GT(results.probes.good, 0u);
 }

@@ -8,9 +8,9 @@
 
 #include "common/check.h"
 #include "guess/config.h"
-#include "guess/network.h"
 #include "guess/transport.h"
 #include "search/backend.h"
+#include "search/guess.h"
 #include "../testsupport/simulation_results_eq.h"
 
 namespace guess {
@@ -322,11 +322,11 @@ TEST(TransportFaultInjection, PaymentsUnderLossDoNotOverdrawCredit) {
   TransportParams transport = TransportParams::lossy(0.2);
   transport.max_retries = 1;
   sim::Simulator simulator;
-  GuessNetwork network(
+  search::GuessBackend network(
       SimulationConfig().system(system).protocol(protocol).transport(transport),
       simulator, Rng(11));
   ASSERT_NO_THROW({
-    network.initialize();
+    network.bootstrap();
     // Every peer can afford exactly one probe.
     for (PeerId id : network.alive_ids()) {
       network.find(id)->set_credit(kProbeCost);
@@ -336,7 +336,7 @@ TEST(TransportFaultInjection, PaymentsUnderLossDoNotOverdrawCredit) {
     simulator.run_until(500.0);
   });
   // The economy actually ran (probes were served and paid for) ...
-  EXPECT_GT(network.collect_results().probes.good, 0u);
+  EXPECT_GT(testsupport::guess_results(network.collect()).probes.good, 0u);
   // ... and no peer's ledger went negative or leaked reservations beyond
   // what is genuinely still in flight at the horizon.
   for (PeerId id : network.alive_ids()) {
@@ -429,8 +429,9 @@ TEST(SimulationConfigValidate, ConstructorsValidate) {
                CheckError);
   sim::Simulator simulator;
   EXPECT_THROW(
-      GuessNetwork(SimulationConfig().transport(TransportParams::lossy(2.0)),
-                   simulator, Rng(1)),
+      search::GuessBackend(
+          SimulationConfig().transport(TransportParams::lossy(2.0)),
+          simulator, Rng(1)),
       CheckError);
 }
 
