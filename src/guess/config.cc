@@ -158,6 +158,16 @@ const SimulationConfig& SimulationConfig::validate() const {
   GUESS_CHECK_MSG(options_.metrics_interval >= 0.0,
                   "metrics_interval must be >= 0, got "
                       << options_.metrics_interval);
+  // Only GUESS reads these two; any other backend would silently ignore
+  // them.
+  GUESS_CHECK_MSG(backend_ == SearchBackendId::kGuess ||
+                      options_.enable_queries,
+                  "enable_queries=false applies to the guess backend only, "
+                  "not " << backend_name(backend_));
+  GUESS_CHECK_MSG(backend_ == SearchBackendId::kGuess ||
+                      !options_.sample_connectivity,
+                  "sample_connectivity (--connectivity) applies to the guess "
+                  "backend only, not " << backend_name(backend_));
 
   // Open-loop arrivals + overload control (DESIGN.md §13).
   GUESS_CHECK_MSG(options_.offered_qps >= 0.0,

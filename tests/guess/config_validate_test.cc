@@ -235,6 +235,33 @@ TEST(ConfigValidate, RunControlBounds) {
   EXPECT_THROW(SimulationConfig().metrics_interval(kNaN).validate(),
                CheckError);
   EXPECT_THROW(SimulationConfig().threads(-1).validate(), CheckError);
+
+  // Only GUESS reads enable_queries and sample_connectivity: any other
+  // backend rejects them, naming the field, instead of ignoring them.
+  auto rejection = [](const SimulationConfig& config) -> std::string {
+    try {
+      config.validate();
+    } catch (const CheckError& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  for (SearchBackendId id :
+       {SearchBackendId::kFlood, SearchBackendId::kIterative,
+        SearchBackendId::kOneHop, SearchBackendId::kGossip}) {
+    auto config = SimulationConfig().backend(id);
+    EXPECT_NE(rejection(SimulationConfig(config).enable_queries(false))
+                  .find("enable_queries"),
+              std::string::npos)
+        << backend_name(id);
+    EXPECT_NE(rejection(SimulationConfig(config).sample_connectivity(true))
+                  .find("sample_connectivity"),
+              std::string::npos)
+        << backend_name(id);
+  }
+  EXPECT_NO_THROW(
+      SimulationConfig().enable_queries(false).sample_connectivity(true)
+          .validate());
 }
 
 // --- Open-loop arrivals + overload control (DESIGN.md §13) ---
