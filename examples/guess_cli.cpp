@@ -158,7 +158,8 @@ int main(int argc, char** argv) {
   const guess::TransportParams& transport = injection.transport;
   const guess::faults::Scenario& scenario = injection.scenario;
 
-  guess::SearchBackendId backend = guess::parse_backend(flags.backend());
+  guess::SearchBackendId backend =
+      guess::parse_backend(flags.get_string("backend", "guess"));
   auto config = guess::SimulationConfig()
                     .backend(backend)
                     .system(system)
@@ -170,10 +171,14 @@ int main(int argc, char** argv) {
                     .warmup(flags.get_double("warmup", 600.0))
                     .measure(flags.get_double("measure", 2400.0))
                     .sample_connectivity(flags.get_bool("connectivity", false));
-  config.arrival(guess::sim::parse_arrival_mode(flags.arrival()))
-      .offered_qps(flags.offered_qps())
-      .arrival_dist(guess::sim::parse_arrival_dist(flags.arrival_dist()))
-      .overload_policy(guess::parse_overload_policy(flags.overload_policy()))
+  config
+      .arrival(guess::sim::parse_arrival_mode(
+          flags.get_string("arrival", "closed")))
+      .offered_qps(flags.get_double("offered-qps", 0.0))
+      .arrival_dist(guess::sim::parse_arrival_dist(
+          flags.get_string("arrival-dist", "poisson")))
+      .overload_policy(guess::parse_overload_policy(
+          flags.get_string("overload-policy", "none")))
       .slo(flags.slo_ms() / 1000.0);
   flags.reject_unread();
 

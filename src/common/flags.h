@@ -66,30 +66,8 @@ class Flags {
            has("max-retries");
   }
 
-  /// Search backend name (--backend=gossip): one of guess, flood,
-  /// iterative, onehop, gossip. Parsed by guess::parse_backend.
-  std::string backend() const { return get_string("backend", "guess"); }
-
-  // --- open-loop arrivals + overload control (DESIGN.md §13) ---
-
-  /// Arrival mode (--arrival=open): "closed" (default; the population's own
-  /// query clocks) or "open" (a configured-rate arrival process). Parsed by
-  /// sim::parse_arrival_mode.
-  std::string arrival() const { return get_string("arrival", "closed"); }
-  /// Offered load in queries/second for open-loop runs (--offered-qps=50).
-  double offered_qps() const { return get_double("offered-qps", 0.0); }
-  /// Inter-arrival distribution (--arrival-dist=uniform): "poisson"
-  /// (default) or "uniform". Parsed by sim::parse_arrival_dist.
-  std::string arrival_dist() const {
-    return get_string("arrival-dist", "poisson");
-  }
-  /// Overload policy (--overload-policy=admit): one of none, admit, shed.
-  /// Parsed by guess::parse_overload_policy.
-  std::string overload_policy() const {
-    return get_string("overload-policy", "none");
-  }
   /// Latency SLO in milliseconds (--slo-ms=10000); queries satisfied within
-  /// it count toward goodput.
+  /// it count toward goodput (DESIGN.md §13).
   double slo_ms() const { return get_double("slo-ms", 10000.0); }
 
  private:
