@@ -282,7 +282,9 @@ TEST_P(ValidatedMassKill, RunsClosedAndOpenLoop) {
   EXPECT_GT(open.overload.completed, 0u);
   expect_conserved(open.overload);
   // ~30 s of arrivals at 5 q/s find an empty network.
-  if (c.empties) EXPECT_GT(open.overload.abandoned, 100u);
+  if (c.empties) {
+    EXPECT_GT(open.overload.abandoned, 100u);
+  }
 }
 
 constexpr const char* kKillAll = "at 50 kill 1.0; at 80 join 30";
