@@ -71,7 +71,10 @@ void OneHopBackend::spawn_peer(bool initial) {
     churn_->register_peer_scaled(position, std::max(1e-6, rng_.uniform()));
   } else {
     churn_->register_peer(position);
-    if (measuring_) ++stats_.membership_events;
+    if (measuring_) {
+      ++stats_.membership_events;
+      maintenance_messages_ += ring_.size();  // the joiner included
+    }
     // The join reaches everyone after the dissemination delay.
     simulator_.after(config_.backends().onehop.dissemination_delay,
                      [this, position, node]() {
@@ -81,11 +84,12 @@ void OneHopBackend::spawn_peer(bool initial) {
 }
 
 void OneHopBackend::remove_peer(Position position, bool respawn) {
-  ring_.erase(position);
   if (measuring_) {
     ++stats_.deaths;
     ++stats_.membership_events;
+    maintenance_messages_ += ring_.size();  // the leaver included
   }
+  ring_.erase(position);
   simulator_.after(config_.backends().onehop.dissemination_delay,
                    [this, position]() { view_.erase(position); });
   if (respawn) spawn_peer(/*initial=*/false);
@@ -189,10 +193,9 @@ void OneHopBackend::start_query(Rng& rng, sim::Time issued) {
 }
 
 SearchResults OneHopBackend::collect() {
-  const std::size_t n = config_.system().network_size;
   SearchResults out;
   out.backend = name();
-  out.network_size = n;
+  out.network_size = config_.system().network_size;
   // Naming normalization: a lookup is a query, satisfied when answered
   // (exact-match lookups always resolve to the key's owner).
   out.queries_completed = stats_.lookups;
@@ -201,9 +204,9 @@ SearchResults OneHopBackend::collect() {
       stats_.timeouts + out.queries_satisfied + stats_.corrective_hops;
   // Timed-out probes (departed or lossy targets) never reply.
   out.query_messages = 2 * out.probes - stats_.timeouts;
-  // [1]'s defining overhead: every membership event reaches every peer.
-  out.maintenance_messages =
-      stats_.membership_events * static_cast<std::uint64_t>(n);
+  // [1]'s defining overhead: every membership event reaches every live
+  // peer.
+  out.maintenance_messages = maintenance_messages_;
   out.query_bytes =
       out.probes * (kWire.header + kWire.probe_payload) +
       (out.probes - stats_.timeouts) * (kWire.header + kWire.result_entry);

@@ -120,6 +120,10 @@ class OneHopBackend final : public SearchBackend {
 
   bool measuring_ = false;
   OneHopResults stats_;
+  /// Dissemination messages during measurement: each membership event is
+  /// billed the ring it reaches, a departure the ring before it leaves and
+  /// a join the ring after it arrives (N per event under steady churn).
+  std::uint64_t maintenance_messages_ = 0;
   QueryObserver* observer_ = nullptr;
 };
 

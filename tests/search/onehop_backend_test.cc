@@ -132,6 +132,20 @@ TEST(OneHopDht, OpenLoopKeysComeFromTheWorkloadStream) {
   EXPECT_EQ(a.membership_events, b.membership_events);
 }
 
+// A departure is disseminated to the ring it leaves: killing k of n peers
+// one by one bills n + (n - 1) + ... + (n - k + 1) messages, not k * n.
+TEST(OneHopDht, MassKillBillsTheShrinkingRing) {
+  Fixture f(small_config(10000.0));  // effectively no churn
+  f.dht.begin_measurement();
+  f.dht.fault_mass_kill(0.25);
+  const std::uint64_t n = 200;
+  const std::uint64_t k = 50;
+  ASSERT_EQ(f.dht.live_peers(), n - k);
+  SearchResults results = f.dht.collect();
+  EXPECT_EQ(results.deaths, k);  // the kill alone: no churn death
+  EXPECT_EQ(results.maintenance_messages, k * n - k * (k - 1) / 2);
+}
+
 TEST(OneHopDht, ParameterValidation) {
   sim::Simulator simulator;
   SystemParams lone;
