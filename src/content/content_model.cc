@@ -76,16 +76,16 @@ std::size_t ContentModel::sample_file_count(Rng& rng) const {
   return std::clamp<std::size_t>(count, 1, max_library_);
 }
 
-Library ContentModel::sample_library(std::size_t count, Rng& rng) const {
+void ContentModel::draw_library(std::size_t count, Rng& rng,
+                                std::vector<std::uint64_t>& chosen) const {
   GUESS_CHECK_MSG(count <= max_library_,
                   "library size " << count << " exceeds cap " << max_library_);
-  if (count == 0) return Library{};
+  GUESS_CHECK(chosen.size() == (params_.catalog_size + 63) / 64);
   // Distinct Zipf sampling by rejection: draw until `count` files are
   // distinct. Collisions concentrate on the head ranks; with libraries
   // capped well below the catalog this stays cheap. Membership is one bit
   // per catalog file, and reading the set bits in order yields the sorted
   // library without a sort.
-  std::vector<std::uint64_t> chosen((params_.catalog_size + 63) / 64, 0);
   std::size_t distinct = 0;
   while (distinct < count) {
     std::size_t file = file_popularity_.sample(rng);
@@ -96,6 +96,12 @@ Library ContentModel::sample_library(std::size_t count, Rng& rng) const {
       ++distinct;
     }
   }
+}
+
+Library ContentModel::sample_library(std::size_t count, Rng& rng) const {
+  if (count == 0) return Library{};
+  std::vector<std::uint64_t> chosen((params_.catalog_size + 63) / 64, 0);
+  draw_library(count, rng, chosen);
   std::vector<FileId> files;
   files.reserve(count);
   for (std::size_t w = 0; w < chosen.size(); ++w) {

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/empirical.h"
@@ -72,6 +73,12 @@ class ContentModel {
   /// in a catalog-sized bitmap whose set bits are the sorted library. Two
   /// allocations per call (bitmap and library; none for count 0).
   Library sample_library(std::size_t count, Rng& rng) const;
+
+  /// sample_library's draws without the Library: sets one bit per file in
+  /// `chosen`, a catalog-sized bitmap that must be all zero on entry. For
+  /// callers that index files themselves (the flood backend's holder lists).
+  void draw_library(std::size_t count, Rng& rng,
+                    std::vector<std::uint64_t>& chosen) const;
 
   /// Convenience: sample_file_count + sample_library.
   Library sample_peer_library(Rng& rng) const;

@@ -1,6 +1,8 @@
 #include "search/flood.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -18,7 +20,9 @@ FloodBackend::FloodBackend(const SimulationConfig& config,
       loss_(config.transport().kind == TransportParams::Kind::kLossy
                 ? config.transport().loss
                 : 0.0),
-      links_(config.system().network_size) {
+      links_(config.system().network_size),
+      holders_(config.system().content.catalog_size),
+      library_bits_((config.system().content.catalog_size + 63) / 64, 0) {
   // Smaller populations than kTargetDegree + 1 simply leave peers below
   // their target degree: connect_to_random bounds its attempts.
   GUESS_CHECK(config_.system().network_size >= 2);
@@ -47,8 +51,21 @@ void FloodBackend::bootstrap() {
 
 FloodBackend::PeerId FloodBackend::spawn_peer(bool initial) {
   PeerId id = next_id_++;
-  table_.create(id, content_.sample_peer_library(rng_));
+  GUESS_CHECK_MSG(id <= std::numeric_limits<std::uint32_t>::max(),
+                  "holder lists keep 32-bit peer ids");
+  const std::size_t files = content_.sample_file_count(rng_);
+  content_.draw_library(files, rng_, library_bits_);
+  for (std::size_t w = 0; w < library_bits_.size(); ++w) {
+    for (std::uint64_t bits = std::exchange(library_bits_[w], 0); bits != 0;
+         bits &= bits - 1) {
+      holders_[w * 64 + std::countr_zero(bits)].push_back(
+          static_cast<std::uint32_t>(id));
+    }
+  }
+  live_entries_ += files;
+  table_.create(id, static_cast<std::uint32_t>(files));
   links_.ensure_nodes(table_.slot_count());
+  holds_in_.resize(table_.slot_count(), 0);
   if (initial) {
     churn_->register_peer_scaled(id, std::max(1e-6, rng_.uniform()));
   } else {
@@ -70,7 +87,12 @@ void FloodBackend::remove_peer(PeerId id, bool respawn) {
   // the order the connections stood before the removal.
   std::vector<std::size_t> neighbors = links_.neighbors(slot);
   for (std::size_t other : neighbors) links_.remove_edge(slot, other);
+  // The peer's holder entries stay until a query walks their list or the
+  // sweep runs; the sweep bounds them even when queries are rare.
+  live_entries_ -= peer.library_size;
+  dead_entries_ += peer.library_size;
   table_.destroy(id);
+  if (4 * dead_entries_ > live_entries_) sweep_dead_holders();
   if (measuring_) ++stats_.deaths;
 
   for (std::size_t other : neighbors) {
@@ -136,6 +158,32 @@ void FloodBackend::schedule_next_burst(PeerId id) {
       });
 }
 
+void FloodBackend::sweep_dead_holders() {
+  for (std::vector<std::uint32_t>& list : holders_) {
+    std::erase_if(list, [this](std::uint32_t id) { return !table_.alive(id); });
+  }
+  dead_entries_ = 0;
+}
+
+std::uint64_t FloodBackend::stamp_holders(content::FileId file) {
+  const std::uint64_t epoch = ++query_epoch_;
+  if (file == content::kNonexistentFile) return epoch;
+  // Order within a list is immaterial: a stamp is a set membership.
+  std::vector<std::uint32_t>& list = holders_[file];
+  for (std::size_t i = 0; i < list.size();) {
+    const std::uint32_t slot = table_.slot_of(list[i]);
+    if (slot == SlotTable<PeerState>::kNoSlot) {
+      list[i] = list.back();
+      list.pop_back();
+      --dead_entries_;
+    } else {
+      holds_in_[slot] = epoch;
+      ++i;
+    }
+  }
+  return epoch;
+}
+
 FloodBackend::QueryOutcome FloodBackend::run_query(PeerId origin,
                                                    content::FileId file) {
   // Synchronous flood: messages are counted per transmission, duplicates
@@ -143,6 +191,7 @@ FloodBackend::QueryOutcome FloodBackend::run_query(PeerId origin,
   // first result times the per-hop delay. A transmission's loss draw and
   // the receiver's load come before the duplicate check.
   const std::size_t ttl = config_.backends().flood.ttl;
+  const std::uint64_t epoch = stamp_holders(file);
   std::uint64_t reached = 0;
   std::uint32_t results = 0;
   std::size_t first_result_depth = 0;
@@ -160,9 +209,7 @@ FloodBackend::QueryOutcome FloodBackend::run_query(PeerId origin,
       },
       [&](std::size_t node, std::size_t depth) {
         ++reached;
-        if (file != content::kNonexistentFile &&
-            table_.in_slot(static_cast<std::uint32_t>(node))
-                .library.contains(file)) {
+        if (holds_in_[node] == epoch) {
           if (results == 0) first_result_depth = depth;
           ++results;
         }

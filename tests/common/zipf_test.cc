@@ -88,8 +88,9 @@ using testsupport::zipf_reference_rank;
 class ZipfGuideTest
     : public ::testing::TestWithParam<std::tuple<std::size_t, double>> {};
 
-// Every u where the two searches could part: each bucket edge b/n and each
-// CDF value, with both neighbouring doubles, plus both ends of [0, 1).
+// Every u where the two searches could part: each of the guide's bucket
+// edges b/(kBucketsPerRank * n) and each CDF value, with both neighbouring
+// doubles, plus both ends of [0, 1).
 TEST_P(ZipfGuideTest, RankMatchesLowerBoundAtEveryEdge) {
   auto [n, alpha] = GetParam();
   ZipfDistribution zipf(n, alpha);
@@ -100,8 +101,10 @@ TEST_P(ZipfGuideTest, RankMatchesLowerBoundAtEveryEdge) {
     if (u > 0.0) us.push_back(std::nextafter(u, 0.0));
     us.push_back(std::nextafter(u, 2.0));
   };
-  for (std::size_t b = 0; b < n; ++b) {
-    add_with_neighbours(static_cast<double>(b) / static_cast<double>(n));
+  const std::size_t buckets = n * ZipfDistribution::kBucketsPerRank;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    add_with_neighbours(static_cast<double>(b) /
+                        static_cast<double>(buckets));
   }
   for (double c : cdf) add_with_neighbours(c);
   for (double u : us) {

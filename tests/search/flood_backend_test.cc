@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace guess::search {
@@ -108,6 +110,28 @@ TEST(DynamicOverlay, DegreeCapRespectedUnderChurn) {
   Fixture f(churned(0.05));
   f.simulator.run_until(1200.0);
   EXPECT_LE(f.overlay.max_degree_seen(), gnutella::kMaxDegree);
+}
+
+// Dead peers' holder-list entries are dropped by the queries that walk
+// their lists, and by a sweep when queries are rare. Here none runs (open
+// loop, no driver), so only the sweep keeps them at most a quarter of the
+// live ones through heavy churn.
+TEST(DynamicOverlay, DeadHoldersStayBounded) {
+  SimulationConfig config = churned(0.02).arrival(sim::ArrivalMode::kOpen);
+  Fixture f(config);
+  ASSERT_GT(f.overlay.live_holder_entries(), 0u);
+  f.overlay.begin_measurement();
+  std::uint64_t most_dead = 0;
+  for (double t = 10.0; t <= 1800.0; t += 10.0) {
+    f.simulator.run_until(t);
+    const std::uint64_t dead = f.overlay.dead_holder_entries();
+    ASSERT_LE(4 * dead, f.overlay.live_holder_entries()) << "t=" << t;
+    most_dead = std::max(most_dead, dead);
+  }
+  auto results = f.overlay.results();
+  EXPECT_EQ(results.queries_completed, 0u);
+  EXPECT_GT(results.deaths, 1000u);
+  EXPECT_GT(most_dead, 0u);
 }
 
 TEST(DynamicOverlay, ParameterValidation) {
