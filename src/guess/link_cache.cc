@@ -1,27 +1,59 @@
 #include "guess/link_cache.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
+
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 #include "common/check.h"
 
 namespace guess {
 
+namespace {
+
+// The id column holds 32-bit ids. The all-ones value is kept out of it, as
+// in the query cache, so every PeerId that narrows is a real one.
+constexpr PeerId kIdBound = std::numeric_limits<std::uint32_t>::max();
+
+std::uint32_t narrow_id(PeerId id) {
+  GUESS_CHECK_MSG(id < kIdBound,
+                  "link cache stores 32-bit peer ids; got id " << id);
+  return static_cast<std::uint32_t>(id);
+}
+
+}  // namespace
+
 LinkCache::LinkCache(PeerId owner, std::size_t capacity)
-    : owner_(owner), capacity_(capacity), index_(capacity) {
+    : owner_(owner), capacity_(capacity) {
   GUESS_CHECK_MSG(capacity > 0, "cache capacity must be positive");
+  GUESS_CHECK_MSG(capacity <= std::numeric_limits<std::uint32_t>::max(),
+                  "cache capacity " << capacity
+                                    << " overflows 32-bit positions");
   entries_.reserve(capacity);
+  ids_.reserve(capacity);
 }
 
 void LinkCache::configure_indices(std::initializer_list<Policy> selection,
                                   Replacement retention) {
-  selection_indices_.clear();
+  orderings_.clear();
+  auto add = [&](Policy policy, ScoreIndex::Order order) {
+    if (orderings_.empty()) orderings_.reserve(selection.size() + 1);
+    orderings_.push_back(Ordering{policy, ScoreIndex(order)});
+  };
   for (Policy policy : selection) {
-    if (policy == Policy::kRandom) continue;
-    if (find_selection(policy) != nullptr) continue;  // dedupe
-    selection_indices_.push_back(SelectionIndex{policy, ScoreIndex{}});
+    bool configured = std::ranges::any_of(
+        orderings_, [&](const Ordering& o) { return o.policy == policy; });
+    if (policy != Policy::kRandom && !configured) {
+      add(policy, ScoreIndex::Order::kMaxFirst);
+    }
+  }
+  if (retention != Replacement::kRandom) {
+    add(retained_by(retention), ScoreIndex::Order::kMinFirst);
   }
   retention_policy_ = retention;
-  has_retention_index_ = retention != Replacement::kRandom;
   rebuild_indices();
 }
 
@@ -32,162 +64,171 @@ void LinkCache::set_first_hand_only(bool enabled) {
   rebuild_indices();
 }
 
+auto LinkCache::key(Policy policy) const {
+  return [policy, entries = entries_.data(),
+          first_hand_only = first_hand_only_](std::uint32_t pos) {
+    return deterministic_selection_score(policy, entries[pos],
+                                         first_hand_only);
+  };
+}
+
 void LinkCache::rebuild_indices() {
-  for (SelectionIndex& sel : selection_indices_) {
-    sel.index.reset(ScoreIndex::Order::kMaxFirst, capacity_);
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      sel.index.on_insert(i, deterministic_selection_score(
-                                 sel.policy, entries_[i], first_hand_only_));
-    }
-  }
-  if (has_retention_index_) {
-    retention_index_.reset(ScoreIndex::Order::kMinFirst, capacity_);
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      retention_index_.on_insert(
-          i, deterministic_retention_score(retention_policy_, entries_[i],
-                                           first_hand_only_));
+  for (Ordering& o : orderings_) {
+    o.index.reset(capacity_);
+    for (std::uint32_t pos = 0; pos < entries_.size(); ++pos) {
+      o.index.on_insert(pos, key(o.policy));
     }
   }
 }
 
-const ScoreIndex* LinkCache::find_selection(Policy policy) const {
-  for (const SelectionIndex& sel : selection_indices_) {
-    if (sel.policy == policy) return &sel.index;
-  }
-  return nullptr;
+std::span<const LinkCache::Ordering> LinkCache::selections() const {
+  std::span<const Ordering> all = orderings_;
+  return all.first(all.size() -
+                   (retention_policy_ == Replacement::kRandom ? 0 : 1));
 }
 
-const ScoreIndex& LinkCache::configured_selection(Policy policy) const {
-  const ScoreIndex* index = find_selection(policy);
-  GUESS_CHECK_MSG(index != nullptr, "selection policy "
-                                        << to_string(policy)
-                                        << " was not passed to "
-                                           "configure_indices");
-  return *index;
+const LinkCache::Ordering& LinkCache::configured_selection(
+    Policy policy) const {
+  std::span<const Ordering> all = selections();
+  auto it = std::ranges::find(all, policy, &Ordering::policy);
+  GUESS_CHECK_MSG(it != all.end(), "selection policy "
+                                       << to_string(policy)
+                                       << " was not passed to "
+                                          "configure_indices");
+  return *it;
 }
 
-void LinkCache::note_insert() {
-  std::size_t pos = entries_.size() - 1;
-  for (SelectionIndex& sel : selection_indices_) {
-    sel.index.on_insert(pos, deterministic_selection_score(
-                                 sel.policy, entries_[pos], first_hand_only_));
+std::uint32_t LinkCache::find(PeerId id) const {
+  if (id >= kIdBound) return kNotFound;  // never stored
+  const auto want = static_cast<std::uint32_t>(id);
+  const std::uint32_t* ids = ids_.data();
+  const std::size_t n = ids_.size();
+  std::size_t i = 0;
+#ifdef __SSE2__
+  // Eight ids per step: two 4-wide compares OR-ed into one branch (GCC
+  // leaves an early-exit loop scalar).
+  const __m128i needle = _mm_set1_epi32(static_cast<int>(want));
+  for (; i + 8 <= n; i += 8) {
+    __m128i lo = _mm_cmpeq_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ids + i)), needle);
+    __m128i hi = _mm_cmpeq_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ids + i + 4)),
+        needle);
+    if (_mm_movemask_epi8(_mm_or_si128(lo, hi)) != 0) {
+      auto lanes = static_cast<unsigned>(
+          _mm_movemask_ps(_mm_castsi128_ps(lo)) |
+          (_mm_movemask_ps(_mm_castsi128_ps(hi)) << 4));
+      return static_cast<std::uint32_t>(i + std::countr_zero(lanes));
+    }
   }
-  if (has_retention_index_) {
-    retention_index_.on_insert(
-        pos, deterministic_retention_score(retention_policy_, entries_[pos],
-                                           first_hand_only_));
+#endif
+  for (; i < n; ++i) {
+    if (ids[i] == want) return static_cast<std::uint32_t>(i);
   }
-}
-
-void LinkCache::note_update(std::size_t pos) {
-  for (SelectionIndex& sel : selection_indices_) {
-    sel.index.on_update(pos, deterministic_selection_score(
-                                 sel.policy, entries_[pos], first_hand_only_));
-  }
-  if (has_retention_index_) {
-    retention_index_.on_update(
-        pos, deterministic_retention_score(retention_policy_, entries_[pos],
-                                           first_hand_only_));
-  }
+  return kNotFound;
 }
 
 std::optional<CacheEntry> LinkCache::get(PeerId id) const {
-  std::uint32_t pos = index_.find(id);
-  if (pos == FlatIdMap::kNotFound) return std::nullopt;
+  std::uint32_t pos = find(id);
+  if (pos == kNotFound) return std::nullopt;
   return entries_[pos];
+}
+
+void LinkCache::append(const CacheEntry& entry) {
+  ids_.push_back(narrow_id(entry.id));
+  entries_.push_back(entry);
+  if (entry.first_hand) ++first_hand_count_;
+  auto pos = static_cast<std::uint32_t>(entries_.size() - 1);
+  for (Ordering& o : orderings_) o.index.on_insert(pos, key(o.policy));
+}
+
+void LinkCache::replace_at(std::uint32_t pos, const CacheEntry& entry) {
+  ids_[pos] = narrow_id(entry.id);
+  if (entries_[pos].first_hand) --first_hand_count_;
+  if (entry.first_hand) ++first_hand_count_;
+  entries_[pos] = entry;
+  for (Ordering& o : orderings_) o.index.on_update(pos, key(o.policy));
 }
 
 void LinkCache::insert_free(const CacheEntry& entry) {
   GUESS_CHECK(entry.id != owner_);
   GUESS_CHECK(!full());
   GUESS_CHECK(!contains(entry.id));
-  index_.insert(entry.id, static_cast<std::uint32_t>(entries_.size()));
-  entries_.push_back(entry);
-  if (entry.first_hand) ++first_hand_count_;
-  note_insert();
+  append(entry);
 }
 
 bool LinkCache::offer(const CacheEntry& candidate, Replacement policy,
                       Rng& rng) {
   GUESS_CHECK_MSG(policy == Replacement::kRandom ||
-                      (has_retention_index_ && retention_policy_ == policy),
+                      retention_policy_ == policy,
                   "replacement policy " << to_string(policy)
                                         << " was not passed to "
                                            "configure_indices");
   if (candidate.id == owner_ || contains(candidate.id)) return false;
   if (!full()) {
-    index_.insert(candidate.id, static_cast<std::uint32_t>(entries_.size()));
-    entries_.push_back(candidate);
-    if (candidate.first_hand) ++first_hand_count_;
-    note_insert();
+    append(candidate);
     return true;
   }
-  // Random replacement is the always-insert baseline: the candidate
-  // replaces a uniformly chosen victim (documented in policy.h).
+  std::uint32_t victim = 0;
   if (policy == Replacement::kRandom) {
-    std::size_t victim = rng.index(entries_.size());
-    if (floor_protects(victim, candidate)) return false;
-    if (entries_[victim].first_hand) --first_hand_count_;
-    if (candidate.first_hand) ++first_hand_count_;
-    index_.erase(entries_[victim].id);
-    entries_[victim] = candidate;
-    index_.insert(candidate.id, static_cast<std::uint32_t>(victim));
-    note_update(victim);
-    return true;
+    // Random replacement is the always-insert baseline: the candidate
+    // replaces a uniformly chosen victim (documented in policy.h).
+    victim = static_cast<std::uint32_t>(rng.index(entries_.size()));
+  } else {
+    // Victim = lowest retention score among current entries (first
+    // position on ties), answered in O(1) by the maintained ordering.
+    victim = orderings_.back().index.top();
+    if (deterministic_retention_score(policy, candidate, first_hand_only_) <=
+        deterministic_retention_score(policy, entries_[victim],
+                                      first_hand_only_))
+      return false;
   }
-  // Victim = lowest retention score among current entries (first position
-  // on ties), answered in O(1) by the maintained ordering.
-  const ScoreIndex::Item& top = retention_index_.top();
-  std::size_t victim = top.pos;
-  if (deterministic_retention_score(policy, candidate, first_hand_only_) <=
-      top.score)
-    return false;
   if (floor_protects(victim, candidate)) return false;
-  if (entries_[victim].first_hand) --first_hand_count_;
-  if (candidate.first_hand) ++first_hand_count_;
-  index_.erase(entries_[victim].id);
-  entries_[victim] = candidate;
-  index_.insert(candidate.id, static_cast<std::uint32_t>(victim));
-  note_update(victim);
+  replace_at(victim, candidate);
   return true;
 }
 
-void LinkCache::erase_at(std::size_t pos) {
-  std::size_t last = entries_.size() - 1;
+void LinkCache::erase_at(std::uint32_t pos) {
+  auto last = static_cast<std::uint32_t>(entries_.size() - 1);
   if (entries_[pos].first_hand) --first_hand_count_;
-  index_.erase(entries_[pos].id);
-  if (pos != last) {
-    entries_[pos] = entries_[last];
-    index_.assign(entries_[pos].id, static_cast<std::uint32_t>(pos));
-  }
+  // The orderings drop `pos` while its entry is intact, then relabel the
+  // last entry once it has moved in.
+  for (Ordering& o : orderings_) o.index.remove(pos, key(o.policy));
+  entries_[pos] = entries_[last];
+  ids_[pos] = ids_[last];
   entries_.pop_back();
-  for (SelectionIndex& sel : selection_indices_) {
-    sel.index.on_swap_remove(pos, last);
+  ids_.pop_back();
+  if (pos == last) return;
+  for (Ordering& o : orderings_) o.index.relabel(last, pos, key(o.policy));
+}
+
+void LinkCache::note_update(std::uint32_t pos, ScoreField changed) {
+  for (Ordering& o : orderings_) {
+    if (score_field(o.policy) == changed) o.index.on_update(pos, key(o.policy));
   }
-  if (has_retention_index_) retention_index_.on_swap_remove(pos, last);
 }
 
 bool LinkCache::evict(PeerId id) {
-  std::uint32_t pos = index_.find(id);
-  if (pos == FlatIdMap::kNotFound) return false;
+  std::uint32_t pos = find(id);
+  if (pos == kNotFound) return false;
   erase_at(pos);
   return true;
 }
 
 void LinkCache::touch(PeerId id, sim::Time now) {
-  std::uint32_t pos = index_.find(id);
-  if (pos == FlatIdMap::kNotFound) return;
+  std::uint32_t pos = find(id);
+  if (pos == kNotFound) return;
   entries_[pos].ts = now;
-  note_update(pos);
+  note_update(pos, ScoreField::kTs);
 }
 
 void LinkCache::set_num_res(PeerId id, std::uint32_t num_res) {
-  std::uint32_t pos = index_.find(id);
-  if (pos == FlatIdMap::kNotFound) return;
+  std::uint32_t pos = find(id);
+  if (pos == kNotFound) return;
   if (!entries_[pos].first_hand) ++first_hand_count_;
   entries_[pos].num_res = num_res;
   entries_[pos].first_hand = true;
-  note_update(pos);
+  note_update(pos, ScoreField::kNumRes);
 }
 
 std::optional<CacheEntry> LinkCache::select_best(Policy policy,
@@ -197,9 +238,9 @@ std::optional<CacheEntry> LinkCache::select_best(Policy policy,
     if (entries_.empty()) return std::nullopt;
     return entries_[rng.index(entries_.size())];
   }
-  const ScoreIndex& index = configured_selection(policy);
+  const Ordering& ordering = configured_selection(policy);
   if (entries_.empty()) return std::nullopt;
-  return entries_[index.top().pos];
+  return entries_[ordering.index.top()];
 }
 
 std::vector<CacheEntry> LinkCache::select_top(Policy policy,
@@ -213,7 +254,7 @@ std::vector<CacheEntry> LinkCache::select_top(Policy policy,
 void LinkCache::select_top_into(Policy policy, std::size_t count, Rng& rng,
                                 std::vector<CacheEntry>& out) const {
   out.clear();
-  const ScoreIndex* index =
+  const Ordering* ordering =
       policy == Policy::kRandom ? nullptr : &configured_selection(policy);
   count = std::min(count, entries_.size());
   if (count == 0) return;
@@ -225,23 +266,22 @@ void LinkCache::select_top_into(Policy policy, std::size_t count, Rng& rng,
   // leak an allocation into the steady-state query path.
   struct Scratch {
     std::size_t capacity = 0;
-    std::vector<std::uint32_t> positions;
-    std::vector<ScoreIndex::Item> items;
+    std::vector<ScoreIndex::Frontier> frontier;
     std::vector<std::size_t> indices;
     std::vector<std::size_t> pool;
   };
   thread_local Scratch scratch;
   if (scratch.capacity < capacity_) {
     scratch.capacity = capacity_;
-    scratch.positions.reserve(capacity_);
-    scratch.items.reserve(capacity_);
+    // top_k's frontier holds at most count + 1 <= capacity + 1 slots.
+    scratch.frontier.reserve(capacity_ + 1);
     scratch.indices.reserve(capacity_);
     // A sparse random sample's membership table (a power of two >= 2k with
     // k < size / 3) can outgrow the cache, but never twice its capacity.
     scratch.pool.reserve(2 * capacity_);
   }
   // A uniform k-subset is the top-k of i.i.d. random scores.
-  if (index == nullptr) {
+  if (ordering == nullptr) {
     rng.sample_indices_into(entries_.size(), count, scratch.indices,
                             scratch.pool);
     for (std::size_t idx : scratch.indices) {
@@ -249,11 +289,9 @@ void LinkCache::select_top_into(Policy policy, std::size_t count, Rng& rng,
     }
     return;
   }
-  scratch.positions.clear();
-  index->top_k(count, scratch.positions, scratch.items);
-  for (std::uint32_t pos : scratch.positions) {
-    out.push_back(entries_[pos]);
-  }
+  ordering->index.top_k(
+      count, key(ordering->policy), scratch.frontier,
+      [&](std::uint32_t pos) { out.push_back(entries_[pos]); });
 }
 
 }  // namespace guess

@@ -2,23 +2,30 @@
 //
 // LinkCache's select_best / select_top / offer answer from these orderings
 // instead of rescanning (and rescoring) every cache entry per call. A
-// ScoreIndex keeps one policy's ordering as an indexed binary heap over
-// (score, position) pairs, updated as entries are inserted, evicted,
+// ScoreIndex keeps one policy's ordering as an indexed binary heap of
+// 32-bit cache positions, updated as entries are inserted, evicted,
 // replaced, or refreshed — O(log n) per mutation, O(1) for the best entry,
-// O(k log n) for a top-k.
+// O(k log k) for a top-k.
+//
+// The heap stores positions only (8 bytes per entry with the position ->
+// slot map). Every operation that compares takes `key`, a callable mapping
+// a position to its entry's current score, and recomputes keys from the
+// cache's entries as it sifts. The index holds no pointer into the cache:
+// caches live in peers, and peers move when the peer table grows.
 //
 // Determinism contract: the best entry is the strict score optimum at the
 // LOWEST current position (a scan keeping the first maximum/minimum), and
-// top-k pops in (score desc, position asc) order. Since (score, position)
-// pairs are unique, the heap layout cannot influence results: pops follow
-// the total order. tests/guess/link_cache_index_test.cc holds a full-scan
-// oracle to this contract.
+// top-k yields (score desc, position asc) order. Since (score, position)
+// pairs are unique, the heap layout cannot influence results.
+// tests/guess/link_cache_index_test.cc holds a full-scan oracle to this
+// contract.
 //
-// Positions are live indices into LinkCache::entries_, which swap-removes:
-// on_swap_remove() both deletes the evicted position and re-keys the entry
-// that moved into it.
+// Positions are live indices into LinkCache's entries, which swap-remove:
+// remove() drops the evicted position while its entry is still in place,
+// and relabel() re-keys the entry that then moved into it.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -29,177 +36,145 @@ namespace guess {
 
 class ScoreIndex {
  public:
-  struct Item {
-    double score = 0.0;
-    std::uint32_t pos = 0;
-  };
-
   enum class Order {
     kMaxFirst,  ///< selection policies: highest score probed first
     kMinFirst,  ///< retention policies: lowest score is the eviction victim
   };
 
-  void reset(Order order, std::size_t capacity) {
-    order_ = order;
+  /// A top_k frontier element: a heap slot with its position and key.
+  struct Frontier {
+    double score;
+    std::uint32_t pos;
+    std::uint32_t slot;
+  };
+
+  explicit ScoreIndex(Order order) : order_(order) {}
+
+  /// Empty the index for positions below `capacity`.
+  void reset(std::size_t capacity) {
     heap_.clear();
     heap_.reserve(capacity);
-    slot_of_.clear();
-    slot_of_.reserve(capacity);
+    slot_of_.assign(capacity, 0);
   }
 
-  std::size_t size() const { return heap_.size(); }
-
   /// Entry appended at position `pos` (== previous size).
-  void on_insert(std::size_t pos, double score) {
+  template <typename Key>
+  void on_insert(std::uint32_t pos, const Key& key) {
     GUESS_CHECK(pos == heap_.size());
-    heap_.push_back(Item{score, static_cast<std::uint32_t>(pos)});
-    slot_of_.push_back(static_cast<std::uint32_t>(pos));
-    sift_up(heap_.size() - 1);
+    heap_.push_back(pos);
+    sift(pos, pos, key);
   }
 
   /// Entry at `pos` re-scored in place (touch / set_num_res / replacement).
-  void on_update(std::size_t pos, double score) {
-    std::size_t slot = slot_of_[pos];
-    heap_[slot].score = score;
-    resift(slot);
+  template <typename Key>
+  void on_update(std::uint32_t pos, const Key& key) {
+    sift(slot_of_[pos], pos, key);
   }
 
-  /// LinkCache::erase_at(pos): the entry at `pos` is gone and the entry
-  /// previously at `last` (== size-1) now lives at `pos`.
-  void on_swap_remove(std::size_t pos, std::size_t last) {
-    remove_slot(slot_of_[pos]);
-    if (pos != last) {
-      // The moved entry's score is unchanged but its tie-break position
-      // dropped, which can only raise its priority.
-      std::size_t slot = slot_of_[last];
-      heap_[slot].pos = static_cast<std::uint32_t>(pos);
-      slot_of_[pos] = static_cast<std::uint32_t>(slot);
-      sift_up(slot);
-    }
-    slot_of_.pop_back();
+  /// First half of a swap-remove: drop `pos` while its entry is intact.
+  template <typename Key>
+  void remove(std::uint32_t pos, const Key& key) {
+    std::uint32_t slot = slot_of_[pos];
+    std::uint32_t back = heap_.back();
+    heap_.pop_back();
+    if (slot < heap_.size()) sift(slot, back, key);
   }
 
-  /// The ordering's optimum: (score, position) of the first entry, in
-  /// position order, with the best score.
-  const Item& top() const {
+  /// Second half: the entry at `from` (the old last position) now lives at
+  /// `to`, the removed one's position. Its score is unchanged but its
+  /// tie-break position dropped, which can only raise its priority.
+  template <typename Key>
+  void relabel(std::uint32_t from, std::uint32_t to, const Key& key) {
+    sift(slot_of_[from], to, key);
+  }
+
+  /// The ordering's optimum: the position of the first entry, in position
+  /// order, with the best score.
+  std::uint32_t top() const {
     GUESS_CHECK(!heap_.empty());
     return heap_[0];
   }
 
-  /// First `k` positions in selection order, appended to `out`. `scratch`
-  /// holds a working copy of the heap; both keep their capacity across
-  /// calls, so a warmed caller never allocates.
-  void top_k(std::size_t k, std::vector<std::uint32_t>& out,
-             std::vector<Item>& scratch) const {
-    // Small k (the per-pong case: k=PongSize over a full cache): one linear
-    // pass keeping a sorted best-k prefix in `scratch` beats copying the
-    // whole heap just to pop k of it — most items fail the single
-    // compare against the current k-th best. Output order is the same
-    // either way: (score, position) pairs are unique, so the top-k in
-    // selection order is independent of how it is extracted.
-    if (k > 0 && k * 4 <= heap_.size()) {
-      scratch.clear();
-      for (const Item& item : heap_) {
-        if (scratch.size() == k) {
-          if (!better(item, scratch.back())) continue;
-          std::size_t pos = k - 1;
-          while (pos > 0 && better(item, scratch[pos - 1])) {
-            scratch[pos] = scratch[pos - 1];
-            --pos;
-          }
-          scratch[pos] = item;
-        } else {
-          scratch.push_back(item);
-          for (std::size_t pos = scratch.size() - 1;
-               pos > 0 && better(scratch[pos], scratch[pos - 1]); --pos) {
-            std::swap(scratch[pos], scratch[pos - 1]);
-          }
-        }
-      }
-      for (const Item& item : scratch) out.push_back(item.pos);
-      return;
+  /// Calls `visit(pos)` for the first `k` positions in selection order.
+  /// Walks the heap best-first: `frontier` holds the children of the slots
+  /// taken so far (at most k + 1), itself a heap under the same order. It
+  /// keeps its capacity across calls, so a warmed caller never allocates.
+  template <typename Key, typename Visit>
+  void top_k(std::size_t k, const Key& key, std::vector<Frontier>& frontier,
+             Visit&& visit) const {
+    frontier.clear();
+    if (heap_.empty()) return;
+    auto worse = [this](const Frontier& a, const Frontier& b) {
+      return better(b.score, b.pos, a.score, a.pos);
+    };
+    auto push = [&](std::size_t slot) {
+      std::uint32_t pos = heap_[slot];
+      frontier.push_back(
+          Frontier{key(pos), pos, static_cast<std::uint32_t>(slot)});
+      std::push_heap(frontier.begin(), frontier.end(), worse);
+    };
+    push(0);
+    for (; k > 0 && !frontier.empty(); --k) {
+      std::pop_heap(frontier.begin(), frontier.end(), worse);
+      Frontier taken = frontier.back();
+      frontier.pop_back();
+      visit(taken.pos);
+      std::size_t child = 2 * std::size_t{taken.slot} + 1;
+      if (child < heap_.size()) push(child);
+      if (child + 1 < heap_.size()) push(child + 1);
     }
-    scratch = heap_;
-    std::size_t n = scratch.size();
-    for (std::size_t i = 0; i < k && n > 0; ++i) {
-      out.push_back(scratch[0].pos);
-      scratch[0] = scratch[--n];
-      // Sift the promoted tail element down within scratch[0..n).
-      std::size_t s = 0;
-      for (;;) {
-        std::size_t l = 2 * s + 1;
-        if (l >= n) break;
-        std::size_t best = l;
-        if (l + 1 < n && better(scratch[l + 1], scratch[l])) best = l + 1;
-        if (!better(scratch[best], scratch[s])) break;
-        std::swap(scratch[s], scratch[best]);
-        s = best;
-      }
-    }
-  }
-
-  /// Rebuild from scratch (first-hand-only flips re-key every entry).
-  /// `scores[i]` is position i's score.
-  void rebuild(const std::vector<double>& scores) {
-    heap_.clear();
-    slot_of_.clear();
-    for (std::size_t i = 0; i < scores.size(); ++i) on_insert(i, scores[i]);
   }
 
  private:
-  bool better(const Item& a, const Item& b) const {
-    if (a.score != b.score) {
-      return order_ == Order::kMaxFirst ? a.score > b.score
-                                        : a.score < b.score;
+  bool better(double a_score, std::uint32_t a_pos, double b_score,
+              std::uint32_t b_pos) const {
+    if (a_score != b_score) {
+      return order_ == Order::kMaxFirst ? a_score > b_score
+                                        : a_score < b_score;
     }
-    return a.pos < b.pos;
+    return a_pos < b_pos;
   }
 
-  void sift_up(std::size_t slot) {
+  void place(std::uint32_t slot, std::uint32_t pos) {
+    heap_[slot] = pos;
+    slot_of_[pos] = slot;
+  }
+
+  /// Put `pos` in the hole at `slot`, moving the hole up, then down, to
+  /// where `pos` belongs.
+  template <typename Key>
+  void sift(std::uint32_t slot, std::uint32_t pos, const Key& key) {
+    const double score = key(pos);
     while (slot > 0) {
-      std::size_t parent = (slot - 1) / 2;
-      if (!better(heap_[slot], heap_[parent])) break;
-      swap_slots(slot, parent);
+      std::uint32_t parent = (slot - 1) / 2;
+      std::uint32_t above = heap_[parent];
+      if (!better(score, pos, key(above), above)) break;
+      place(slot, above);
       slot = parent;
     }
-  }
-
-  void sift_down(std::size_t slot) {
-    for (;;) {
-      std::size_t l = 2 * slot + 1;
-      if (l >= heap_.size()) break;
-      std::size_t best = l;
-      if (l + 1 < heap_.size() && better(heap_[l + 1], heap_[l])) best = l + 1;
-      if (!better(heap_[best], heap_[slot])) break;
-      swap_slots(slot, best);
-      slot = best;
+    const std::size_t n = heap_.size();
+    for (std::size_t child = 2 * std::size_t{slot} + 1; child < n;
+         child = 2 * std::size_t{slot} + 1) {
+      std::uint32_t below = heap_[child];
+      double below_score = key(below);
+      if (child + 1 < n) {
+        std::uint32_t right = heap_[child + 1];
+        double right_score = key(right);
+        if (better(right_score, right, below_score, below)) {
+          ++child;
+          below = right;
+          below_score = right_score;
+        }
+      }
+      if (!better(below_score, below, score, pos)) break;
+      place(slot, below);
+      slot = static_cast<std::uint32_t>(child);
     }
+    place(slot, pos);
   }
 
-  void resift(std::size_t slot) {
-    sift_up(slot);
-    sift_down(slot);
-  }
-
-  void remove_slot(std::size_t slot) {
-    std::size_t back = heap_.size() - 1;
-    if (slot != back) {
-      swap_slots(slot, back);
-      heap_.pop_back();
-      resift(slot);
-    } else {
-      heap_.pop_back();
-    }
-  }
-
-  void swap_slots(std::size_t a, std::size_t b) {
-    std::swap(heap_[a], heap_[b]);
-    slot_of_[heap_[a].pos] = static_cast<std::uint32_t>(a);
-    slot_of_[heap_[b].pos] = static_cast<std::uint32_t>(b);
-  }
-
-  Order order_ = Order::kMaxFirst;
-  std::vector<Item> heap_;           // binary heap of (score, position)
+  Order order_;
+  std::vector<std::uint32_t> heap_;     // binary heap of positions
   std::vector<std::uint32_t> slot_of_;  // position -> heap slot
 };
 

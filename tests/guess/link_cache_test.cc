@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include "common/check.h"
-
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <unordered_map>
+
+#include "common/check.h"
 
 namespace guess {
 namespace {
@@ -376,6 +379,146 @@ TEST(LinkCacheFloor, EvictionsIgnoreTheFloor) {
   // against displacement, not against maintenance.
   EXPECT_TRUE(cache.evict(1));
   EXPECT_EQ(cache.first_hand_count(), 0u);
+}
+
+// --- id lookup --------------------------------------------------------------
+//
+// A scan of a 32-bit id column replaced the FlatIdMap hash index. These keep
+// its tests' names and contracts, observed through contains / get / evict:
+// insert, find and erase; lookup after a swap-remove moved an entry; checked
+// misuse; an unsizable capacity; and a fuzz against std::unordered_map.
+
+// The all-ones 32-bit value is never stored: ids must lie below it.
+constexpr PeerId kIdBound = std::numeric_limits<std::uint32_t>::max();
+
+TEST(FlatIdMap, InsertFindErase) {
+  LinkCache cache(kOwner, 8);
+  EXPECT_FALSE(cache.contains(3));
+  EXPECT_FALSE(cache.get(3).has_value());
+  cache.insert_free(entry(3, 10.0));
+  ASSERT_TRUE(cache.get(3).has_value());
+  EXPECT_EQ(cache.get(3)->ts, 10.0);
+  EXPECT_TRUE(cache.contains(3));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_TRUE(cache.evict(3));
+  EXPECT_FALSE(cache.contains(3));
+  EXPECT_FALSE(cache.evict(3));
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+// Eviction swap-removes: the last entry moves into the hole, and lookups
+// and in-place updates must follow it there. The sizes put the moved entry
+// in the scan's scalar tail (3), just past its first 8-wide block (9), and
+// in its second block (16).
+TEST(FlatIdMap, AssignOverwritesExisting) {
+  for (PeerId n : {3, 9, 16}) {
+    SCOPED_TRACE(n);
+    LinkCache cache(kOwner, n);
+    for (PeerId id = 0; id < n; ++id) {
+      cache.insert_free(entry(id, static_cast<double>(id)));
+    }
+    ASSERT_TRUE(cache.evict(0));
+    PeerId moved = n - 1;
+    cache.touch(moved, 500.0);
+    cache.set_num_res(moved, 7);
+    ASSERT_TRUE(cache.get(moved).has_value());
+    EXPECT_EQ(cache.get(moved)->ts, 500.0);
+    EXPECT_EQ(cache.get(moved)->num_res, 7u);
+    EXPECT_FALSE(cache.contains(0));
+    for (PeerId id = 1; id < n; ++id) EXPECT_TRUE(cache.contains(id)) << id;
+    EXPECT_TRUE(cache.evict(moved));
+    EXPECT_FALSE(cache.contains(moved));
+    EXPECT_EQ(cache.size(), n - 2);
+  }
+}
+
+TEST(FlatIdMap, CheckedMisuseThrows) {
+  LinkCache cache(kOwner, 4);
+  Rng rng(1);
+  cache.insert_free(entry(1));
+  EXPECT_THROW(cache.insert_free(entry(1)), CheckError);  // duplicate
+  // Ids are stored in 32 bits: one at or past the bound is refused before
+  // anything is recorded, on every insertion path.
+  for (PeerId id : {kIdBound, kIdBound + 1, kInvalidPeer}) {
+    EXPECT_THROW(cache.insert_free(entry(id)), CheckError) << id;
+    EXPECT_THROW(cache.offer(entry(id), Replacement::kRandom, rng),
+                 CheckError)
+        << id;
+    EXPECT_FALSE(cache.contains(id)) << id;
+  }
+  for (PeerId id = 2; id <= 4; ++id) cache.insert_free(entry(id));
+  EXPECT_THROW(cache.offer(entry(kIdBound), Replacement::kRandom, rng),
+               CheckError);  // the replacement path
+  EXPECT_EQ(cache.size(), 4u);
+  for (PeerId id = 1; id <= 4; ++id) EXPECT_TRUE(cache.contains(id)) << id;
+  // An id past 32 bits never aliases the stored id it would narrow to.
+  EXPECT_FALSE(cache.contains((PeerId{1} << 32) + 1));
+  EXPECT_FALSE(cache.evict((PeerId{1} << 32) + 1));
+  EXPECT_EQ(cache.size(), 4u);
+}
+
+// Positions are 32 bits: a capacity they cannot index throws before
+// anything is sized.
+TEST(FlatIdMap, UnsizableCapacityThrows) {
+  EXPECT_THROW(LinkCache(kOwner, std::numeric_limits<std::size_t>::max()),
+               CheckError);
+  EXPECT_THROW(LinkCache(kOwner, std::size_t{1} << 32), CheckError);
+}
+
+// Offer / evict / touch churn against a plain map. Keys come from two
+// narrow windows, one at the bottom of the id range and one just under the
+// 32-bit bound, so entries keep moving between the scan's blocks and tail.
+TEST(FlatIdMapFuzz, MatchesUnorderedMapUnderChurn) {
+  constexpr std::size_t kCapacity = 40;
+  constexpr PeerId kHigh = kIdBound - 48;
+  Rng draws(2026);
+  Rng rng(7);
+  LinkCache cache(kOwner, kCapacity);
+  std::unordered_map<PeerId, CacheEntry> model;
+  auto key = [&](std::size_t i) {
+    return i < 48 ? PeerId{i} : kHigh + (i - 48);
+  };
+  for (int step = 0; step < 30000; ++step) {
+    PeerId id = key(draws.index(96));
+    double roll = draws.uniform();
+    if (roll < 0.45) {
+      CacheEntry e = entry(id, static_cast<double>(step));
+      bool inserted = cache.offer(e, Replacement::kRandom, rng);
+      ASSERT_EQ(inserted, !model.contains(id)) << "step " << step;
+      if (inserted && model.size() == kCapacity) {
+        // A full cache replaced a uniformly drawn victim: find which.
+        std::erase_if(model, [&](const auto& kv) {
+          return !cache.contains(kv.first);
+        });
+        ASSERT_EQ(model.size(), kCapacity - 1) << "step " << step;
+      }
+      if (inserted) model.emplace(id, e);
+    } else if (roll < 0.70) {
+      ASSERT_EQ(cache.evict(id), model.erase(id) > 0) << "step " << step;
+    } else if (roll < 0.85) {
+      auto num_res = static_cast<std::uint32_t>(step % 5);
+      cache.touch(id, static_cast<double>(step));
+      cache.set_num_res(id, num_res);
+      auto it = model.find(id);
+      if (it != model.end()) {
+        it->second.ts = static_cast<double>(step);
+        it->second.num_res = num_res;
+      }
+    }
+    if (step % 128 == 0 || roll >= 0.85) {
+      ASSERT_EQ(cache.size(), model.size()) << "step " << step;
+      for (std::size_t i = 0; i < 96; ++i) {
+        auto got = cache.get(key(i));
+        auto it = model.find(key(i));
+        ASSERT_EQ(got.has_value(), it != model.end())
+            << "key " << key(i) << " at step " << step;
+        if (got) {
+          ASSERT_EQ(got->ts, it->second.ts) << "step " << step;
+          ASSERT_EQ(got->num_res, it->second.num_res) << "step " << step;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -28,6 +28,7 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 }  // namespace
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -36,11 +37,13 @@ std::atomic<std::uint64_t> g_allocations{0};
 #endif
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -57,6 +60,10 @@ namespace {
 
 std::uint64_t allocation_count() {
   return g_allocations.load(std::memory_order_relaxed);
+}
+
+std::uint64_t allocated_bytes() {
+  return g_bytes.load(std::memory_order_relaxed);
 }
 
 class QueryAllocTest : public ::testing::TestWithParam<sim::Scheduler> {};
@@ -138,12 +145,28 @@ TEST(BirthAllocations, LinkCacheConstructionAllocatesTwice) {
   EXPECT_EQ(cache.capacity(), 100u);
 }
 
-// Sanity: the counter actually counts (a direct call cannot be elided).
+// A cache under mr-10k's policies (three selection orderings and LR
+// retention) costs 36 B per entry (the entry and its 32-bit id) plus 8 B
+// per entry and ordering (heap and position -> slot map): 100 x (32 + 4 +
+// 4 x 8) = 6800 B, plus the small vector of selection orderings.
+TEST(BirthAllocations, ConfiguredLinkCacheFitsItsByteBudget) {
+  std::uint64_t before = allocated_bytes();
+  LinkCache cache(0, 100);
+  cache.configure_indices({Policy::kLRU, Policy::kMFS, Policy::kMR},
+                          Replacement::kLR);
+  std::uint64_t bytes = allocated_bytes() - before;
+  EXPECT_LE(bytes, 7u * 1024u);
+  EXPECT_GE(bytes, 6800u);
+}
+
+// Sanity: the counters actually count (a direct call cannot be elided).
 TEST(QueryAllocCounter, CountsHeapAllocations) {
   std::uint64_t before = allocation_count();
+  std::uint64_t bytes_before = allocated_bytes();
   void* p = ::operator new(32);
   ::operator delete(p);
   EXPECT_EQ(allocation_count(), before + 1);
+  EXPECT_EQ(allocated_bytes(), bytes_before + 32);
 }
 
 }  // namespace
