@@ -51,12 +51,7 @@ void QueryExecution::reset(PeerId origin, content::FileId file,
   start_ = start;
   issue_ = start;
   first_hand_only_ = first_hand_only;
-  // Every set bit is an id this query accepted, and the payload pool is
-  // append-only (popped candidates stay in it), so zeroing the words of its
-  // ids clears the bitmap.
-  for (const Payload& candidate : candidates_) {
-    seen_bits_[candidate.id / 64] = 0;
-  }
+  clear_seen();
   heap_.clear();
   candidates_.clear();
   results_ = 0;
@@ -70,6 +65,23 @@ void QueryExecution::reset(PeerId origin, content::FileId file,
   slot_creditless_ = false;
   slot_issuing_ = false;
   token_ = 0;
+}
+
+void QueryExecution::clear_seen() {
+  // Every set bit is an id this query accepted, and the payload pool is
+  // append-only (popped candidates stay in it), so zeroing the words of its
+  // ids clears the bitmap.
+  for (const Payload& candidate : candidates_) {
+    seen_bits_[candidate.id / 64] = 0;
+  }
+}
+
+void QueryExecution::trim(std::size_t max_candidates) {
+  if (candidates_.capacity() <= max_candidates) return;
+  clear_seen();
+  // Move-assigning an empty vector frees (`= {}` would keep the capacity).
+  candidates_ = std::vector<Payload>();
+  heap_ = std::vector<Scored>();
 }
 
 void QueryExecution::note_slot(bool any_results, bool adaptive) {

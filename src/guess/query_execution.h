@@ -9,7 +9,10 @@
 // This class holds the candidate ordering (a max-heap keyed by the
 // QueryProbe policy score), the de-duplication bitmap (a peer is probed at
 // most once per query), and the per-query probe accounting. Message exchange
-// is driven by the GUESS backend (search/guess.h).
+// is driven by the GUESS backend (search/guess.h), which pools executions
+// between queries: a pooled execution keeps its stores, up to a bound
+// (trim) past which it frees them, so one large query does not pin its
+// stores in the pool for the rest of the run.
 #pragma once
 
 #include <algorithm>
@@ -78,6 +81,15 @@ class QueryExecution {
     auto words = static_cast<std::size_t>((id_bound + 63) / 64);
     if (seen_bits_.size() < words) seen_bits_.resize(words);
   }
+
+  /// Bound what a pooled execution keeps: if this query grew the candidate
+  /// stores past `max_candidates`, clear its bitmap words and free the
+  /// stores (the next query's reserve_candidates regrows them). The bitmap
+  /// itself is kept. Call between queries, before reset().
+  void trim(std::size_t max_candidates);
+
+  /// Candidates the stores hold without growing.
+  std::size_t candidate_capacity() const { return candidates_.capacity(); }
 
   PeerId origin() const { return origin_; }
   content::FileId file() const { return file_; }
@@ -202,6 +214,9 @@ class QueryExecution {
  private:
   // 32-bit id storage; the all-ones value stands for kInvalidPeer.
   static constexpr std::uint32_t kNoPeer = ~std::uint32_t{0};
+
+  /// Zero the bitmap words of every id this query accepted.
+  void clear_seen();
 
   // What probing reads back after insertion: 12 bytes per candidate.
   struct Payload {

@@ -147,6 +147,38 @@ TEST(QueryExecution, IdsPastThirtyTwoBitsRejected) {
   EXPECT_TRUE(query.add_candidate(entry(2), rng));
 }
 
+// The pool's bound (GuessBackend::release_active_query): an execution whose
+// stores grew past it frees them and clears its bits, so the next query's
+// reservation sizes it afresh, every id is fresh again, and it still
+// dedups within that query. Within the bound, trim keeps the stores.
+TEST(QueryExecution, TrimPastTheBoundFreesStoresAndBits) {
+  constexpr PeerId kOrigin = 100000;
+  QueryExecution query(kOrigin, 7, 1, Policy::kRandom, 0.0);
+  query.reserve_candidates(10, 5000);
+  Rng rng(1);
+  for (PeerId id = 0; id < 3000; id += 3) {
+    ASSERT_TRUE(query.add_candidate(entry(id), rng));
+  }
+  const std::size_t grown = query.candidate_capacity();
+  ASSERT_GE(grown, 1000u);
+  query.trim(grown);
+  EXPECT_EQ(query.candidate_capacity(), grown) << "trimmed within the bound";
+  query.trim(grown - 1);
+  EXPECT_EQ(query.candidate_capacity(), 0u);
+  query.reset(kOrigin, 7, 1, Policy::kRandom, 0.0);
+  query.reserve_candidates(10, 5000);
+  EXPECT_EQ(query.candidate_capacity(), 10u);
+  for (PeerId id = 0; id < 3000; id += 3) {
+    EXPECT_TRUE(query.add_candidate(entry(id), rng))
+        << "id " << id << " survived the trim";
+  }
+  for (PeerId id = 0; id < 3000; id += 3) {
+    EXPECT_FALSE(query.add_candidate(entry(id), rng)) << "id " << id;
+  }
+  EXPECT_EQ(query.seen(), 1000u);
+  EXPECT_EQ(query.queued(), 1000u);
+}
+
 TEST(QueryExecution, SatisfactionAtDesiredResults) {
   QueryExecution query(1, 7, 3, Policy::kRandom, 0.0);
   EXPECT_FALSE(query.satisfied());
