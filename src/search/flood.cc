@@ -217,6 +217,7 @@ FloodBackend::QueryOutcome FloodBackend::run_query(PeerId origin,
 
   QueryOutcome outcome;
   outcome.satisfied = results >= config_.system().num_desired_results;
+  outcome.reached = reached;
   // first_result_depth is 0 when the origin's own library matched; an
   // unsatisfied query waited out the full TTL depth.
   outcome.response_time =
@@ -246,7 +247,7 @@ void FloodBackend::start_query(Rng& rng, sim::Time issued) {
     // queueing delay plus the modeled hop time.
     observer_->on_query_complete(
         (simulator_.now() - issued) + outcome.response_time,
-        outcome.satisfied);
+        outcome.satisfied, outcome.reached);
   }
 }
 

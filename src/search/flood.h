@@ -97,6 +97,7 @@ class FloodBackend final : public SearchBackend {
     /// extinction either way; an unsatisfied querier waited out the deepest
     /// hop).
     double response_time = 0.0;
+    std::uint64_t reached = 0;  ///< peers reached: the query's probes
   };
 
   PeerId spawn_peer(bool initial);

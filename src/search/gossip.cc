@@ -295,6 +295,7 @@ GossipBackend::QueryOutcome GossipBackend::run_query(std::uint64_t origin,
   outcome.satisfied = satisfied;
   outcome.response_time = static_cast<double>(probes) *
                           tuning.probe_interval * degrade_latency_factor_;
+  outcome.probes = probes;
   if (measuring_) {
     ++stats_.queries_completed;
     if (satisfied) ++stats_.queries_satisfied;
@@ -330,7 +331,7 @@ void GossipBackend::start_query(Rng& rng, sim::Time issued) {
     // delay plus the modeled probe pacing time.
     observer_->on_query_complete(
         (simulator_.now() - issued) + outcome.response_time,
-        outcome.satisfied);
+        outcome.satisfied, outcome.probes);
   }
 }
 

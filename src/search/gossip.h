@@ -135,6 +135,7 @@ class GossipBackend final : public SearchBackend {
   struct QueryOutcome {
     bool satisfied = false;
     double response_time = 0.0;  ///< modeled probe pacing time
+    std::uint64_t probes = 0;
   };
   QueryOutcome run_query(std::uint64_t origin, content::FileId file);
   bool severed(const PeerSlot& a, const PeerSlot& b) const;

@@ -62,7 +62,7 @@ class IterativeBackend final : public SearchBackend {
       // The walk is analytic (instantaneous): the query's latency is its
       // controller queueing delay.
       observer_->on_query_complete(simulator_.now() - issued,
-                                   query.satisfied);
+                                   query.satisfied, query.probed);
     }
   }
 

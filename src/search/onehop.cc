@@ -140,7 +140,7 @@ void OneHopBackend::schedule_next_lookup() {
   });
 }
 
-bool OneHopBackend::lookup_random_key(Rng& key_rng) {
+OneHopBackend::Lookup OneHopBackend::lookup_random_key(Rng& key_rng) {
   std::uint64_t timeouts = 0;
   bool answered = false;
   bool direct = false;
@@ -167,11 +167,11 @@ bool OneHopBackend::lookup_random_key(Rng& key_rng) {
     }
     direct = answered && believed == true_owner;
   }
-  if (!measuring_) return answered;
-
   // An answered lookup pays its timeouts, the final probe and any
   // corrective forward; an unanswered one, its timeouts alone.
   std::uint64_t probes = timeouts + (answered ? (direct ? 1 : 2) : 0);
+  if (!measuring_) return {answered, probes};
+
   ++stats_.lookups;
   if (!answered) ++stats_.unanswered;
   if (direct && timeouts == 0) ++stats_.one_hop;
@@ -179,16 +179,17 @@ bool OneHopBackend::lookup_random_key(Rng& key_rng) {
   stats_.timeouts += timeouts;
   stats_.probes_per_lookup.add(static_cast<double>(probes));
   stats_.lookup_probes.add(static_cast<double>(probes));
-  return answered;
+  return {answered, probes};
 }
 
 void OneHopBackend::start_query(Rng& rng, sim::Time issued) {
-  bool answered = lookup_random_key(rng);
+  Lookup lookup = lookup_random_key(rng);
   if (observer_ != nullptr) {
     // Lookups resolve synchronously (probe latency is a probe count here,
     // not simulated time): the query's latency is its controller queueing
     // delay.
-    observer_->on_query_complete(simulator_.now() - issued, answered);
+    observer_->on_query_complete(simulator_.now() - issued, lookup.answered,
+                                 lookup.probes);
   }
 }
 

@@ -96,9 +96,12 @@ class OneHopBackend final : public SearchBackend {
   void spawn_peer(bool initial);
   void remove_peer(Position position, bool respawn);
   void schedule_next_lookup();
-  /// One lookup for a key drawn from `key_rng`; true iff some probe got an
-  /// answer. Loss draws stay on rng_.
-  bool lookup_random_key(Rng& key_rng);
+  struct Lookup {
+    bool answered = false;     ///< some probe got an answer
+    std::uint64_t probes = 0;  ///< timeouts, final probe, corrective hop
+  };
+  /// One lookup for a key drawn from `key_rng`. Loss draws stay on rng_.
+  Lookup lookup_random_key(Rng& key_rng);
   /// Owner of `key` in a ring map (clockwise successor, wrapping).
   static Position owner_of(const std::map<Position, std::uint64_t>& ring,
                            Position key);

@@ -84,9 +84,11 @@ void OpenLoopDriver::launch(sim::Time issued) {
   backend_.start_query(workload_rng_, issued);
 }
 
-void OpenLoopDriver::on_query_complete(double latency, bool satisfied) {
+void OpenLoopDriver::on_query_complete(double latency, bool satisfied,
+                                       std::uint64_t probes) {
   controller_.on_release();
   ++acc_.completed;
+  acc_.probes += probes;
   if (satisfied) ++acc_.satisfied;
   bool within_slo = satisfied && latency <= slo_;
   if (within_slo) ++acc_.slo_ok;
@@ -120,6 +122,7 @@ void OpenLoopDriver::sample_interval() {
   sample.live_peers = backend_.live_peers();
   sample.queries_completed = acc_.completed;
   sample.queries_satisfied = acc_.satisfied;
+  sample.probes = acc_.probes;
   sample.arrivals = acc_.arrivals;
   sample.rejected = acc_.rejected;
   sample.shed = acc_.shed;
@@ -153,8 +156,8 @@ void OpenLoopDriver::finalize(SearchResults& out) {
   // here, as the backends close theirs at collect.
   if (end > interval_start_) sample_interval();
   // Merge the overload columns into the backend's interval series; backends
-  // without interval hooks get the driver's own rows (query counts come
-  // from the observer there, so completed/satisfied are still populated).
+  // without interval hooks get the driver's own rows (query and probe
+  // counts come from the observer there, so they are still populated).
   if (out.interval_series.empty()) {
     out.interval_series = interval_rows_;
     return;

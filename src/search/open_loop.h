@@ -63,7 +63,8 @@ class OpenLoopDriver final : public QueryObserver {
   void finalize(SearchResults& out);
 
   // --- QueryObserver (called by the backend) ---
-  void on_query_complete(double latency, bool satisfied) override;
+  void on_query_complete(double latency, bool satisfied,
+                         std::uint64_t probes) override;
   void on_query_abandoned(double age) override;
 
  private:
@@ -101,6 +102,7 @@ class OpenLoopDriver final : public QueryObserver {
     std::uint64_t slo_ok = 0;
     std::uint64_t completed = 0;
     std::uint64_t satisfied = 0;
+    std::uint64_t probes = 0;
   };
   IntervalAcc acc_;
   IntervalSeries interval_rows_;

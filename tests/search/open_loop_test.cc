@@ -236,6 +236,23 @@ TEST(OpenLoop, DriverProvidesIntervalRowsForHookFreeBackends) {
   EXPECT_GT(completed, 0u);
 }
 
+// Every row counts the probes of the queries finishing in it: the driver's
+// rows (flood, iterative, one-hop) from the observer, GUESS's and gossip's
+// from their own hooks. With no warmup the rows sum to the run's probes.
+TEST(OpenLoop, IntervalRowsSumToTheRunsProbes) {
+  for (SearchBackendId id : registered_backends()) {
+    SCOPED_TRACE(backend_name(id));
+    SearchResults r = run_search(open_config(OverloadPolicy::kNone, 8.0)
+                                     .backend(id)
+                                     .metrics_interval(30.0));
+    ASSERT_FALSE(r.interval_series.empty());
+    std::uint64_t probes = 0;
+    for (const IntervalSample& row : r.interval_series) probes += row.probes;
+    EXPECT_GT(r.probes, 0u);
+    EXPECT_EQ(probes, r.probes);
+  }
+}
+
 TEST(OpenLoop, GoodputAndViolationRateAreConsistent) {
   SearchResults r = run_search(open_config(OverloadPolicy::kAdmit, 10.0));
   const OverloadStats& s = r.overload;
