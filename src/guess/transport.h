@@ -120,7 +120,7 @@ class Transport {
   /// buffer is sized for the network's largest completion thunk (a query
   /// probe resolution carrying its Candidate); search/guess.cc static_asserts
   /// that binding one never allocates.
-  static constexpr std::size_t kCompletionBufferSize = 72;
+  static constexpr std::size_t kCompletionBufferSize = 48;
   using Completion =
       sim::InlineFunction<void(DeliveryStatus), kCompletionBufferSize>;
 
