@@ -61,8 +61,8 @@ int main(int argc, char** argv) {
             .options(scale.options()));
     const auto& results = *run.extra_as<gnutella::DynamicResults>();
     table.add_row({std::string("Gnutella flood TTL=") + std::to_string(ttl),
-                   results.messages_per_query(), results.unsatisfied_rate(),
-                   results.response_time.mean(),
+                   run.query_messages_per_query(), run.unsatisfied_rate(),
+                   run.response_time.mean(),
                    analysis::gini_coefficient(results.peer_loads.values())});
   }
 

@@ -5,6 +5,7 @@
 //   ./build/examples/guess_cli --help
 //   ./build/examples/guess_cli --n=2000 --query-pong=MFS --cache-size=50
 //       --bad=10 --bad-behavior=Bad --detection --measure=3600
+#include <algorithm>
 #include <iostream>
 #include <limits>
 
@@ -296,7 +297,12 @@ int main(int argc, char** argv) {
       std::cout << "  " << s.queries_completed << "  "
                 << s.probes_per_query() << "  " << s.live_peers << "\n";
     }
-    if (!scenario.empty()) {
+    // A series in which no row completed a query (iterative's closed-loop
+    // batch runs outside simulated time) carries no recovery signal.
+    bool any_completed = std::ranges::any_of(
+        unified.interval_series,
+        [](const guess::IntervalSample& s) { return s.queries_completed > 0; });
+    if (!scenario.empty() && any_completed) {
       guess::RecoveryMetrics recovery = guess::compute_recovery(
           unified.interval_series, scenario.first_fault_time(),
           scenario.last_fault_end());

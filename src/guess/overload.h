@@ -63,10 +63,8 @@ class QueryObserver {
  public:
   virtual ~QueryObserver() = default;
 
-  /// A query ran to completion (satisfied or not) after sending `probes`
-  /// probes (the backend's SearchResults::probes unit).
-  virtual void on_query_complete(double latency, bool satisfied,
-                                 std::uint64_t probes) = 0;
+  /// A query ran to completion (satisfied or not).
+  virtual void on_query_complete(double latency, bool satisfied) = 0;
 
   /// A query was abandoned before completing (its origin died with the
   /// query active or queued). `age` is seconds since issue.

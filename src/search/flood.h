@@ -39,6 +39,7 @@
 #include "gnutella/flood.h"
 #include "gnutella/topology.h"
 #include "search/backend.h"
+#include "search/query_ledger.h"
 #include "sim/simulator.h"
 
 namespace guess::search {
@@ -57,13 +58,20 @@ class FloodBackend final : public SearchBackend {
   const char* name() const override { return "flood"; }
   /// Build the initial population and wire the overlay. Call once.
   void bootstrap() override;
-  void begin_measurement() override { measuring_ = true; }
+  void begin_measurement() override {
+    measuring_ = true;
+    ledger_.begin_measurement();
+  }
   void start_query(Rng& rng, sim::Time issued) override;
   void configure_open_loop(QueryObserver* observer) override {
     observer_ = observer;
   }
   SearchResults collect() override;
   std::size_t live_peers() const override { return table_.size(); }
+  void begin_intervals(sim::Duration width) override {
+    ledger_.begin_intervals(width);
+  }
+  void sample_interval() override { ledger_.sample_interval(live_peers()); }
 
   // faults::FaultHost — kill (a uniform fraction of live peers, no
   // respawn) and join; both draw from the backend's own RNG.
@@ -97,7 +105,6 @@ class FloodBackend final : public SearchBackend {
     /// extinction either way; an unsatisfied querier waited out the deepest
     /// hop).
     double response_time = 0.0;
-    std::uint64_t reached = 0;  ///< peers reached: the query's probes
   };
 
   PeerId spawn_peer(bool initial);
@@ -145,6 +152,7 @@ class FloodBackend final : public SearchBackend {
   std::uint64_t query_epoch_ = 0;
 
   bool measuring_ = false;
+  QueryLedger ledger_;
   gnutella::DynamicResults stats_;
   /// Loads of peers that died during measurement, in death order.
   std::vector<std::uint64_t> dead_loads_;

@@ -40,13 +40,13 @@ void OpenLoopDriver::begin_measurement() { measuring_ = true; }
 
 void OpenLoopDriver::on_arrival() {
   if (measuring_) ++stats_.arrivals;
-  ++acc_.arrivals;
+  ++row_.arrivals;
   AdmitDecision decision = controller_.on_arrival(simulator_.now());
   if (decision.shed > 0) {
     // The oldest queued entry left the system to make room for this
     // arrival.
     if (measuring_) ++stats_.shed;
-    ++acc_.shed;
+    ++row_.shed;
   }
   switch (decision.action) {
     case AdmitAction::kStart:
@@ -56,7 +56,7 @@ void OpenLoopDriver::on_arrival() {
       break;
     case AdmitAction::kReject:
       if (measuring_) ++stats_.rejected;
-      ++acc_.rejected;
+      ++row_.rejected;
       break;
   }
 }
@@ -84,14 +84,10 @@ void OpenLoopDriver::launch(sim::Time issued) {
   backend_.start_query(workload_rng_, issued);
 }
 
-void OpenLoopDriver::on_query_complete(double latency, bool satisfied,
-                                       std::uint64_t probes) {
+void OpenLoopDriver::on_query_complete(double latency, bool satisfied) {
   controller_.on_release();
-  ++acc_.completed;
-  acc_.probes += probes;
-  if (satisfied) ++acc_.satisfied;
   bool within_slo = satisfied && latency <= slo_;
-  if (within_slo) ++acc_.slo_ok;
+  if (within_slo) ++row_.slo_ok;
   if (measuring_) {
     ++stats_.completed;
     if (satisfied) ++stats_.satisfied;
@@ -116,20 +112,10 @@ void OpenLoopDriver::on_query_abandoned(double age) {
 
 void OpenLoopDriver::sample_interval() {
   if (interval_width_ <= 0.0) return;
-  IntervalSample sample;
-  sample.start = interval_start_;
-  sample.end = simulator_.now();
-  sample.live_peers = backend_.live_peers();
-  sample.queries_completed = acc_.completed;
-  sample.queries_satisfied = acc_.satisfied;
-  sample.probes = acc_.probes;
-  sample.arrivals = acc_.arrivals;
-  sample.rejected = acc_.rejected;
-  sample.shed = acc_.shed;
-  sample.slo_ok = acc_.slo_ok;
-  interval_rows_.push_back(sample);
-  acc_ = IntervalAcc{};
-  interval_start_ = sample.end;
+  row_.end = simulator_.now();
+  interval_rows_.push_back(row_);
+  row_ = IntervalSample{};
+  row_.start = interval_rows_.back().end;
 }
 
 void OpenLoopDriver::finalize(SearchResults& out) {
@@ -154,14 +140,7 @@ void OpenLoopDriver::finalize(SearchResults& out) {
   if (interval_width_ <= 0.0) return;
   // The trailing partial interval (horizon not aligned to the width) closes
   // here, as the backends close theirs at collect.
-  if (end > interval_start_) sample_interval();
-  // Merge the overload columns into the backend's interval series; backends
-  // without interval hooks get the driver's own rows (query and probe
-  // counts come from the observer there, so they are still populated).
-  if (out.interval_series.empty()) {
-    out.interval_series = interval_rows_;
-    return;
-  }
+  if (end > row_.start) sample_interval();
   GUESS_CHECK_MSG(out.interval_series.size() == interval_rows_.size(),
                   "backend " << out.backend << " closed "
                              << out.interval_series.size()

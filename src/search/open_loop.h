@@ -12,10 +12,11 @@
 //     their original arrival instant — a query's measured latency includes
 //     any time it spent queued;
 //   * accounts latency (LogHistogram), SLO conformance, goodput, rejects,
-//     sheds and abandons into SearchResults::overload and the per-interval
-//     series; at the end of the window, queries still open are censored at
-//     their current age (in-flight work is counted, not silently
-//     dropped).
+//     sheds and abandons into SearchResults::overload, and the overload
+//     columns of the backend's interval rows (the backend's QueryLedger
+//     counts the queries in them); at the end of the window, queries still
+//     open are censored at their current age (in-flight work is counted,
+//     not silently dropped).
 //
 // Determinism: the controller is pure arithmetic, the arrival process and
 // origin draws use their own Rng streams, and all event scheduling rides
@@ -57,14 +58,12 @@ class OpenLoopDriver final : public QueryObserver {
   /// End-of-run: census still-open queries at their current age, stamp
   /// SearchResults::overload, close the trailing partial interval, and
   /// merge the per-interval overload columns into the backend's interval
-  /// series (or install the driver's own series for backends without
-  /// interval hooks). The backend's rows must match the driver's one for
-  /// one, in count and in start and end times.
+  /// rows. The backend's rows must match the driver's one for one, in count
+  /// and in start and end times.
   void finalize(SearchResults& out);
 
   // --- QueryObserver (called by the backend) ---
-  void on_query_complete(double latency, bool satisfied,
-                         std::uint64_t probes) override;
+  void on_query_complete(double latency, bool satisfied) override;
   void on_query_abandoned(double age) override;
 
  private:
@@ -91,20 +90,11 @@ class OpenLoopDriver final : public QueryObserver {
   bool pumping_ = false;
   OverloadStats stats_;
 
-  // Per-interval accumulators (run from t=0, like the backend's own
-  // interval series — recovery analysis needs pre-fault baselines).
+  // The overload columns of the interval rows (run from t=0, like the
+  // backend's rows — recovery analysis needs pre-fault baselines). row_ is
+  // the open row: its start and the columns so far.
   sim::Duration interval_width_ = 0.0;
-  sim::Time interval_start_ = 0.0;
-  struct IntervalAcc {
-    std::uint64_t arrivals = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t slo_ok = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t satisfied = 0;
-    std::uint64_t probes = 0;
-  };
-  IntervalAcc acc_;
+  IntervalSample row_;
   IntervalSeries interval_rows_;
 };
 

@@ -40,16 +40,16 @@ SimulationOptions small_options() {
 
 /// The serial baseline the parallel paths must match bit for bit: one
 /// independent run_search per seed, run in the calling thread.
-std::vector<SimulationResults> serial_baseline(const SystemParams& system,
-                                               const SimulationOptions& base,
-                                               int num_seeds) {
-  std::vector<SimulationResults> runs;
+std::vector<search::SearchResults> serial_baseline(
+    const SystemParams& system, const SimulationOptions& base,
+    int num_seeds) {
+  std::vector<search::SearchResults> runs;
   for (int i = 0; i < num_seeds; ++i) {
     SimulationOptions opt = base;
     opt.seed = base.seed + static_cast<std::uint64_t>(i);
-    runs.push_back(testsupport::guess_results(search::run_search(
+    runs.push_back(search::run_search(
         SimulationConfig().system(system).protocol(ProtocolParams{}).options(
-            opt))));
+            opt)));
   }
   return runs;
 }
@@ -66,10 +66,10 @@ TEST(ParallelRunSeeds, BitwiseIdenticalToSerialAcrossThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     SimulationOptions options = base;
     options.threads = threads;
-    auto runs = testsupport::guess_results(search::run_search_seeds(
+    auto runs = search::run_search_seeds(
         SimulationConfig().system(system).protocol(ProtocolParams{}).options(
             options),
-        kSeeds));
+        kSeeds);
     ASSERT_EQ(runs.size(), golden.size());
     for (int i = 0; i < kSeeds; ++i) {
       SCOPED_TRACE("seed index " + std::to_string(i));
@@ -196,10 +196,10 @@ TEST(ParallelRunSeeds, HonorsGuessThreadsEnvironment) {
   SystemParams system = small_system();
   SimulationOptions options = small_options();
   options.measure = 120.0;
-  auto env_runs = testsupport::guess_results(search::run_search_seeds(
+  auto env_runs = search::run_search_seeds(
       SimulationConfig().system(system).protocol(ProtocolParams{}).options(
           options),
-      3));
+      3);
   ::unsetenv("GUESS_THREADS");
   auto golden = serial_baseline(system, options, 3);
   ASSERT_EQ(env_runs.size(), 3u);

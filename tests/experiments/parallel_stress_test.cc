@@ -30,18 +30,18 @@ TEST(ParallelStress, ThirtyTwoReplicationsOnFourThreads) {
   options.threads = 4;
 
   const int kSeeds = 32;
-  auto parallel = testsupport::guess_results(search::run_search_seeds(
+  auto parallel = search::run_search_seeds(
       SimulationConfig().system(system).protocol(ProtocolParams{}).options(
           options),
-      kSeeds));
+      kSeeds);
   ASSERT_EQ(parallel.size(), static_cast<std::size_t>(kSeeds));
 
   SimulationOptions serial = options;
   serial.threads = 1;
-  auto golden = testsupport::guess_results(search::run_search_seeds(
+  auto golden = search::run_search_seeds(
       SimulationConfig().system(system).protocol(ProtocolParams{}).options(
           serial),
-      kSeeds));
+      kSeeds);
   for (int i = 0; i < kSeeds; ++i) {
     SCOPED_TRACE("seed index " + std::to_string(i));
     testsupport::expect_identical(parallel[static_cast<std::size_t>(i)],

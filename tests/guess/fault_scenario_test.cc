@@ -184,8 +184,8 @@ TEST(FaultPartition, WindowUnderLossyTransportRecovers) {
                     .seed(11)
                     .warmup(100.0)
                     .measure(500.0);
-  SimulationResults results =
-      testsupport::guess_results(search::run_search(config));
+  search::SearchResults run = search::run_search(config);
+  SimulationResults results = testsupport::guess_results(run);
   // Cross-partition sends were severed (loss=0, so every lost message is
   // the partition's doing)...
   EXPECT_GT(results.transport.messages_lost, 0u);
@@ -193,7 +193,7 @@ TEST(FaultPartition, WindowUnderLossyTransportRecovers) {
   // ... and the post-heal network still works.
   EXPECT_GT(results.queries_satisfied, 0u);
   RecoveryMetrics recovery =
-      compute_recovery(results.interval_series, 250.0, 400.0);
+      compute_recovery(run.interval_series, 250.0, 400.0);
   EXPECT_GT(recovery.baseline, 0.5);
   EXPECT_LE(recovery.min_during_fault, recovery.baseline);
 }
@@ -233,14 +233,14 @@ TEST(FaultDegrade, WindowRaisesLossRateDuringWindowOnly) {
                       .seed(13)
                       .warmup(100.0)
                       .measure(400.0);
-    return testsupport::guess_results(search::run_search(config));
+    return search::run_search(config);
   };
   // The poison toggle at the horizon is a no-op fault: same run shape, no
   // degradation, so every transport loss below is the window's.
-  SimulationResults calm = run("at 500 poison on");
-  SimulationResults degraded = run("at 200 degrade loss=0.6 for 100");
-  EXPECT_EQ(calm.transport.messages_lost, 0u);
-  EXPECT_GT(degraded.transport.messages_lost, 0u);
+  search::SearchResults calm = run("at 500 poison on");
+  search::SearchResults degraded = run("at 200 degrade loss=0.6 for 100");
+  EXPECT_EQ(testsupport::guess_results(calm).transport.messages_lost, 0u);
+  EXPECT_GT(testsupport::guess_results(degraded).transport.messages_lost, 0u);
   // Losses happened inside the window's intervals and only there.
   for (const IntervalSample& s : degraded.interval_series) {
     if (s.end <= 200.0 || s.start >= 300.0) {
@@ -341,8 +341,7 @@ TEST(IntervalSeries, ContiguousFromTimeZeroWithLivePopulation) {
                     .seed(23)
                     .warmup(200.0)
                     .measure(400.0);
-  SimulationResults results =
-      testsupport::guess_results(search::run_search(config));
+  search::SearchResults results = search::run_search(config);
 
   // Horizon 600 = 6 exact 100 s intervals; the sampler fires at the horizon
   // so there is no trailing partial.
@@ -369,8 +368,7 @@ TEST(IntervalSeries, TrailingPartialIntervalAppended) {
                     .seed(23)
                     .warmup(200.0)
                     .measure(400.0);
-  SimulationResults results =
-      testsupport::guess_results(search::run_search(config));
+  search::SearchResults results = search::run_search(config);
   ASSERT_EQ(results.interval_series.size(), 7u);
   const IntervalSample& tail = results.interval_series.back();
   EXPECT_DOUBLE_EQ(tail.start, 540.0);
@@ -405,8 +403,7 @@ TEST(IntervalSeries, KillAtBoundaryReflectedInClosingSample) {
                     .seed(29)
                     .warmup(200.0)
                     .measure(400.0);
-  SimulationResults results =
-      testsupport::guess_results(search::run_search(config));
+  search::SearchResults results = search::run_search(config);
   ASSERT_EQ(results.interval_series.size(), 6u);
   EXPECT_EQ(results.interval_series[1].live_peers, 100u);  // 100..200
   EXPECT_EQ(results.interval_series[2].live_peers, 70u);   // 200..300

@@ -263,22 +263,23 @@ TEST(TransportIdentity, OptionsBlockBitwiseIdenticalToChainedSetters) {
   options.seed = 17;
   options.warmup = 120.0;
   options.measure = 480.0;
-  SimulationResults via_legacy = testsupport::guess_results(search::run_search(
-      SimulationConfig().system(system).protocol(protocol).options(options)));
+  search::SearchResults via_legacy = search::run_search(
+      SimulationConfig().system(system).protocol(protocol).options(options));
 
-  SimulationResults via_config =
-      testsupport::guess_results(search::run_search(SimulationConfig()
-                                                        .system(system)
-                                                        .protocol(protocol)
-                                                        .seed(17)
-                                                        .warmup(120.0)
-                                                        .measure(480.0)));
+  search::SearchResults via_config = search::run_search(SimulationConfig()
+                                                            .system(system)
+                                                            .protocol(protocol)
+                                                            .seed(17)
+                                                            .warmup(120.0)
+                                                            .measure(480.0));
 
   testsupport::expect_identical(via_legacy, via_config);
   // The synchronous transport still accounts for traffic.
-  EXPECT_GT(via_config.transport.messages_sent, 0u);
-  EXPECT_EQ(via_config.transport.timeouts, 0u);
-  EXPECT_EQ(via_config.transport.retransmits, 0u);
+  const TransportCounters transport =
+      testsupport::guess_results(via_config).transport;
+  EXPECT_GT(transport.messages_sent, 0u);
+  EXPECT_EQ(transport.timeouts, 0u);
+  EXPECT_EQ(transport.retransmits, 0u);
 }
 
 // loss=1.0 is the degenerate extreme: nothing is ever delivered, every

@@ -194,7 +194,7 @@ TEST(OpenLoop, AttachingTheDriverDoesNotPerturbDifferentSeeds) {
 }
 
 // 40 s rows over a 150 s run leave a 30 s trailing row, which the driver
-// closes at finalize as every backend with interval hooks closes its own.
+// closes at finalize as every backend's ledger closes its own.
 // With no warmup the window is the whole run, so the rows sum exactly to
 // the window's totals.
 TEST(OpenLoop, IntervalSeriesCarriesOverloadColumns) {
@@ -220,8 +220,8 @@ TEST(OpenLoop, IntervalSeriesCarriesOverloadColumns) {
 }
 
 TEST(OpenLoop, DriverProvidesIntervalRowsForHookFreeBackends) {
-  // The iterative backend has no interval hooks of its own; in open-loop
-  // mode the driver's rows (observer-fed) populate the series instead.
+  // Iterative's rows come from its ledger, which counts every open-loop
+  // walk where it finishes; the driver merges its overload columns in.
   SearchResults r = run_search(open_config(OverloadPolicy::kNone, 8.0)
                                    .backend(SearchBackendId::kIterative)
                                    .metrics_interval(30.0));
@@ -236,9 +236,8 @@ TEST(OpenLoop, DriverProvidesIntervalRowsForHookFreeBackends) {
   EXPECT_GT(completed, 0u);
 }
 
-// Every row counts the probes of the queries finishing in it: the driver's
-// rows (flood, iterative, one-hop) from the observer, GUESS's and gossip's
-// from their own hooks. With no warmup the rows sum to the run's probes.
+// Every row counts the probes of the queries finishing in it, from the
+// backend's ledger. With no warmup the rows sum to the run's probes.
 TEST(OpenLoop, IntervalRowsSumToTheRunsProbes) {
   for (SearchBackendId id : registered_backends()) {
     SCOPED_TRACE(backend_name(id));
