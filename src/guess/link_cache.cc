@@ -39,15 +39,16 @@ LinkCache::LinkCache(PeerId owner, std::size_t capacity)
 void LinkCache::configure_indices(std::initializer_list<Policy> selection,
                                   Replacement retention) {
   orderings_.clear();
+  selection_slot_ = {};
   auto add = [&](Policy policy, ScoreIndex::Order order) {
     if (orderings_.empty()) orderings_.reserve(selection.size() + 1);
     orderings_.push_back(Ordering{policy, ScoreIndex(order)});
   };
   for (Policy policy : selection) {
-    bool configured = std::ranges::any_of(
-        orderings_, [&](const Ordering& o) { return o.policy == policy; });
-    if (policy != Policy::kRandom && !configured) {
+    std::uint8_t& slot = selection_slot_[static_cast<std::size_t>(policy)];
+    if (policy != Policy::kRandom && slot == 0) {
       add(policy, ScoreIndex::Order::kMaxFirst);
+      slot = static_cast<std::uint8_t>(orderings_.size());
     }
   }
   if (retention != Replacement::kRandom) {
@@ -81,21 +82,13 @@ void LinkCache::rebuild_indices() {
   }
 }
 
-std::span<const LinkCache::Ordering> LinkCache::selections() const {
-  std::span<const Ordering> all = orderings_;
-  return all.first(all.size() -
-                   (retention_policy_ == Replacement::kRandom ? 0 : 1));
-}
-
 const LinkCache::Ordering& LinkCache::configured_selection(
     Policy policy) const {
-  std::span<const Ordering> all = selections();
-  auto it = std::ranges::find(all, policy, &Ordering::policy);
-  GUESS_CHECK_MSG(it != all.end(), "selection policy "
-                                       << to_string(policy)
-                                       << " was not passed to "
-                                          "configure_indices");
-  return *it;
+  const std::uint8_t slot = selection_slot_[static_cast<std::size_t>(policy)];
+  GUESS_CHECK_MSG(slot != 0, "selection policy "
+                                 << to_string(policy)
+                                 << " was not passed to configure_indices");
+  return orderings_[slot - 1];
 }
 
 std::uint32_t LinkCache::find(PeerId id) const {

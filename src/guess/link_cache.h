@@ -20,6 +20,7 @@
 // ordering.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -150,8 +151,6 @@ class LinkCache {
   /// Re-sift `pos` in the orderings whose score reads `changed`.
   void note_update(std::uint32_t pos, ScoreField changed);
   void rebuild_indices();
-  /// The selection orderings (all but a retention ordering).
-  std::span<const Ordering> selections() const;
   /// The ordering for a configured selection policy; CheckError otherwise.
   const Ordering& configured_selection(Policy policy) const;
   /// The first-hand-floor guard: true iff replacing `victim` with
@@ -165,6 +164,10 @@ class LinkCache {
   PeerId owner_;
   std::size_t capacity_;
   bool first_hand_only_ = false;
+  /// Per Policy, 1 + the position in orderings_ of its selection ordering,
+  /// or 0 when it has none; fixed by configure_indices.
+  std::array<std::uint8_t, static_cast<std::size_t>(Policy::kMR) + 1>
+      selection_slot_{};
   std::size_t first_hand_floor_ = 0;
   std::size_t first_hand_count_ = 0;
   std::vector<CacheEntry> entries_;

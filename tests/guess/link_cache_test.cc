@@ -277,6 +277,13 @@ TEST(LinkCache, UnconfiguredPolicyRejected) {
   EXPECT_TRUE(cache.offer(entry(2), Replacement::kRandom, rng));
   EXPECT_EQ(cache.select_best(Policy::kMFS, rng)->id, 1u);
   EXPECT_EQ(cache.select_top(Policy::kRandom, 2, rng).size(), 2u);
+
+  // A retention ordering keyed by a policy's score does not configure that
+  // policy for selection.
+  LinkCache retained(kOwner, 2);
+  retained.configure_indices({}, Replacement::kLFS);
+  EXPECT_TRUE(retained.offer(entry(1), Replacement::kLFS, rng));
+  EXPECT_THROW(retained.select_best(Policy::kMFS, rng), CheckError);
 }
 
 // --- first-hand floor (eclipse resistance, DESIGN.md §11) ------------------
