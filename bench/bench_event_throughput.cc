@@ -90,6 +90,7 @@ Throughput run_churn_workload(sim::EventQueue& queue, int peers,
 struct EndToEnd {
   Throughput throughput;
   SimulationResults results;
+  std::uint64_t deaths = 0;  ///< SearchResults::deaths
 };
 
 EndToEnd run_simulation(sim::Scheduler scheduler, std::size_t network,
@@ -112,6 +113,7 @@ EndToEnd run_simulation(sim::Scheduler scheduler, std::size_t network,
   auto stop = std::chrono::steady_clock::now();
   EndToEnd out;
   out.results = *run.extra_as<SimulationResults>();
+  out.deaths = run.deaths;
   out.throughput.seconds =
       std::chrono::duration<double>(stop - start).count();
   out.throughput.events = static_cast<long long>(run.events_fired);
@@ -205,7 +207,7 @@ int main(int argc, char** argv) {
       e2e_heap.results.queries_satisfied ==
           e2e_calendar.results.queries_satisfied &&
       e2e_heap.results.probes.good == e2e_calendar.results.probes.good &&
-      e2e_heap.results.deaths == e2e_calendar.results.deaths;
+      e2e_heap.deaths == e2e_calendar.deaths;
 
   TablePrinter e2e({"scheduler", "wall s", "events", "events/sec"});
   auto e2e_row = [&](const char* name, const EndToEnd& e) {

@@ -48,6 +48,6 @@ int main(int argc, char** argv) {
             << "  link-cache health:    " << results.cache_health.fraction_live
             << " live fraction, " << results.cache_health.absolute_live
             << " live entries\n"
-            << "  peer deaths:          " << results.deaths << "\n";
+            << "  peer deaths:          " << run.deaths << "\n";
   return 0;
 }

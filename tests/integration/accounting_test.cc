@@ -9,15 +9,19 @@
 namespace guess {
 namespace {
 
-SimulationResults run(SystemParams system, std::uint64_t seed = 42) {
+search::SearchResults run_unified(SystemParams system,
+                                  std::uint64_t seed = 42) {
   system.content.catalog_size = 500;
   system.content.query_universe = 625;
   SimulationOptions options;
   options.seed = seed;
   options.warmup = 150.0;
   options.measure = 700.0;
-  return testsupport::guess_results(
-      search::run_search(SimulationConfig().system(system).options(options)));
+  return search::run_search(SimulationConfig().system(system).options(options));
+}
+
+SimulationResults run(SystemParams system, std::uint64_t seed = 42) {
+  return testsupport::guess_results(run_unified(system, seed));
 }
 
 void check_reconciliation(const SimulationResults& results) {
@@ -43,13 +47,14 @@ void check_reconciliation(const SimulationResults& results) {
 TEST(Accounting, AllHonestPopulation) {
   SystemParams system;
   system.network_size = 200;
-  auto results = run(system);
+  search::SearchResults unified = run_unified(system);
+  SimulationResults results = testsupport::guess_results(unified);
   check_reconciliation(results);
   EXPECT_EQ(results.selfish.queries_completed, 0u);
   // One load sample per honest peer that existed during measurement:
   // everyone alive at collection plus the corpses.
   EXPECT_GE(results.peer_loads.size(), 200u);
-  EXPECT_LE(results.peer_loads.size(), 200u + results.deaths);
+  EXPECT_LE(results.peer_loads.size(), 200u + unified.deaths);
 }
 
 TEST(Accounting, MixedSelfishPopulation) {
@@ -67,11 +72,12 @@ TEST(Accounting, MaliciousPeersExcludedFromLoadsAndQueries) {
   system.network_size = 200;
   system.percent_bad_peers = 20.0;
   system.bad_pong_behavior = BadPongBehavior::kBad;
-  auto results = run(system);
+  search::SearchResults unified = run_unified(system);
+  SimulationResults results = testsupport::guess_results(unified);
   check_reconciliation(results);
   // Attackers issue no queries and contribute no load samples: at most the
   // honest 80% (plus honest corpses) appear.
-  EXPECT_LE(results.peer_loads.size(), 160u + results.deaths);
+  EXPECT_LE(results.peer_loads.size(), 160u + unified.deaths);
   EXPECT_GE(results.peer_loads.size(), 160u);
 }
 

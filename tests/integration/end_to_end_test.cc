@@ -24,10 +24,15 @@ SimulationOptions quick(std::uint64_t seed = 42) {
   return options;
 }
 
+search::SearchResults simulate_unified(const SystemParams& system,
+                                       const ProtocolParams& protocol) {
+  return search::run_search(
+      SimulationConfig().system(system).protocol(protocol).options(quick()));
+}
+
 SimulationResults simulate(const SystemParams& system,
                            const ProtocolParams& protocol) {
-  return testsupport::guess_results(search::run_search(
-      SimulationConfig().system(system).protocol(protocol).options(quick())));
+  return testsupport::guess_results(simulate_unified(system, protocol));
 }
 
 TEST(EndToEnd, TightCapacityProducesRefusedProbes) {
@@ -94,12 +99,12 @@ TEST(EndToEnd, FastChurnRaisesDeadProbeShare) {
   auto run = [](double multiplier) {
     SystemParams system = base_system();
     system.lifespan_multiplier = multiplier;
-    return simulate(system, ProtocolParams{});
+    return simulate_unified(system, ProtocolParams{});
   };
   auto stable = run(5.0);
   auto churny = run(0.1);
-  EXPECT_GT(churny.dead_probes_per_query(),
-            stable.dead_probes_per_query() * 1.5);
+  EXPECT_GT(testsupport::guess_results(churny).dead_probes_per_query(),
+            testsupport::guess_results(stable).dead_probes_per_query() * 1.5);
   EXPECT_GT(churny.deaths, stable.deaths * 5);
 }
 
