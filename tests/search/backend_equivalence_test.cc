@@ -133,6 +133,65 @@ TEST_P(BackendEquivalenceTest, GuessMatchesLegacyUnderFaultsAndLossAndIntervals)
   EXPECT_EQ(testsupport::digest(unified), 0x63360708172dc77cull);
 }
 
+// The scenario both partition-and-degradation goldens run: a partition
+// whose window holds a degradation window, births during both (a join
+// draws partition sides) and a mass kill while the network is split.
+faults::Scenario partition_and_degradation() {
+  return faults::Scenario::parse(
+      "at 250 partition 2 for 150; at 300 degrade loss=0.2 latency=2 for "
+      "100; at 320 join 30; at 360 kill 0.2");
+}
+
+TEST_P(BackendEquivalenceTest, GuessGoldenUnderPartitionAndDegradation) {
+  SearchResults unified = run_search(
+      SimulationConfig()
+          .system(small_system())
+          .transport(TransportParams::lossy(0.05))
+          .scenario(partition_and_degradation())
+          .metrics_interval(60.0)
+          .seed(23)
+          .warmup(200.0)
+          .measure(400.0)
+          .scheduler(GetParam()));
+  const auto* extra = unified.extra_as<SimulationResults>();
+  ASSERT_NE(extra, nullptr);
+
+  EXPECT_EQ(unified.queries_completed, 472u);
+  EXPECT_EQ(unified.queries_satisfied, 452u);
+  EXPECT_EQ(unified.probes, 9558u);
+  EXPECT_EQ(unified.deaths, 59u);
+  EXPECT_EQ(extra->pings_sent, 2004u);
+  EXPECT_EQ(extra->transport.messages_lost, 2683u);
+  EXPECT_EQ(extra->transport.timeouts, 2684u);
+  EXPECT_EQ(testsupport::digest(*extra), 0x75caa7373c441894ull);
+  EXPECT_EQ(testsupport::digest(unified), 0x765d014f5bc1392bull);
+}
+
+TEST_P(BackendEquivalenceTest, GossipGoldenUnderPartitionAndDegradation) {
+  SearchResults unified = run_search(
+      SimulationConfig()
+          .system(small_system())
+          .backend(SearchBackendId::kGossip)
+          .transport(TransportParams::lossy(0.05))
+          .scenario(partition_and_degradation())
+          .metrics_interval(60.0)
+          .seed(23)
+          .warmup(200.0)
+          .measure(400.0)
+          .scheduler(GetParam()));
+  const auto* extra = unified.extra_as<GossipStats>();
+  ASSERT_NE(extra, nullptr);
+
+  EXPECT_EQ(unified.queries_completed, 524u);
+  EXPECT_EQ(unified.queries_satisfied, 491u);
+  EXPECT_EQ(unified.probes, 10177u);
+  EXPECT_EQ(unified.deaths, 62u);
+  EXPECT_EQ(extra->gossip_legs, 20747u);
+  EXPECT_EQ(extra->probe_replies, 6407u);
+  EXPECT_EQ(testsupport::digest(*extra), 0xeab36fe43214bf1bull);
+  EXPECT_EQ(testsupport::digest(unified), 0xed84931c3530cce9ull);
+}
+
 // --- Gnutella flooding ------------------------------------------------------
 
 // Recorded from bench_gnutella_compare's legacy driver sequence (the
