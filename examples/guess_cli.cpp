@@ -85,7 +85,6 @@ Open-loop arrivals + overload control (DESIGN.md §13):
   --arrival=closed         closed (population query clocks) | open (arrival
                            process at --offered-qps, any backend)
   --offered-qps=0          offered load in queries/s (required when open)
-  --arrival-dist=poisson   poisson | uniform inter-arrival gaps
   --overload-policy=none   none | admit | shed
   --slo-ms=10000           latency SLO (ms) for goodput accounting
 
@@ -176,8 +175,6 @@ int main(int argc, char** argv) {
       .arrival(guess::sim::parse_arrival_mode(
           flags.get_string("arrival", "closed")))
       .offered_qps(flags.get_double("offered-qps", 0.0))
-      .arrival_dist(guess::sim::parse_arrival_dist(
-          flags.get_string("arrival-dist", "poisson")))
       .overload_policy(guess::parse_overload_policy(
           flags.get_string("overload-policy", "none")))
       .slo(flags.slo_ms() / 1000.0);

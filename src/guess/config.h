@@ -147,10 +147,6 @@ struct SimulationOptions {
   /// closed.
   double offered_qps = 0.0;
 
-  /// Inter-arrival gap distribution of the open-loop process
-  /// (--arrival-dist).
-  sim::ArrivalDist arrival_dist = sim::ArrivalDist::kPoisson;
-
   /// Latency SLO in seconds (--slo-ms / 1000): a query counts toward
   /// goodput only if it is satisfied within this budget.
   double slo = 10.0;
@@ -225,10 +221,6 @@ class SimulationConfig {
   }
   SimulationConfig& offered_qps(double v) {
     options_.offered_qps = v;
-    return *this;
-  }
-  SimulationConfig& arrival_dist(sim::ArrivalDist v) {
-    options_.arrival_dist = v;
     return *this;
   }
   SimulationConfig& slo(double seconds) {

@@ -19,8 +19,7 @@ OpenLoopDriver::OpenLoopDriver(const SimulationConfig& config,
     : simulator_(simulator),
       backend_(backend),
       controller_(config.options().overload),
-      arrivals_(simulator, config.options().arrival_dist,
-                config.options().offered_qps,
+      arrivals_(simulator, config.options().offered_qps,
                 Rng(config.seed() ^ kArrivalSeedSalt)),
       workload_rng_(config.seed() ^ kWorkloadSeedSalt),
       slo_(config.options().slo),

@@ -23,26 +23,8 @@ ArrivalMode parse_arrival_mode(const std::string& name) {
   return ArrivalMode::kClosed;
 }
 
-const char* arrival_dist_name(ArrivalDist dist) {
-  switch (dist) {
-    case ArrivalDist::kPoisson: return "poisson";
-    case ArrivalDist::kUniform: return "uniform";
-  }
-  GUESS_CHECK_MSG(false, "unknown ArrivalDist");
-  return "?";
-}
-
-ArrivalDist parse_arrival_dist(const std::string& name) {
-  if (name == "poisson") return ArrivalDist::kPoisson;
-  if (name == "uniform") return ArrivalDist::kUniform;
-  GUESS_CHECK_MSG(false, "unknown arrival distribution '"
-                             << name << "' (expected poisson | uniform)");
-  return ArrivalDist::kPoisson;
-}
-
-ArrivalProcess::ArrivalProcess(Simulator& simulator, ArrivalDist dist,
-                               double rate, Rng rng)
-    : simulator_(simulator), dist_(dist), rate_(rate), rng_(std::move(rng)) {
+ArrivalProcess::ArrivalProcess(Simulator& simulator, double rate, Rng rng)
+    : simulator_(simulator), rate_(rate), rng_(std::move(rng)) {
   GUESS_CHECK_MSG(rate_ > 0.0, "arrival rate must be > 0, got " << rate_);
 }
 
@@ -60,9 +42,7 @@ void ArrivalProcess::fire() {
 }
 
 void ArrivalProcess::schedule_next() {
-  Duration gap = dist_ == ArrivalDist::kPoisson ? rng_.exponential(rate_)
-                                                : 1.0 / rate_;
-  simulator_.after(gap, ArrivalFired{this});
+  simulator_.after(rng_.exponential(rate_), ArrivalFired{this});
 }
 
 }  // namespace guess::sim

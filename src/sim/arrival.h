@@ -10,9 +10,8 @@
 // literature).
 //
 // ArrivalProcess generates that external arrival stream on the simulator's
-// event queue: Poisson (exponential gaps, the default) or uniform
-// (deterministic 1/rate gaps) at `rate` arrivals per simulated second. It
-// owns a dedicated RNG stream so its draws never perturb the backend's —
+// event queue: a Poisson process (exponential gaps) at `rate` arrivals per
+// simulated second. It owns a dedicated RNG stream so its draws never perturb the backend's —
 // attaching an arrival process to a run cannot change how the protocol
 // itself unfolds, only what workload hits it.
 //
@@ -39,22 +38,14 @@ enum class ArrivalMode {
   kOpen,    ///< external ArrivalProcess at a fixed offered rate
 };
 
-/// Gap distribution of the open-loop process (--arrival-dist).
-enum class ArrivalDist {
-  kPoisson,  ///< exponential inter-arrival gaps (memoryless, the default)
-  kUniform,  ///< deterministic 1/rate gaps (isolates queueing from burstiness)
-};
-
 const char* arrival_mode_name(ArrivalMode mode);
 ArrivalMode parse_arrival_mode(const std::string& name);
-const char* arrival_dist_name(ArrivalDist dist);
-ArrivalDist parse_arrival_dist(const std::string& name);
 
 class ArrivalProcess {
  public:
   /// `rate` is arrivals per simulated second (> 0). `rng` should be a
   /// dedicated stream (the callers derive it as Rng(seed ^ salt)).
-  ArrivalProcess(Simulator& simulator, ArrivalDist dist, double rate, Rng rng);
+  ArrivalProcess(Simulator& simulator, double rate, Rng rng);
 
   /// Install the sink and schedule the first arrival (one gap from now).
   /// Call exactly once; the process then reschedules itself forever (events
@@ -75,7 +66,6 @@ class ArrivalProcess {
   void schedule_next();
 
   Simulator& simulator_;
-  ArrivalDist dist_;
   double rate_;
   Rng rng_;
   std::function<void()> sink_;

@@ -17,32 +17,11 @@ TEST(ArrivalNames, RoundTrip) {
   EXPECT_EQ(parse_arrival_mode(arrival_mode_name(ArrivalMode::kOpen)),
             ArrivalMode::kOpen);
   EXPECT_THROW(parse_arrival_mode("ajar"), CheckError);
-  EXPECT_EQ(parse_arrival_dist(arrival_dist_name(ArrivalDist::kPoisson)),
-            ArrivalDist::kPoisson);
-  EXPECT_EQ(parse_arrival_dist(arrival_dist_name(ArrivalDist::kUniform)),
-            ArrivalDist::kUniform);
-  EXPECT_THROW(parse_arrival_dist("pareto"), CheckError);
-}
-
-TEST(ArrivalProcess, UniformGapsAreExact) {
-  Simulator simulator;
-  ArrivalProcess arrivals(simulator, ArrivalDist::kUniform, 4.0, Rng(1));
-  std::vector<Time> times;
-  arrivals.start([&] { times.push_back(simulator.now()); });
-  simulator.run_until(2.0);
-  // Gaps of exactly 1/rate starting one gap in: 0.25, 0.50, ..., 2.00 —
-  // whether the arrival at exactly t=2.0 fires depends on the horizon
-  // comparison, so check the first seven.
-  ASSERT_GE(times.size(), 7u);
-  for (std::size_t i = 0; i < 7; ++i) {
-    EXPECT_DOUBLE_EQ(times[i], 0.25 * static_cast<double>(i + 1));
-  }
-  EXPECT_EQ(arrivals.arrivals(), times.size());
 }
 
 TEST(ArrivalProcess, PoissonRateIsApproximatelyHonored) {
   Simulator simulator;
-  ArrivalProcess arrivals(simulator, ArrivalDist::kPoisson, 10.0, Rng(2));
+  ArrivalProcess arrivals(simulator, 10.0, Rng(2));
   std::uint64_t count = 0;
   arrivals.start([&] { ++count; });
   simulator.run_until(1000.0);
@@ -54,7 +33,7 @@ TEST(ArrivalProcess, PoissonRateIsApproximatelyHonored) {
 TEST(ArrivalProcess, SameSeedSameStream) {
   auto trace = [](std::uint64_t seed) {
     Simulator simulator;
-    ArrivalProcess arrivals(simulator, ArrivalDist::kPoisson, 5.0, Rng(seed));
+    ArrivalProcess arrivals(simulator, 5.0, Rng(seed));
     std::vector<Time> times;
     arrivals.start([&] { times.push_back(simulator.now()); });
     simulator.run_until(50.0);
@@ -66,12 +45,8 @@ TEST(ArrivalProcess, SameSeedSameStream) {
 
 TEST(ArrivalProcess, RejectsNonPositiveRate) {
   Simulator simulator;
-  EXPECT_THROW(
-      ArrivalProcess(simulator, ArrivalDist::kPoisson, 0.0, Rng(1)),
-      CheckError);
-  EXPECT_THROW(
-      ArrivalProcess(simulator, ArrivalDist::kUniform, -1.0, Rng(1)),
-      CheckError);
+  EXPECT_THROW(ArrivalProcess(simulator, 0.0, Rng(1)), CheckError);
+  EXPECT_THROW(ArrivalProcess(simulator, -1.0, Rng(1)), CheckError);
 }
 
 }  // namespace
