@@ -34,29 +34,6 @@
 namespace guess {
 namespace {
 
-/// Pool the per-seed interval series (same boundaries across seeds: counts
-/// sum, live population averages) — the bench_fault_scenarios convention.
-IntervalSeries pool_series(const std::vector<search::SearchResults>& runs) {
-  IntervalSeries pooled;
-  for (const search::SearchResults& run : runs) {
-    const IntervalSeries& series = run.interval_series;
-    if (pooled.size() < series.size()) pooled.resize(series.size());
-    for (std::size_t i = 0; i < series.size(); ++i) {
-      pooled[i].start = series[i].start;
-      pooled[i].end = series[i].end;
-      pooled[i].queries_completed += series[i].queries_completed;
-      pooled[i].queries_satisfied += series[i].queries_satisfied;
-      pooled[i].probes += series[i].probes;
-      pooled[i].live_peers += series[i].live_peers;
-      pooled[i].transport += series[i].transport;
-    }
-  }
-  if (!runs.empty()) {
-    for (IntervalSample& s : pooled) s.live_peers /= runs.size();
-  }
-  return pooled;
-}
-
 struct Cell {
   RecoveryMetrics recovery;
   double success_during = 0.0;  // pooled over samples inside the window
@@ -216,7 +193,7 @@ int main(int argc, char** argv) {
                         .scenario(faults::Scenario::parse(spec));
       auto runs = search::run_search_seeds(config, scale.seeds);
       Cell cell;
-      IntervalSeries pooled = pool_series(runs);
+      IntervalSeries pooled = experiments::pool_series(runs);
       cell.recovery = compute_recovery(pooled, t0, t0 + window);
       cell.success_during = success_in_window(pooled, t0, t0 + window);
       for (const search::SearchResults& run : runs) {

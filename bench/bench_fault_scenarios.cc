@@ -29,29 +29,6 @@ namespace {
 
 using namespace guess;
 
-/// Pool the per-seed interval series: boundaries are identical across seeds
-/// (same horizon, same width), so counts sum and live populations average.
-IntervalSeries pool_series(const std::vector<search::SearchResults>& runs) {
-  IntervalSeries pooled;
-  for (const search::SearchResults& run : runs) {
-    const IntervalSeries& series = run.interval_series;
-    if (pooled.size() < series.size()) pooled.resize(series.size());
-    for (std::size_t i = 0; i < series.size(); ++i) {
-      pooled[i].start = series[i].start;
-      pooled[i].end = series[i].end;
-      pooled[i].queries_completed += series[i].queries_completed;
-      pooled[i].queries_satisfied += series[i].queries_satisfied;
-      pooled[i].probes += series[i].probes;
-      pooled[i].live_peers += series[i].live_peers;
-      pooled[i].transport += series[i].transport;
-    }
-  }
-  if (!runs.empty()) {
-    for (IntervalSample& s : pooled) s.live_peers /= runs.size();
-  }
-  return pooled;
-}
-
 struct NamedScenario {
   std::string name;
   faults::Scenario scenario;
@@ -133,7 +110,7 @@ int main(int argc, char** argv) {
                       .transport(transport)
                       .scenario(entry.scenario);
     auto runs = search::run_search_seeds(config, scale.seeds);
-    IntervalSeries pooled = pool_series(runs);
+    IntervalSeries pooled = experiments::pool_series(runs);
     RecoveryMetrics recovery =
         compute_recovery(pooled, entry.scenario.first_fault_time(),
                          entry.scenario.last_fault_end());

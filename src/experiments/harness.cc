@@ -225,6 +225,27 @@ std::vector<AveragedResults> run_configs(const std::vector<ConfigJob>& jobs,
   return out;
 }
 
+IntervalSeries pool_series(const std::vector<search::SearchResults>& runs) {
+  IntervalSeries pooled;
+  for (const search::SearchResults& run : runs) {
+    const IntervalSeries& series = run.interval_series;
+    if (pooled.size() < series.size()) pooled.resize(series.size());
+    for (std::size_t i = 0; i < series.size(); ++i) {
+      pooled[i].start = series[i].start;
+      pooled[i].end = series[i].end;
+      pooled[i].queries_completed += series[i].queries_completed;
+      pooled[i].queries_satisfied += series[i].queries_satisfied;
+      pooled[i].probes += series[i].probes;
+      pooled[i].live_peers += series[i].live_peers;
+      pooled[i].transport += series[i].transport;
+    }
+  }
+  if (!runs.empty()) {
+    for (IntervalSample& s : pooled) s.live_peers /= runs.size();
+  }
+  return pooled;
+}
+
 void print_header(std::ostream& os, const std::string& experiment,
                   const std::string& paper_claim, const SystemParams& system,
                   const ProtocolParams& protocol, const Scale& scale) {

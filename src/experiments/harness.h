@@ -19,12 +19,17 @@
 
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "common/flags.h"
 #include "faults/scenario.h"
 #include "guess/config.h"
 #include "guess/metrics.h"
 #include "guess/params.h"
+
+namespace guess::search {
+struct SearchResults;
+}  // namespace guess::search
 
 namespace guess::experiments {
 
@@ -132,6 +137,11 @@ struct ConfigJob {
 /// saturates the machine even at seeds=1.
 std::vector<AveragedResults> run_configs(const std::vector<ConfigJob>& jobs,
                                          const Scale& scale);
+
+/// Pool the per-seed interval series of one configuration: boundaries are
+/// identical across seeds (same horizon, same width), so counts sum and live
+/// populations average.
+IntervalSeries pool_series(const std::vector<search::SearchResults>& runs);
 
 /// Standard bench header: figure id, claim being reproduced, parameters.
 void print_header(std::ostream& os, const std::string& experiment,
