@@ -35,21 +35,28 @@ int main(int argc, char** argv) {
     return static_cast<double>(run.maintenance_messages) /
            (static_cast<double>(run.network_size) * run.measure_duration);
   };
-
+  // Each row runs scale.seeds seeds and prints every column's mean.
   auto run_dht = [&](double multiplier, double delay) {
     SystemParams s = system;
     s.lifespan_multiplier = multiplier;
-    search::SearchResults run = search::run_search(
+    auto runs = search::run_search_seeds(
         SimulationConfig()
             .backend(SearchBackendId::kOneHop)
             .system(s)
             .onehop({.dissemination_delay = delay})
-            .options(scale.options()));
-    const auto& results = *run.extra_as<search::OneHopResults>();
+            .options(scale.options()),
+        scale.seeds);
+    double probes = 0.0, one_hop = 0.0, maintenance = 0.0;
+    for (const search::SearchResults& run : runs) {
+      const auto& results = *run.extra_as<search::OneHopResults>();
+      probes += results.mean_probes();
+      one_hop += 100.0 * results.one_hop_fraction();
+      maintenance += maintenance_rate(run);
+    }
+    auto n = static_cast<double>(runs.size());
     table.add_row(
         {std::string("one-hop DHT (D=") + std::to_string(int(delay)) + "s)",
-         multiplier, results.mean_probes(),
-         100.0 * results.one_hop_fraction(), maintenance_rate(run),
+         multiplier, probes / n, one_hop / n, maintenance / n,
          std::string("n/a (exact-match)")});
   };
 
@@ -58,13 +65,20 @@ int main(int argc, char** argv) {
     s.lifespan_multiplier = multiplier;
     ProtocolParams protocol;
     protocol.query_pong = Policy::kMFS;
-    search::SearchResults run = search::run_search(
+    auto runs = search::run_search_seeds(
         SimulationConfig().system(s).protocol(protocol).options(
-            scale.options()));
-    const auto& results = *run.extra_as<SimulationResults>();
+            scale.options()),
+        scale.seeds);
+    double probes = 0.0, maintenance = 0.0, unsatisfied = 0.0;
+    for (const search::SearchResults& run : runs) {
+      const auto& results = *run.extra_as<SimulationResults>();
+      probes += results.probes_per_query();
+      maintenance += maintenance_rate(run);
+      unsatisfied += results.unsatisfied_rate();
+    }
+    auto n = static_cast<double>(runs.size());
     table.add_row({std::string("GUESS (QueryPong=MFS)"), multiplier,
-                   results.probes_per_query(), 0.0, maintenance_rate(run),
-                   results.unsatisfied_rate()});
+                   probes / n, 0.0, maintenance / n, unsatisfied / n});
   };
 
   for (double multiplier : {1.0, 0.2}) {
